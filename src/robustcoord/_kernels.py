@@ -1,16 +1,11 @@
-"""Simplex pivot kernels: numba-jitted loop with a pure-numpy fallback.
+"""Simplex pivot kernel: Bland's rule as one vectorized numpy loop.
 
 The pivot loop is the only hot path in the package (wide tableaus, one full
-reduced-cost scan per pivot), so it follows the usual pattern: an ``@njit``
-kernel compiled lazily on first use, and a vectorized numpy twin selected by
-the ``ROBUSTCOORD_BACKEND`` environment variable (``numpy`` forces the
-fallback; anything else prefers numba when it imports). Both implement the
-same Bland pivot rule, so pivot sequences are identical across backends.
+reduced-cost scan per pivot). It has a single implementation; ``simplex``
+drives it for both phases.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -20,51 +15,16 @@ OPTIMAL = 0
 UNBOUNDED = 1
 ITER_LIMIT = 2
 
-_ENV_FLAG = "ROBUSTCOORD_BACKEND"
+
+def active_backend() -> str:
+    """Name of the pivot implementation, recorded by the benchmark harness."""
+    return "numpy"
 
 
-def _pivot_loop_py(T, basis, active_cols, maxiter):
+def pivot_loop(T, basis, active_cols, maxiter):
     """Bland's rule on a dense tableau. Last row is the objective, last column
     the RHS. ``active_cols`` bounds the entering scan so phase 2 can shut out
     the artificial columns. Mutates T and basis in place."""
-    m = T.shape[0] - 1
-    rhs = T.shape[1] - 1
-    it = 0
-    while it < maxiter:
-        enter = -1
-        for j in range(active_cols):
-            if T[m, j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return OPTIMAL, it
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > PIVOT_TOL:
-                r = T[i, rhs] / a
-                if r < best or (r == best and (leave < 0 or basis[i] < basis[leave])):
-                    best = r
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED, it
-        piv = T[leave, enter]
-        for j in range(rhs + 1):
-            T[leave, j] /= piv
-        for i in range(m + 1):
-            if i != leave:
-                f = T[i, enter]
-                if f != 0.0:
-                    for j in range(rhs + 1):
-                        T[i, j] -= f * T[leave, j]
-        basis[leave] = enter
-        it += 1
-    return ITER_LIMIT, it
-
-
-def pivot_loop_numpy(T, basis, active_cols, maxiter):
-    """Vectorized twin of the loop kernel; same entering/leaving choices."""
     m = T.shape[0] - 1
     rhs = T.shape[1] - 1
     it = 0
@@ -88,26 +48,3 @@ def pivot_loop_numpy(T, basis, active_cols, maxiter):
         basis[leave] = enter
         it += 1
     return ITER_LIMIT, it
-
-
-try:  # pragma: no cover - exercised indirectly through the dispatcher
-    from numba import njit
-
-    pivot_loop_numba = njit(cache=True)(_pivot_loop_py)
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    pivot_loop_numba = None
-    HAS_NUMBA = False
-
-
-def active_backend() -> str:
-    flag = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if flag == "numpy" or not HAS_NUMBA:
-        return "numpy"
-    return "numba"
-
-
-def pivot_loop(T, basis, active_cols, maxiter):
-    if active_backend() == "numba":
-        return pivot_loop_numba(T, basis, active_cols, maxiter)
-    return pivot_loop_numpy(T, basis, active_cols, maxiter)

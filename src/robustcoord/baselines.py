@@ -12,13 +12,12 @@ one-shot analogue of the threshold rule is exact.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .designer import InfeasibleDesignError, design
+from .designer import InfeasibleDesignError, design, threshold_scan
 from .env import (
     Environment,
     WelfareSpec,
@@ -88,10 +87,10 @@ class ComparisonRecord:
 def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePolicy:
     """Optimal all-or-none recommendation under the pooled one-shot constraint.
 
-    Identical greedy structure to the robust designer, with the full-trust
-    gain (benefit - cost + complementarity) in place of the potential: rank
-    states by gain-to-welfare score, invite from the top, mix at the boundary
-    so the pooled constraint binds exactly.
+    The robust designer's ``threshold_scan`` with the full-trust gain
+    (benefit - cost + complementarity) in place of the potential: rank states
+    by gain-to-welfare score, invite from the top, mix at the boundary so the
+    pooled constraint binds exactly.
     """
     if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
         raise ValueError("welfare spec does not match the environment's dimensions")
@@ -105,14 +104,9 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
         np.divide(g_full, v_full, out=np.zeros_like(g_full), where=v_full > 0),
         np.where(g_full > 0, math.inf, -math.inf),
     )
-    order = sorted(range(n_states), key=lambda s: scores[s])
-    eligible = [s for s in order if scores[s] > -math.inf]
-
-    q = np.zeros(n_states)
-    notes: tuple[str, ...] = ()
     if not np.any(g_full > 0.0):
         return BaselinePolicy(
-            invite_probs=q,
+            invite_probs=np.zeros(n_states),
             mixing_state=None,
             mixing_label=None,
             mixing_weight=0.0,
@@ -123,39 +117,21 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
             notes=("no state supports cooperation even with full trust",),
         )
 
-    total = sum(env.prior[s] * g_full[s] for s in eligible)
-    if total >= 0.0:
-        for s in eligible:
-            q[s] = 1.0
-        mix_state, mix = eligible[0], 1.0
-        degenerate = True
-    else:
-        cum = 0.0
-        mix_state, mix, degenerate = eligible[-1], 0.0, False
-        for s in reversed(eligible):
-            step = env.prior[s] * g_full[s]
-            if g_full[s] >= 0.0 or cum + step > 0.0:
-                q[s] = 1.0
-                cum += step
-            else:
-                mix = cum / (-step) if step != 0.0 else 1.0
-                q[s] = mix
-                mix_state = s
-                break
-
+    scan = threshold_scan(env.prior, g_full, scores)
+    q = scan.invite_probs
     predicted = float(sum(env.prior[s] * q[s] * v_full[s] for s in range(n_states)))
-    full = [s for s in range(n_states) if q[s] == 1.0]
-    first_full = min(full, key=lambda s: scores[s]) if full else None
+    # the lowest-scored fully invited state; order is stable, so ties go to
+    # the lower index
+    first_full = next((s for s in scan.order if q[s] == 1.0), None)
     return BaselinePolicy(
         invite_probs=q,
-        mixing_state=int(mix_state),
-        mixing_label=env.labels[mix_state],
-        mixing_weight=float(mix),
-        first_full_state=None if first_full is None else int(first_full),
+        mixing_state=scan.threshold_state,
+        mixing_label=env.labels[scan.threshold_state],
+        mixing_weight=scan.mixing_weight,
+        first_full_state=first_full,
         first_full_label=None if first_full is None else env.labels[first_full],
         predicted_welfare=predicted,
-        degenerate=degenerate,
-        notes=notes,
+        degenerate=scan.degenerate,
     )
 
 
@@ -230,21 +206,10 @@ def compare(env: Environment, welfare: WelfareSpec) -> ComparisonRecord:
 
 
 def sweep(
-    env: Environment,
-    welfare: WelfareSpec,
-    costs: Sequence[float],
-    max_workers: int | None = None,
+    env: Environment, welfare: WelfareSpec, costs: Sequence[float]
 ) -> list[ComparisonRecord]:
-    """Compare across action costs, in parallel, results in cost order."""
-    costs = [float(c) for c in costs]
-
-    def one(c: float) -> ComparisonRecord:
-        return compare(env.with_cost(c), welfare)
-
-    if len(costs) <= 1:
-        return [one(c) for c in costs]
-    with ThreadPoolExecutor(max_workers=max_workers or min(8, len(costs))) as pool:
-        return list(pool.map(one, costs))
+    """Compare across action costs, one after another, results in cost order."""
+    return [compare(env.with_cost(float(c)), welfare) for c in costs]
 
 
 def sweep_boundaries(records: Sequence[ComparisonRecord], tol: float = 1e-9) -> dict:

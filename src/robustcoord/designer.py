@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ class ThresholdPolicy:
 
     scores: np.ndarray
     order: tuple[int, ...]  # state indices, nondecreasing score, stable on ties
+    invite_probs: np.ndarray
     threshold_state: int
     threshold_label: str
     mixing_weight: float  # invitation probability at the threshold state
@@ -62,18 +64,8 @@ class ThresholdPolicy:
     warnings: tuple[str, ...] = ()
 
     def invite_probabilities(self) -> np.ndarray:
-        """Per-state invitation probability implied by the threshold."""
-        q = np.zeros(len(self.scores))
-        rank = {s: r for r, s in enumerate(self.order)}
-        t = rank[self.threshold_state]
-        for s, r in rank.items():
-            if self.scores[s] == -math.inf:
-                continue
-            if r > t:
-                q[s] = 1.0
-            elif r == t:
-                q[s] = self.mixing_weight
-        return q
+        """Per-state invitation probability set by the threshold scan."""
+        return self.invite_probs.copy()
 
     def to_dict(self, labels: tuple[str, ...] | None = None) -> dict:
         # JSON has no infinities; encode the sentinel scores as strings
@@ -94,6 +86,65 @@ class ThresholdPolicy:
         }
 
 
+class ThresholdScan(NamedTuple):
+    """Result of ``threshold_scan``."""
+
+    order: tuple[int, ...]
+    invite_probs: np.ndarray
+    threshold_state: int
+    mixing_weight: float
+    degenerate: bool
+
+
+def threshold_scan(
+    prior: np.ndarray,
+    gains: np.ndarray,
+    scores: np.ndarray,
+    counter: OpCounter | None = None,
+) -> ThresholdScan:
+    """Greedy invitation scan shared by the robust designer and the optimistic
+    baseline; they differ only in the per-state gain they budget.
+
+    Sorts the states by score (stable, so ties keep input order), drops the
+    -inf states, then scans from the highest score accumulating the
+    prior-weighted gain. States with a nonnegative gain are always invited;
+    the first state whose inclusion would bring the running sum to zero or
+    below becomes the threshold state and receives the fractional mass that
+    balances the sum to exactly zero. If the total is nonnegative every
+    eligible state is invited outright (degenerate). Needs at least one state
+    with a score above -inf.
+    """
+    counter = counter if counter is not None else OpCounter()
+    n_states = len(scores)
+    order = tuple(sorted(range(n_states), key=lambda s: scores[s]))
+    counter.tick(n_states)
+
+    # -inf states are never invited and never enter the budget
+    eligible = [s for s in order if scores[s] > -math.inf]
+    q = np.zeros(n_states)
+    total = sum(prior[s] * gains[s] for s in eligible)
+    if total >= 0.0:
+        q[eligible] = 1.0
+        return ThresholdScan(order, q, eligible[0], 1.0, True)
+
+    # total < 0 stops the scan at some negative-gain state; were rounding to
+    # carry it past every state, all of them end up invited outright
+    cum = 0.0
+    t_state, mix = eligible[0], 1.0
+    for s in reversed(eligible):
+        counter.tick()
+        step = prior[s] * gains[s]
+        if gains[s] >= 0.0 or cum + step > 0.0:
+            q[s] = 1.0
+            cum += step
+        else:
+            t_state = s
+            mix = cum / (-step) if step != 0.0 else 1.0
+            q[s] = mix
+            break
+    return ThresholdScan(order, q, int(t_state), float(mix), False)
+
+
 def score(env: Environment, welfare: WelfareSpec, state: int) -> float:
     """Potential-to-welfare score of one state; +/-inf when the stake is 0."""
     f = potential(env, state, env.n_agents)
@@ -112,13 +163,9 @@ def design(
 ) -> ThresholdPolicy:
     """Compute the optimal robust invitation policy.
 
-    Scores every state, sorts them (stable, so ties keep input order), then
-    scans from the highest score accumulating the prior-weighted potential.
-    States with a nonnegative potential are always invited; the first state
-    whose inclusion would push the running sum below zero becomes the threshold
-    state and receives the fractional mass that balances the sum to exactly
-    zero. If the total is nonnegative the policy degenerates to inviting every
-    state outright.
+    Scores every state by potential(N) / V(N), then grants invitation mass
+    with ``threshold_scan`` budgeting the prior-weighted potential. Expected
+    welfare sums the invited states in score order.
     """
     if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
         raise ValueError("welfare spec does not match the environment's dimensions")
@@ -150,48 +197,25 @@ def design(
             "no state has a positive full-cooperation potential"
         )
 
-    order = tuple(sorted(range(n_states), key=lambda s: scores[s]))
-    for _ in order:
-        counter.tick()
-
-    # -inf states are never invited and never enter the budget
-    eligible = [s for s in order if scores[s] > -math.inf]
-    total = sum(env.prior[s] * f_vals[s] for s in eligible)
-    if total >= 0.0:
-        t_state = eligible[0]
-        mix = 1.0
-        degenerate = True
-    else:
-        cum = 0.0
-        t_state, mix, degenerate = eligible[-1], 0.0, False
-        for s in reversed(eligible):
-            counter.tick()
-            step = env.prior[s] * f_vals[s]
-            if f_vals[s] >= 0.0 or cum + step > 0.0:
-                cum += step
-            else:
-                # total < 0 guarantees this branch fires at some f < 0 state
-                t_state = s
-                mix = cum / (-step) if step != 0.0 else 1.0
-                break
-
-    rank = {s: r for r, s in enumerate(order)}
+    scan = threshold_scan(env.prior, f_vals, scores, counter)
+    q = scan.invite_probs
     wel = 0.0
-    for s in eligible:
+    for s in scan.order:
+        if scores[s] == -math.inf:
+            continue
         counter.tick()
-        if rank[s] > rank[t_state]:
-            wel += env.prior[s] * full_coop_value(welfare, s)
-        elif s == t_state:
-            wel += mix * env.prior[s] * full_coop_value(welfare, s)
+        if q[s] > 0.0:
+            wel += q[s] * env.prior[s] * full_coop_value(welfare, s)
 
     return ThresholdPolicy(
         scores=scores,
-        order=order,
-        threshold_state=int(t_state),
-        threshold_label=env.labels[t_state],
-        mixing_weight=float(mix),
+        order=scan.order,
+        invite_probs=q,
+        threshold_state=scan.threshold_state,
+        threshold_label=env.labels[scan.threshold_state],
+        mixing_weight=scan.mixing_weight,
         expected_welfare=float(wel),
-        degenerate=degenerate,
+        degenerate=scan.degenerate,
         warnings=warnings,
     )
 

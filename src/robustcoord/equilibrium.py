@@ -135,26 +135,29 @@ def smallest_equilibrium(
     welfare: WelfareSpec | None = None,
     tol: float = STRICT_TOL,
 ) -> EquilibriumOutcome:
-    """Iterated best response from zero cooperators.
+    """Iterated best response from zero cooperators, read off one gain table.
 
     A defector joins only when the gain is strictly above tol; cooperation
     therefore never starts unless the zero-cooperator gain is itself positive.
-    Complementarity is nonnegative, so joining is monotone and the iteration
-    stops within N rounds at the least fixed point.
+    Count k is an equilibrium when cooperators hold (gain at k - 1 >= -tol)
+    and defectors stay out (gain at k <= tol). Best response from zero climbs
+    while the gain is above tol and halts at the first k where it is not:
+    that k is an equilibrium (with tol >= 0 the gain before it is above
+    -tol), and every smaller count fails the stay-out test. So the smallest
+    equilibrium is where best response stops, and ``rounds`` is the climb
+    0, 1, ..., coop_count.
     """
+    if tol < 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     n = env.n_agents
-    count = 0
-    rounds = [0]
-    while count < n and expected_gain(env, belief, count) > tol:
-        count += 1
-        rounds.append(count)
-
-    equilibria = []
-    for k in range(n + 1):
-        hold = k == 0 or expected_gain(env, belief, k - 1) >= -tol
-        stay_out = k == n or expected_gain(env, belief, k) <= tol
-        if hold and stay_out:
-            equilibria.append(k)
+    gains = [expected_gain(env, belief, k) for k in range(n)]
+    equilibria = [
+        k
+        for k in range(n + 1)
+        if (k == 0 or gains[k - 1] >= -tol) and (k == n or gains[k] <= tol)
+    ]
+    count = equilibria[0]
+    rounds = range(count + 1)
 
     wel = None
     if welfare is not None:

@@ -114,9 +114,10 @@ class SequentialPolicy:
                 uf[s] = p
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "uniform_full", uf)
-        for s in range(self.n_states):
-            if self.state_mass(s) > 1.0 + 1e-9:
-                raise ValueError(f"state {s} carries probability mass above 1")
+        _, mass = check_feasibility(self)
+        over = np.flatnonzero(mass > 1.0 + 1e-9)
+        if over.size:
+            raise ValueError(f"state {over[0]} carries probability mass above 1")
 
     def canonical_items(self) -> list[tuple[tuple[int, Sequence_], float]]:
         # length-prefixed sequence ordering gives a stable, canonical listing

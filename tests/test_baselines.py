@@ -154,3 +154,34 @@ def test_dimension_mismatch(case1):
     wf = WelfareSpec.power(3, np.array([6.0]), 1.5)
     with pytest.raises(ValueError, match="dimensions"):
         design_bce_optimistic(env, wf)
+
+
+def test_zero_complementarity_optimism_equals_robust_design():
+    # with lambda = 0 the potential is N times the full-trust gain, so both
+    # greedy scans budget the same signs in the same order: sequencing buys
+    # nothing and the robust design meets the optimistic benchmark
+    rng = np.random.default_rng(404)
+    compared = 0
+    for _ in range(300):
+        n_agents = int(rng.integers(2, 30))
+        n_states = int(rng.integers(1, 8))
+        prior = rng.uniform(0.05, 1.0, n_states)
+        env = Environment(
+            n_agents=n_agents,
+            labels=tuple(f"s{k}" for k in range(n_states)),
+            prior=prior / prior.sum(),
+            benefit=rng.uniform(0.0, 3.0, n_states),
+            complementarity=np.zeros(n_states),
+            cost=float(rng.uniform(0.5, 2.5)),
+        )
+        wf = WelfareSpec.power(
+            n_agents, rng.uniform(1.0, 10.0, n_states), float(rng.uniform(1.0, 3.0))
+        )
+        if not (env.benefit > env.cost).any():
+            continue  # robust design infeasible
+        tp = design(env, wf)
+        bce = design_bce_optimistic(env, wf)
+        assert tp.invite_probabilities() == pytest.approx(bce.invite_probs, abs=1e-12)
+        assert tp.expected_welfare == pytest.approx(bce.predicted_welfare, abs=1e-12)
+        compared += 1
+    assert compared >= 200

@@ -7,6 +7,7 @@ import pytest
 
 from robustcoord import (
     Belief,
+    Environment,
     PRIVATE_SEQUENTIAL,
     PUBLIC,
     SequentialPolicy,
@@ -103,6 +104,90 @@ def test_scan_matches_brute_force_small_games():
                 nash_counts.add(sum(profile))
         assert set(scan.all_equilibria) == nash_counts
         assert scan.coop_count == min(nash_counts)
+
+
+def _climb_then_scan(env, belief, tol=1e-12):
+    """Reference: best response climbs from zero in one loop, then a second
+    loop lists every equilibrium count."""
+    n = env.n_agents
+    count, rounds = 0, [0]
+    while count < n and expected_gain(env, belief, count) > tol:
+        count += 1
+        rounds.append(count)
+    equilibria = []
+    for k in range(n + 1):
+        hold = k == 0 or expected_gain(env, belief, k - 1) >= -tol
+        stay_out = k == n or expected_gain(env, belief, k) <= tol
+        if hold and stay_out:
+            equilibria.append(k)
+    return count, tuple(rounds), tuple(equilibria)
+
+
+def _knife_edge_games():
+    """Point beliefs on one state whose gain is exactly 0 at k0 others:
+    b - c = -k0 / 8 and lambda / (N - 1) = 1 / 8, both exact in binary."""
+    for n_agents in range(2, 13):
+        for k0 in range(n_agents):
+            env = Environment(
+                n_agents=n_agents,
+                labels=("z", "pad"),
+                prior=np.array([0.5, 0.5]),
+                benefit=np.array([2.0 - 0.125 * k0, 1.0]),
+                complementarity=np.array([0.125 * (n_agents - 1), 0.0]),
+                cost=2.0,
+            )
+            yield env, Belief((1.0, 0.0))
+        # lambda = 0 and b = c: every gain is exactly 0, every count an equilibrium
+        env = Environment(
+            n_agents=n_agents,
+            labels=("z",),
+            prior=np.array([1.0]),
+            benefit=np.array([2.0]),
+            complementarity=np.array([0.0]),
+            cost=2.0,
+        )
+        yield env, Belief((1.0,))
+
+
+def test_one_pass_matches_climb_then_scan(case1):
+    env1, _ = case1
+    games = [(env1, Belief(env1.prior))]  # g(2) = 0 exactly at case1's prior
+    games.extend(_knife_edge_games())
+    rng = np.random.default_rng(31)
+    for n_agents in range(2, 13):
+        for _ in range(15):
+            n_states = int(rng.integers(1, 5))
+            env = Environment(
+                n_agents=n_agents,
+                labels=tuple(f"s{k}" for k in range(n_states)),
+                prior=np.full(n_states, 1.0 / n_states),
+                benefit=rng.uniform(0.0, 3.0, n_states),
+                complementarity=rng.uniform(0.0, 3.0, n_states),
+                cost=float(rng.uniform(0.5, 2.5)),
+            )
+            weights = rng.uniform(0.0, 1.0, n_states) * (rng.random(n_states) < 0.8)
+            if weights.sum() <= 0.0:
+                weights[0] = 1.0
+            games.append((env, Belief(weights / weights.sum())))
+
+    shapes = set()
+    for env, bel in games:
+        out = smallest_equilibrium(env, bel)
+        count, rounds, equilibria = _climb_then_scan(env, bel)
+        assert out.coop_count == count
+        assert out.rounds == rounds
+        assert out.all_equilibria == equilibria
+        stop = {0: "none", env.n_agents: "all"}.get(count, "interior")
+        shapes.add((stop, len(equilibria) > 1))
+    # gains never fall in the count, so best response stops at 0 or N; the
+    # draws reach both, and 0 both alone and beside other equilibria
+    assert shapes == {("none", False), ("none", True), ("all", False)}
+
+
+def test_negative_tolerance_rejected(case1):
+    env, _ = case1
+    with pytest.raises(ValueError, match="nonnegative"):
+        smallest_equilibrium(env, Belief(env.prior), tol=-1e-12)
 
 
 def test_private_evaluation_of_optimal_policy(case1):

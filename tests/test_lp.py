@@ -14,7 +14,6 @@ from robustcoord import (
     lp_to_text,
     solve,
 )
-from robustcoord._kernels import HAS_NUMBA, active_backend
 
 from conftest import random_convex_instance
 
@@ -97,21 +96,6 @@ def test_solve_is_deterministic(case1):
     assert a.iterations == b.iterations
     assert a.basis == b.basis
     assert np.array_equal(a.x, b.x)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree(case1, monkeypatch):
-    env, wf = case1
-    prog = build_lp(env, wf)
-    monkeypatch.setenv("ROBUSTCOORD_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    via_numpy = solve(prog)
-    monkeypatch.delenv("ROBUSTCOORD_BACKEND")
-    assert active_backend() == "numba"
-    via_numba = solve(prog)
-    assert via_numpy.iterations == via_numba.iterations
-    assert via_numpy.basis == via_numba.basis
-    assert np.array_equal(via_numpy.x, via_numba.x)
 
 
 def test_capacity_guard(case2):
