@@ -11,24 +11,17 @@ one-shot analogue of the threshold rule is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .designer import InfeasibleDesignError, design, threshold_scan
-from .env import (
-    Environment,
-    WelfareSpec,
-    full_coop_value,
-    marginal_gain,
-    welfare_value,
-)
+from .designer import InfeasibleDesignError, design, ratio_scores, threshold_scan
+from .env import Environment, WelfareSpec, gain_column, ordered_sum, welfare_column
 from .equilibrium import (
     PUBLIC,
-    EventOutcome,
     RealizedEvaluation,
+    event_outcome,
     posterior_from_event,
     smallest_equilibrium,
 )
@@ -94,19 +87,12 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
     """
     if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
         raise ValueError("welfare spec does not match the environment's dimensions")
-    n_states = env.n_states
-    g_full = np.array(
-        [marginal_gain(env, s, env.n_agents - 1) for s in range(n_states)]
-    )
-    v_full = np.array([full_coop_value(welfare, s) for s in range(n_states)])
-    scores = np.where(
-        v_full > 0,
-        np.divide(g_full, v_full, out=np.zeros_like(g_full), where=v_full > 0),
-        np.where(g_full > 0, math.inf, -math.inf),
-    )
+    g_full = gain_column(env, env.n_agents - 1)
+    v_full = welfare_column(welfare, welfare.n_agents)
+    scores = ratio_scores(g_full, v_full)
     if not np.any(g_full > 0.0):
         return BaselinePolicy(
-            invite_probs=np.zeros(n_states),
+            invite_probs=np.zeros(env.n_states),
             mixing_state=None,
             mixing_label=None,
             mixing_weight=0.0,
@@ -119,10 +105,11 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
 
     scan = threshold_scan(env.prior, g_full, scores)
     q = scan.invite_probs
-    predicted = float(sum(env.prior[s] * q[s] * v_full[s] for s in range(n_states)))
+    predicted = float(ordered_sum(env.prior * q * v_full))
     # the lowest-scored fully invited state; order is stable, so ties go to
     # the lower index
-    first_full = next((s for s in scan.order if q[s] == 1.0), None)
+    full = scan.order[q[scan.order] == 1.0]
+    first_full = int(full[0]) if len(full) else None
     return BaselinePolicy(
         invite_probs=q,
         mixing_state=scan.threshold_state,
@@ -153,22 +140,9 @@ def evaluate_bce_realized(
             continue
         belief = posterior_from_event(env, probs)
         out = smallest_equilibrium(env, belief, tol=tol)
-        contrib = float(
-            sum(
-                env.prior[s] * probs[s] * welfare_value(welfare, s, out.coop_count)
-                for s in range(env.n_states)
-            )
-        )
-        total += contrib
-        events.append(
-            EventOutcome(
-                label=label,
-                probs=tuple(float(p) for p in probs),
-                posterior=tuple(float(p) for p in belief.probs),
-                coop_count=out.coop_count,
-                welfare_contribution=contrib,
-            )
-        )
+        event = event_outcome(env, welfare, label, probs, belief, out.coop_count)
+        total += event.welfare_contribution
+        events.append(event)
     return RealizedEvaluation(
         welfare=total, mode=PUBLIC, obedient=None, events=tuple(events)
     )

@@ -22,8 +22,9 @@ from .env import (
     Environment,
     WelfareSpec,
     check_assumptions,
-    full_coop_value,
-    potential,
+    ordered_sum,
+    potential_column,
+    welfare_column,
 )
 from .seqpolicy import SequentialPolicy
 
@@ -89,7 +90,7 @@ class ThresholdPolicy:
 class ThresholdScan(NamedTuple):
     """Result of ``threshold_scan``."""
 
-    order: tuple[int, ...]
+    order: np.ndarray  # state indices, nondecreasing score, stable on ties
     invite_probs: np.ndarray
     threshold_state: int
     mixing_weight: float
@@ -113,45 +114,66 @@ def threshold_scan(
     balances the sum to exactly zero. If the total is nonnegative every
     eligible state is invited outright (degenerate). Needs at least one state
     with a score above -inf.
+
+    The counter ticks once per state for the sort and once per state the
+    scan visits, the threshold state included.
     """
     counter = counter if counter is not None else OpCounter()
     n_states = len(scores)
-    order = tuple(sorted(range(n_states), key=lambda s: scores[s]))
+    order = np.argsort(scores, kind="stable")
     counter.tick(n_states)
 
     # -inf states are never invited and never enter the budget
-    eligible = [s for s in order if scores[s] > -math.inf]
+    eligible = order[scores[order] > -math.inf]
+    steps = prior[eligible] * gains[eligible]
     q = np.zeros(n_states)
-    total = sum(prior[s] * gains[s] for s in eligible)
-    if total >= 0.0:
+    if ordered_sum(steps) >= 0.0:
         q[eligible] = 1.0
-        return ThresholdScan(order, q, eligible[0], 1.0, True)
+        return ThresholdScan(order, q, int(eligible[0]), 1.0, True)
 
-    # total < 0 stops the scan at some negative-gain state; were rounding to
-    # carry it past every state, all of them end up invited outright
-    cum = 0.0
-    t_state, mix = eligible[0], 1.0
-    for s in reversed(eligible):
-        counter.tick()
-        step = prior[s] * gains[s]
-        if gains[s] >= 0.0 or cum + step > 0.0:
-            q[s] = 1.0
-            cum += step
-        else:
-            t_state = s
-            mix = cum / (-step) if step != 0.0 else 1.0
-            q[s] = mix
-            break
-    return ThresholdScan(order, q, int(t_state), float(mix), False)
+    # from the top, cum[i] is the budget before the i-th state; the scan
+    # stops at the first negative-gain state that would leave it <= 0
+    top = eligible[::-1]
+    top_steps = steps[::-1]
+    cum = np.cumsum(np.concatenate(([0.0], top_steps)))
+    stop = (gains[top] < 0.0) & (cum[1:] <= 0.0)
+    if not stop.any():
+        # total < 0 stops the scan at some negative-gain state; were rounding
+        # to carry it past every state, all of them end up invited outright
+        counter.tick(len(top))
+        q[top] = 1.0
+        return ThresholdScan(order, q, int(eligible[0]), 1.0, False)
+    i = int(np.argmax(stop))
+    counter.tick(i + 1)
+    step = top_steps[i]
+    mix = cum[i] / (-step) if step != 0.0 else 1.0
+    q[top[:i]] = 1.0
+    q[top[i]] = mix
+    return ThresholdScan(order, q, int(top[i]), float(mix), False)
+
+
+def ratio_scores(gains: np.ndarray, stakes: np.ndarray) -> np.ndarray:
+    """Gain per unit of stake, state by state; where the stake is 0 the
+    score is +inf for a positive gain and -inf otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = gains / stakes
+    return np.where(stakes > 0.0, ratio, np.where(gains > 0.0, math.inf, -math.inf))
+
+
+def _potential_scores(
+    env: Environment, welfare: WelfareSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-cooperation potential, stake V(N) and score of every state."""
+    f_vals = potential_column(env, env.n_agents)
+    stakes = welfare_column(welfare, welfare.n_agents)
+    return f_vals, stakes, ratio_scores(f_vals, stakes)
 
 
 def score(env: Environment, welfare: WelfareSpec, state: int) -> float:
     """Potential-to-welfare score of one state; +/-inf when the stake is 0."""
-    f = potential(env, state, env.n_agents)
-    v = full_coop_value(welfare, state)
-    if v > 0.0:
-        return f / v
-    return math.inf if f > 0.0 else -math.inf
+    if not 0 <= state < env.n_states:
+        raise ValueError(f"state {state} out of range")
+    return float(_potential_scores(env, welfare)[2][state])
 
 
 def design(
@@ -165,29 +187,23 @@ def design(
 
     Scores every state by potential(N) / V(N), then grants invitation mass
     with ``threshold_scan`` budgeting the prior-weighted potential. Expected
-    welfare sums the invited states in score order.
+    welfare sums the invited states in score order. The counter ticks once
+    per state scored, per ``threshold_scan``'s steps and once per eligible
+    state summed, so its total does not depend on N.
     """
     if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
         raise ValueError("welfare spec does not match the environment's dimensions")
     report = check_assumptions(env, welfare)
     warnings = report.findings()
 
-    n_states = env.n_states
     counter = counter if counter is not None else OpCounter()
-    f_vals = np.empty(n_states)
-    scores = np.empty(n_states)
-    for s in range(n_states):
-        f_vals[s] = potential(env, s, env.n_agents)
-        v = full_coop_value(welfare, s)
-        if v > 0.0:
-            scores[s] = f_vals[s] / v
-        elif strict:
-            raise StrictModeError(
-                f"state {s} has zero full-cooperation welfare (strict mode)"
-            )
-        else:
-            scores[s] = math.inf if f_vals[s] > 0.0 else -math.inf
-        counter.tick()
+    f_vals, stakes, scores = _potential_scores(env, welfare)
+    if strict and not np.all(stakes > 0.0):
+        s = int(np.argmax(stakes <= 0.0))
+        raise StrictModeError(
+            f"state {s} has zero full-cooperation welfare (strict mode)"
+        )
+    counter.tick(env.n_states)
 
     if strict and not report.passed:
         raise StrictModeError("; ".join(warnings))
@@ -199,17 +215,13 @@ def design(
 
     scan = threshold_scan(env.prior, f_vals, scores, counter)
     q = scan.invite_probs
-    wel = 0.0
-    for s in scan.order:
-        if scores[s] == -math.inf:
-            continue
-        counter.tick()
-        if q[s] > 0.0:
-            wel += q[s] * env.prior[s] * full_coop_value(welfare, s)
+    counter.tick(int(np.count_nonzero(scores > -math.inf)))
+    invited = scan.order[q[scan.order] > 0.0]  # -inf states are never invited
+    wel = ordered_sum(q[invited] * env.prior[invited] * stakes[invited])
 
     return ThresholdPolicy(
         scores=scores,
-        order=scan.order,
+        order=tuple(scan.order.tolist()),
         invite_probs=q,
         threshold_state=scan.threshold_state,
         threshold_label=env.labels[scan.threshold_state],

@@ -258,6 +258,38 @@ def full_coop_value(welfare: WelfareSpec, state: int) -> float:
     return welfare_value(welfare, state, welfare.n_agents)
 
 
+def gain_column(env: Environment, count: int) -> np.ndarray:
+    """``marginal_gain`` of every state at one count, as one array."""
+    if not 0 <= count <= env.n_agents - 1:
+        raise ValueError(f"count must be in 0..{env.n_agents - 1}, got {count}")
+    return env.benefit - env.cost + env.complementarity * count / (env.n_agents - 1)
+
+
+def potential_column(env: Environment, n: int) -> np.ndarray:
+    """``potential`` of every state at n cooperators, as one array."""
+    if not 0 <= n <= env.n_agents:
+        raise ValueError(f"n must be in 0..{env.n_agents}, got {n}")
+    b = env.benefit - env.cost
+    return b * n + env.complementarity * n * (n - 1) / (2 * (env.n_agents - 1))
+
+
+def welfare_column(welfare: WelfareSpec, n: int) -> np.ndarray:
+    """V(n, s) of every state s, as one array."""
+    if not 0 <= n <= welfare.n_agents:
+        raise ValueError(f"n must be in 0..{welfare.n_agents}, got {n}")
+    if welfare.kind == POWER:
+        return welfare.alpha * (n / welfare.n_agents) ** welfare.beta
+    return welfare.table[:, n].copy()
+
+
+def ordered_sum(terms: np.ndarray) -> np.float64:
+    """Sum of a 1-d array added one term at a time, first to last, from
+    +0.0: what Python's ``sum`` gives for numpy floats. ``np.sum`` adds
+    pairwise and rounds differently, and a running sum started from the
+    first term would keep a leading -0.0 that Python's turns into 0.0."""
+    return np.cumsum(np.concatenate(([0.0], terms)))[-1]
+
+
 def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionReport:
     """Check dominance, welfare convexity, and potential convexity.
 
@@ -268,11 +300,8 @@ def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionRepor
     """
     if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
         raise ValueError("welfare spec does not match the environment's dimensions")
-    dom_witness = None
-    for s in range(env.n_states):
-        if env.benefit[s] - env.cost > 0:
-            dom_witness = s
-            break
+    dominant = env.benefit - env.cost > 0
+    dom_witness = int(np.argmax(dominant)) if dominant.any() else None
 
     cw_ok, cw_witness = True, None
     if welfare.kind == TABULATED:
@@ -285,10 +314,9 @@ def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionRepor
     # POWER: (n/N)^beta <= n/N holds for every n once beta >= 1
 
     cp_ok, cp_witness = True, None
-    for s in range(env.n_states):
-        if env.complementarity[s] < 0:
-            cp_ok, cp_witness = False, (s, 1)
-            break
+    concave = env.complementarity < 0
+    if concave.any():
+        cp_ok, cp_witness = False, (int(np.argmax(concave)), 1)
 
     return AssumptionReport(
         dominance=dom_witness is not None,

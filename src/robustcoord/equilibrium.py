@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .designer import ThresholdPolicy, to_sequential_policy
-from .env import Environment, WelfareSpec, marginal_gain, welfare_value
+from .env import Environment, WelfareSpec, gain_column, ordered_sum, welfare_column
 from .seqpolicy import DEFAULT_TOL, SequentialPolicy, check_policy, expected_welfare
 
 PUBLIC = "public"
@@ -120,13 +120,7 @@ def expected_gain(env: Environment, belief: Belief, others_cooperating: int) -> 
     """Belief-weighted gain from cooperating against a fixed count of others."""
     if belief.probs.shape != (env.n_states,):
         raise ValueError("belief does not match the state count")
-    return float(
-        sum(
-            belief.probs[s] * marginal_gain(env, s, others_cooperating)
-            for s in range(env.n_states)
-            if belief.probs[s] > 0.0
-        )
-    )
+    return float(ordered_sum(belief.probs * gain_column(env, others_cooperating)))
 
 
 def smallest_equilibrium(
@@ -146,53 +140,73 @@ def smallest_equilibrium(
     -tol), and every smaller count fails the stay-out test. So the smallest
     equilibrium is where best response stops, and ``rounds`` is the climb
     0, 1, ..., coop_count.
+
+    The gain is affine in the count, E[b - c] + E[lambda] * k / (N - 1), so
+    two belief means give all N gains.
     """
     if tol < 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    if belief.probs.shape != (env.n_states,):
+        raise ValueError("belief does not match the state count")
     n = env.n_agents
-    gains = [expected_gain(env, belief, k) for k in range(n)]
-    equilibria = [
-        k
-        for k in range(n + 1)
-        if (k == 0 or gains[k - 1] >= -tol) and (k == n or gains[k] <= tol)
-    ]
+    mean_net = ordered_sum(belief.probs * (env.benefit - env.cost))
+    mean_comp = ordered_sum(belief.probs * env.complementarity)
+    gains = mean_net + mean_comp * np.arange(n) / (n - 1)
+    hold = np.concatenate(([True], gains >= -tol))
+    stay_out = np.concatenate((gains <= tol, [True]))
+    equilibria = np.flatnonzero(hold & stay_out).tolist()
     count = equilibria[0]
-    rounds = range(count + 1)
 
     wel = None
     if welfare is not None:
-        wel = float(
-            sum(
-                belief.probs[s] * welfare_value(welfare, s, count)
-                for s in range(env.n_states)
-            )
-        )
+        wel = float(ordered_sum(belief.probs * welfare_column(welfare, count)))
     return EquilibriumOutcome(
         coop_count=count,
         all_equilibria=tuple(equilibria),
         selected="SMALLEST",
-        rounds=tuple(rounds),
+        rounds=tuple(range(count + 1)),
         expected_welfare=wel,
     )
 
 
-def _public_events(
+def event_outcome(
+    env: Environment,
+    welfare: WelfareSpec,
+    label: str,
+    probs: np.ndarray,
+    belief: Belief,
+    coop_count: int,
+) -> EventOutcome:
+    """One event's record; its welfare contribution is the prior-weighted
+    value of ``coop_count`` cooperators over the states that send it."""
+    contrib = ordered_sum(env.prior * probs * welfare_column(welfare, coop_count))
+    return EventOutcome(
+        label=label,
+        probs=tuple(probs.tolist()),
+        posterior=tuple(belief.probs.tolist()),
+        coop_count=coop_count,
+        welfare_contribution=float(contrib),
+    )
+
+
+def _signal_events(
     policy: SequentialPolicy, n_states: int
-) -> list[tuple[str, np.ndarray, int | None]]:
-    """Distinct public signal events: each explicit sequence, plus the pooled
-    uniform-full block (every full ordering induces the same posterior)."""
-    events: list[tuple[str, np.ndarray, int | None]] = []
+) -> list[tuple[str, np.ndarray, tuple[int, ...] | None]]:
+    """Distinct signal events: each explicit sequence, plus the pooled
+    uniform-full block (every full ordering induces the same posterior),
+    which carries None in place of a sequence."""
+    events: list[tuple[str, np.ndarray, tuple[int, ...] | None]] = []
     by_seq: dict[tuple[int, ...], np.ndarray] = {}
     for (s, seq), p in policy.canonical_items():
         by_seq.setdefault(seq, np.zeros(n_states))[s] += p
     for seq in sorted(by_seq, key=lambda q: (len(q), q)):
         label = "invite[" + ",".join(map(str, seq)) + "]" if seq else "invite[-]"
-        events.append((label, by_seq[seq], len(seq)))
+        events.append((label, by_seq[seq], seq))
     if policy.uniform_full:
         probs = np.zeros(n_states)
         for s, p in policy.uniform_full.items():
             probs[s] += p
-        events.append(("invite[all,uniform]", probs, policy.n_agents))
+        events.append(("invite[all,uniform]", probs, None))
     return events
 
 
@@ -213,7 +227,9 @@ def evaluate_policy_realized(
     the invitations is the unique rationalizable play and the objective value
     is realized. Otherwise the cooperation chain breaks at the first invitee
     with a non-positive interim gain and play is recomputed by iterated best
-    response from that point (diagnostic extrapolation; see README).
+    response from that point (diagnostic extrapolation; see README). Each
+    distinct sequence, and the uniform-full block, is then one event carrying
+    the count its chain walk reaches; an obedient policy has no events.
     """
     if isinstance(policy, ThresholdPolicy):
         policy = to_sequential_policy(policy, env)
@@ -227,28 +243,15 @@ def evaluate_policy_realized(
 def _evaluate_public(policy, env, welfare, tol) -> RealizedEvaluation:
     total = 0.0
     outcomes = []
-    for label, probs, n_invited in _public_events(policy, env.n_states):
+    for label, probs, _ in _signal_events(policy, env.n_states):
         mass = float((env.prior * probs).sum())
         if mass <= 0.0:
             continue
         belief = posterior_from_event(env, probs)
         out = smallest_equilibrium(env, belief, tol=tol)
-        contrib = float(
-            sum(
-                env.prior[s] * probs[s] * welfare_value(welfare, s, out.coop_count)
-                for s in range(env.n_states)
-            )
-        )
-        total += contrib
-        outcomes.append(
-            EventOutcome(
-                label=label,
-                probs=tuple(float(p) for p in probs),
-                posterior=tuple(float(p) for p in belief.probs),
-                coop_count=out.coop_count,
-                welfare_contribution=contrib,
-            )
-        )
+        event = event_outcome(env, welfare, label, probs, belief, out.coop_count)
+        total += event.welfare_contribution
+        outcomes.append(event)
     return RealizedEvaluation(
         welfare=total, mode=PUBLIC, obedient=None, events=tuple(outcomes)
     )
@@ -288,14 +291,7 @@ def _gain_under(env, weights: np.ndarray, count: int) -> float:
     total = float(weights.sum())
     if total <= 0.0:
         return -math.inf  # event never happens; treat as never joining
-    return float(
-        sum(
-            weights[s] * marginal_gain(env, s, count)
-            for s in range(env.n_states)
-            if weights[s] > 0.0
-        )
-        / total
-    )
+    return float(ordered_sum(weights * gain_column(env, count)) / total)
 
 
 def _evaluate_private(policy, env, welfare, tol, obedience_tol) -> RealizedEvaluation:
@@ -309,8 +305,6 @@ def _evaluate_private(policy, env, welfare, tol, obedience_tol) -> RealizedEvalu
 
     inv_w = _interim_invited_weights(policy, env)
     non_w = _uninvited_weights(policy, env)
-    total = 0.0
-    outcomes = []
 
     def chain_walk(seq: tuple[int, ...]) -> int:
         """Invitees accept in order while their interim gain at the believed
@@ -343,31 +337,26 @@ def _evaluate_private(policy, env, welfare, tol, obedience_tol) -> RealizedEvalu
             candidates = still
         return count
 
-    # explicit sequences, one simulated chain each
-    for (s, seq), p in policy.canonical_items():
-        n_coop = chain_walk(seq)
-        total += env.prior[s] * p * welfare_value(welfare, s, n_coop)
-    # the uniform-full block is rank-symmetric: one walk covers all orderings
-    if policy.uniform_full:
-        weights = np.zeros(env.n_states)
-        for s, p in policy.uniform_full.items():
-            weights[s] += env.prior[s] * p
-        accepted = 0
-        broke = False
-        bel = weights  # same belief at every rank under uniform orderings
-        for pos in range(env.n_agents):
-            if _gain_under(env, bel, pos) > tol:
-                accepted += 1
-            else:
-                broke = True
-                break
-        count = accepted
-        if broke:
-            while count < env.n_agents and _gain_under(env, bel, count) > tol:
-                count += 1
-        for s, p in policy.uniform_full.items():
-            total += env.prior[s] * p * welfare_value(welfare, s, count)
+    def uniform_walk(weights: np.ndarray) -> int:
+        """Every rank of a uniform ordering holds the same belief, so the
+        chain runs until the first rank whose gain is not above tol; that
+        same gain keeps everyone after it out."""
+        count = 0
+        while count < env.n_agents and _gain_under(env, weights, count) > tol:
+            count += 1
+        return count
 
+    total = 0.0
+    outcomes = []
+    for label, probs, seq in _signal_events(policy, env.n_states):
+        weights = env.prior * probs
+        if float(weights.sum()) <= 0.0:
+            continue
+        count = uniform_walk(weights) if seq is None else chain_walk(seq)
+        belief = posterior_from_event(env, probs)
+        event = event_outcome(env, welfare, label, probs, belief, count)
+        total += event.welfare_contribution
+        outcomes.append(event)
     return RealizedEvaluation(
         welfare=total, mode=PRIVATE_SEQUENTIAL, obedient=False, events=tuple(outcomes)
     )

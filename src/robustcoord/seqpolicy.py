@@ -16,11 +16,18 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .env import Environment, WelfareSpec, marginal_gain, potential, welfare_value
+from .env import (
+    Environment,
+    WelfareSpec,
+    gain_column,
+    ordered_sum,
+    potential_column,
+    welfare_column,
+)
 
 # hard cap on explicit sequence enumeration (and on LP columns)
 MAX_SEQUENCES = 2_000_000
@@ -166,19 +173,92 @@ def check_feasibility(
     return ok, mass
 
 
+class _Entries(NamedTuple):
+    """The explicit entries as arrays, in the policy's insertion order, and
+    their invitees (entry row, agent, rank) in entry order."""
+
+    states: np.ndarray
+    probs: np.ndarray
+    lengths: np.ndarray
+    member_rows: np.ndarray
+    member_agents: np.ndarray
+    member_ranks: np.ndarray
+
+
+def _entries(policy: SequentialPolicy) -> _Entries:
+    keys = list(policy.entries)
+    n_e = len(keys)
+    members = [(e, a, r) for e, (_, seq) in enumerate(keys) for r, a in enumerate(seq)]
+    rows, agents, ranks = np.array(members, dtype=np.intp).reshape(-1, 3).T
+    return _Entries(
+        states=np.fromiter((s for s, _ in keys), dtype=np.intp, count=n_e),
+        probs=np.fromiter(policy.entries.values(), dtype=np.float64, count=n_e),
+        lengths=np.fromiter((len(seq) for _, seq in keys), dtype=np.intp, count=n_e),
+        member_rows=rows,
+        member_agents=agents,
+        member_ranks=ranks,
+    )
+
+
+def _uniform(policy: SequentialPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """States and masses of the uniform-full block, in insertion order."""
+    n_u = len(policy.uniform_full)
+    states = np.fromiter(policy.uniform_full.keys(), dtype=np.intp, count=n_u)
+    probs = np.fromiter(policy.uniform_full.values(), dtype=np.float64, count=n_u)
+    return states, probs
+
+
+def _lookup(column, states: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``column(k)[s]`` for each pair (s, k), one column per distinct count."""
+    out = np.empty(len(states))
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        at_k = counts == k
+        out[at_k] = column(k)[states[at_k]]
+    return out
+
+
+def _obedience_values(
+    policy: SequentialPolicy, env: Environment
+) -> tuple[np.ndarray, np.ndarray]:
+    """SO_c and SO_n of every agent, from one set of entry arrays. Each value
+    adds its terms one at a time over the entries in insertion order (then,
+    for SO_c, over the uniform-full states), the order the per-agent
+    definitions below read."""
+    n = env.n_agents
+    ent = _entries(policy)
+    weight = env.prior[ent.states] * ent.probs
+    rows = ent.member_rows
+
+    def gain_at(k: int) -> np.ndarray:
+        return gain_column(env, k)
+
+    invited = weight[rows] * _lookup(gain_at, ent.states[rows], ent.member_ranks)
+    # uniform full orderings: position is uniform, so the average gain
+    # telescopes to potential(N) / N
+    uf_states, uf_probs = _uniform(policy)
+    uniform = env.prior[uf_states] * uf_probs * potential_column(env, n)[uf_states] / n
+    # full sequences invite everyone, so no agent is ever outside one
+    short = ent.lengths < n
+    outside = np.zeros(len(weight))
+    outside[short] = weight[short] * _lookup(gain_at, ent.states[short], ent.lengths[short])
+
+    so_c, so_n = np.empty(n), np.empty(n)
+    for i in range(n):
+        mine = ent.member_agents == i
+        so_c[i] = ordered_sum(np.concatenate((invited[mine], uniform)))
+        left_out = np.ones(len(weight), dtype=bool)
+        left_out[rows[mine]] = False
+        so_n[i] = ordered_sum(outside[left_out])
+    return so_c, so_n
+
+
 def so_c_value(policy: SequentialPolicy, env: Environment, agent: int) -> float:
     """Prior-weighted gain of ``agent`` over all invitations, assuming only the
     agents sequenced before them cooperate. Nonnegative for every agent is the
     cooperation half of sequential obedience."""
-    total = 0.0
-    for (s, seq), p in policy.entries.items():
-        if agent in seq:
-            total += env.prior[s] * p * marginal_gain(env, s, predecessors(seq, agent))
-    # uniform full orderings: position is uniform, so the average gain
-    # telescopes to potential(N) / N
-    for s, p in policy.uniform_full.items():
-        total += env.prior[s] * p * potential(env, s, env.n_agents) / env.n_agents
-    return float(total)
+    if not 0 <= agent < env.n_agents:
+        raise ValueError(f"agent {agent} out of range")
+    return float(_obedience_values(policy, env)[0][agent])
 
 
 def so_n_value(policy: SequentialPolicy, env: Environment, agent: int) -> float:
@@ -186,11 +266,9 @@ def so_n_value(policy: SequentialPolicy, env: Environment, agent: int) -> float:
     invited agent cooperates. Nonpositive for every agent is the exclusion half
     of sequential obedience. Full sequences invite everyone, so the uniform-full
     block never contributes."""
-    total = 0.0
-    for (s, seq), p in policy.entries.items():
-        if agent not in seq:
-            total += env.prior[s] * p * marginal_gain(env, s, len(seq))
-    return float(total)
+    if not 0 <= agent < env.n_agents:
+        raise ValueError(f"agent {agent} out of range")
+    return float(_obedience_values(policy, env)[1][agent])
 
 
 def check_policy(
@@ -200,8 +278,9 @@ def check_policy(
     if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
         raise ValueError("policy does not match the environment's dimensions")
     feasible, mass = check_feasibility(policy, tol)
-    so_c = tuple(so_c_value(policy, env, i) for i in range(env.n_agents))
-    so_n = tuple(so_n_value(policy, env, i) for i in range(env.n_agents))
+    so_c_arr, so_n_arr = _obedience_values(policy, env)
+    so_c = tuple(so_c_arr.tolist())
+    so_n = tuple(so_n_arr.tolist())
     passed = (
         feasible
         and all(v >= -tol for v in so_c)
@@ -220,13 +299,17 @@ def check_policy(
 def expected_welfare(
     policy: SequentialPolicy, env: Environment, welfare: WelfareSpec
 ) -> float:
-    """Designer value if every invitation is followed (the policy objective)."""
-    total = 0.0
-    for (s, seq), p in policy.entries.items():
-        total += env.prior[s] * p * welfare_value(welfare, s, len(seq))
-    for s, p in policy.uniform_full.items():
-        total += env.prior[s] * p * welfare_value(welfare, s, env.n_agents)
-    return float(total)
+    """Designer value if every invitation is followed (the policy objective),
+    summed over the entries and then the uniform-full states in insertion
+    order."""
+    n = env.n_agents
+    ent = _entries(policy)
+    uf_states, uf_probs = _uniform(policy)
+    states = np.concatenate((ent.states, uf_states))
+    counts = np.concatenate((ent.lengths, np.full(len(uf_states), n)))
+    probs = np.concatenate((ent.probs, uf_probs))
+    values = _lookup(lambda k: welfare_column(welfare, k), states, counts)
+    return float(ordered_sum(env.prior[states] * probs * values))
 
 
 def expand_uniform_full(policy: SequentialPolicy) -> SequentialPolicy:

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -212,3 +213,43 @@ def test_tol_flag_reaches_checker(tmp_path):
     assert run_cli("check", "case1", tmp_path, "--tol", "1e-18") == 0
     rep = json.loads((tmp_path / "obedience.json").read_text())
     assert rep["tol"] == 1e-18
+
+
+# SHA-256 of every artifact `run` writes except manifest.json, as recorded
+# from commit 2330f8c. A change that alters any of these files on purpose
+# updates the digest here and says so in CHANGES.md.
+GOLDEN_DIGESTS = {
+    "case1": {
+        "comparison.csv": "622058182ae1080a41505e14ac835884521b62118dddb033a598c0ba505b6a18",
+        "design.json": "69eed7719cea990137d46fb8910c2c4c8286daf92c578b10353fb49eff3d9f92",
+        "figdata_scores.csv": "cafec2bc2ae334a6016e7f054ff3c3785507953291514a78fd1bc81611eb7755",
+        "figdata_welfare.csv": "861bc338b1bba0812bc77544d4c75fca58ada1af16b4f0bb8026d78fdb743b00",
+        "lp.json": "3f6853c2c63569eee8caf888b3ed40fb587617d3b7e708bb01fdee75d2960aba",
+        "obedience.json": "4716ceb85c97df5532c635b46516ef08ff23d2a034a7084564330cadb3961899",
+        "policy.json": "e2e8874b273465d48555711931bf15b6e76879b58cdf4e13a36bd5d8a4b76d72",
+        "public.json": "9c639c532aab72d3357eb554c494b7228a8e74c169a5038691d3a9b9dc6fdc47",
+        "sweep.csv": "c4f24c42111d9a0fe36303c853e533a80aabc452840c093f2dbd4d17b3bb5c03",
+        "sweep_summary.json": "46ac30a075c7cbc10e5c38a7abb1c04ab040aecda7ef072e494e87137302dce5",
+    },
+    "case2": {
+        "comparison.csv": "cbf3829d146b32f2404ebbd9316104fea8df2c3097b8beaa7746490e4476b0d5",
+        "design.json": "2b02159aa91d8306212693667d6c83b64aca2d56a58b9b1920c9f9dc62f767e6",
+        "figdata_scores.csv": "151b3953395d97d53f09ea31f025ea4298a9063332ce88c02afd5b979596a635",
+        "figdata_welfare.csv": "866e832bda82440f61c6418deb6cb57a3e0c6d698929736c09f20db03107a681",
+        "obedience.json": "be2a77a433dd4ef3cff91b77614c9cae0f743fbaa53539318f4c889817886a16",
+        "policy.json": "ebadf802cad4a4dc7708500949e8bc18a78e301aedff245a076b9b195caf1211",
+        "sweep.csv": "3d41ab5e54e464c22f62918ce76d3917a293f81029fd10e855bb651bb8d8e4f5",
+        "sweep_summary.json": "28ba9f4c01fc8e48bbc117c5d4c461405ad9150c2de1643f9294d4738b979617",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))
+def test_run_artifacts_match_golden_digests(tmp_path, scenario):
+    assert run_cli("run", scenario, tmp_path) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+        if p.name != "manifest.json"
+    }
+    assert digests == GOLDEN_DIGESTS[scenario]

@@ -235,8 +235,34 @@ def test_chain_break_partial_recovery(case1):
     ev = evaluate_policy_realized(pol, env, wf)
     assert ev.obedient is False
     assert ev.welfare == pytest.approx(6.0, abs=1e-12)
+    # one event per distinct sequence, in (length, sequence) order
+    assert [(e.label, e.coop_count) for e in ev.events] == [
+        ("invite[0,2]", 0),
+        ("invite[1,2]", 0),
+        ("invite[2,0,1]", 3),
+    ]
+    assert [e.welfare_contribution for e in ev.events] == [0.0, 0.0, 6.0]
+    assert ev.events[2].posterior == (0.0, 1.0)
     pub = evaluate_policy_realized(pol, env, wf, mode=PUBLIC)
     assert pub.welfare == pytest.approx(6.0, abs=1e-12)
+
+
+def test_private_events_include_uniform_block(case1):
+    # uniform orderings in the weak state cannot start (gain -1 at every
+    # rank); silence happens only in the strong state, where b > c makes
+    # cooperation dominant for every uninvited agent
+    env, wf = case1
+    pol = SequentialPolicy(3, 2, {(1, ()): 1.0}, {0: 1.0})
+    ev = evaluate_policy_realized(pol, env, wf)
+    assert ev.obedient is False
+    assert [(e.label, e.coop_count) for e in ev.events] == [
+        ("invite[-]", 3),
+        ("invite[all,uniform]", 0),
+    ]
+    assert [e.welfare_contribution for e in ev.events] == [6.0, 0.0]
+    assert ev.welfare == 6.0
+    d = ev.to_dict()
+    assert [e["coop_count"] for e in d["events"]] == [3, 0]
 
 
 def test_unknown_mode_rejected(case1):
