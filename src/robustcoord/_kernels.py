@@ -21,6 +21,16 @@ def active_backend() -> str:
     return "numpy"
 
 
+def pivot(T, basis, row, col):
+    """One pivot on (row, col): the column becomes that row's unit vector and
+    enters the basis. Mutates T and basis in place."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
 def pivot_loop(T, basis, active_cols, maxiter):
     """Bland's rule on a dense tableau. Last row is the objective, last column
     the RHS. ``active_cols`` bounds the entering scan so phase 2 can shut out
@@ -40,11 +50,6 @@ def pivot_loop(T, basis, active_cols, maxiter):
         ratios = T[rows, rhs] / col[rows]
         best = ratios.min()
         ties = rows[ratios == best]
-        leave = int(ties[np.argmin(basis[ties])])
-        T[leave] /= T[leave, enter]
-        factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
-        basis[leave] = enter
+        pivot(T, basis, int(ties[np.argmin(basis[ties])]), enter)
         it += 1
     return ITER_LIMIT, it

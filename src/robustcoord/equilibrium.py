@@ -102,6 +102,8 @@ def posterior_from_event(
     probs = np.zeros(env.n_states)
     if isinstance(event_probs, Mapping):
         for s, p in event_probs.items():
+            if not 0 <= int(s) < env.n_states:
+                raise ValueError(f"state {s} out of range")
             probs[int(s)] = float(p)
     else:
         probs = np.asarray(event_probs, dtype=np.float64)
@@ -218,145 +220,119 @@ def evaluate_policy_realized(
     tol: float = STRICT_TOL,
     obedience_tol: float = DEFAULT_TOL,
 ) -> RealizedEvaluation:
-    """Welfare under adversarial (smallest-equilibrium) play.
+    """Welfare under adversarial (smallest-equilibrium) play, one event per
+    distinct signal.
 
     PUBLIC: every signal realization is commonly observed; each event's
     posterior feeds the smallest equilibrium of the full simultaneous game.
 
     PRIVATE_SEQUENTIAL: if the policy passes the obedience checks, following
     the invitations is the unique rationalizable play and the objective value
-    is realized. Otherwise the cooperation chain breaks at the first invitee
-    with a non-positive interim gain and play is recomputed by iterated best
-    response from that point (diagnostic extrapolation; see README). Each
-    distinct sequence, and the uniform-full block, is then one event carrying
-    the count its chain walk reaches; an obedient policy has no events.
+    is realized, with no events. Otherwise the cooperation chain of each
+    explicit sequence breaks at the first invitee with a non-positive interim
+    gain and play is recomputed by iterated best response from that point
+    (diagnostic extrapolation; see README). Every rank of a uniform ordering
+    holds the event posterior, so the uniform-full block plays as it would in
+    public: its chain stops at the smallest equilibrium of that posterior.
     """
+    if mode not in (PUBLIC, PRIVATE_SEQUENTIAL):
+        raise ValueError(f"unknown evaluation mode {mode!r}")
+    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
+        raise ValueError("welfare spec does not match the environment's dimensions")
     if isinstance(policy, ThresholdPolicy):
+        if len(policy.invite_probs) != env.n_states:
+            raise ValueError("policy does not match the environment's dimensions")
         policy = to_sequential_policy(policy, env)
-    if mode == PUBLIC:
-        return _evaluate_public(policy, env, welfare, tol)
-    if mode == PRIVATE_SEQUENTIAL:
-        return _evaluate_private(policy, env, welfare, tol, obedience_tol)
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+    elif policy.n_agents != env.n_agents or policy.n_states != env.n_states:
+        raise ValueError("policy does not match the environment's dimensions")
 
-
-def _evaluate_public(policy, env, welfare, tol) -> RealizedEvaluation:
-    total = 0.0
-    outcomes = []
-    for label, probs, _ in _signal_events(policy, env.n_states):
-        mass = float((env.prior * probs).sum())
-        if mass <= 0.0:
-            continue
-        belief = posterior_from_event(env, probs)
-        out = smallest_equilibrium(env, belief, tol=tol)
-        event = event_outcome(env, welfare, label, probs, belief, out.coop_count)
-        total += event.welfare_contribution
-        outcomes.append(event)
-    return RealizedEvaluation(
-        welfare=total, mode=PUBLIC, obedient=None, events=tuple(outcomes)
-    )
-
-
-def _interim_invited_weights(policy, env) -> dict[tuple[int, int], np.ndarray]:
-    """Unnormalized belief over states for 'agent i invited after k others':
-    the private information an invitee actually has."""
-    w: dict[tuple[int, int], np.ndarray] = {}
-    for (s, seq), p in policy.entries.items():
-        for pos, i in enumerate(seq):
-            key = (i, pos)
-            if key not in w:
-                w[key] = np.zeros(env.n_states)
-            w[key][s] += env.prior[s] * p
-    share = 1.0 / env.n_agents  # uniform orderings put i at each rank equally
-    for s, p in policy.uniform_full.items():
-        for i in range(env.n_agents):
-            for pos in range(env.n_agents):
-                key = (i, pos)
-                if key not in w:
-                    w[key] = np.zeros(env.n_states)
-                w[key][s] += env.prior[s] * p * share
-    return w
-
-
-def _uninvited_weights(policy, env) -> dict[int, np.ndarray]:
-    w = {i: np.zeros(env.n_states) for i in range(env.n_agents)}
-    for (s, seq), p in policy.entries.items():
-        for i in range(env.n_agents):
-            if i not in seq:
-                w[i][s] += env.prior[s] * p
-    return w
-
-
-def _gain_under(env, weights: np.ndarray, count: int) -> float:
-    total = float(weights.sum())
-    if total <= 0.0:
-        return -math.inf  # event never happens; treat as never joining
-    return float(ordered_sum(weights * gain_column(env, count)) / total)
-
-
-def _evaluate_private(policy, env, welfare, tol, obedience_tol) -> RealizedEvaluation:
-    report = check_policy(policy, env, tol=obedience_tol)
-    if report.passed:
-        return RealizedEvaluation(
-            welfare=expected_welfare(policy, env, welfare),
-            mode=PRIVATE_SEQUENTIAL,
-            obedient=True,
-        )
-
-    inv_w = _interim_invited_weights(policy, env)
-    non_w = _uninvited_weights(policy, env)
-
-    def chain_walk(seq: tuple[int, ...]) -> int:
-        """Invitees accept in order while their interim gain at the believed
-        rank stays strictly positive; the first refusal breaks the chain and
-        the rest is iterated best response at actual counts."""
-        accepted = 0
-        for pos, i in enumerate(seq):
-            if _gain_under(env, inv_w[(i, pos)], pos) > tol:
-                accepted += 1
-            else:
-                break
-        # committed invitees stay in; everyone else re-evaluates at the count
-        # actually reached, under their own interim information
-        candidates = [
-            inv_w[(i, seq.index(i))] if i in seq else non_w[i]
-            for i in range(env.n_agents)
-            if i not in seq or seq.index(i) >= accepted
-        ]
-        count = accepted
-        changed = True
-        while changed and count < env.n_agents:
-            changed = False
-            still = []
-            for w in candidates:
-                if _gain_under(env, w, count) > tol:
-                    count += 1
-                    changed = True
-                else:
-                    still.append(w)
-            candidates = still
-        return count
-
-    def uniform_walk(weights: np.ndarray) -> int:
-        """Every rank of a uniform ordering holds the same belief, so the
-        chain runs until the first rank whose gain is not above tol; that
-        same gain keeps everyone after it out."""
-        count = 0
-        while count < env.n_agents and _gain_under(env, weights, count) > tol:
-            count += 1
-        return count
+    private = mode == PRIVATE_SEQUENTIAL
+    if private:
+        if check_policy(policy, env, tol=obedience_tol).passed:
+            return RealizedEvaluation(
+                welfare=expected_welfare(policy, env, welfare),
+                mode=PRIVATE_SEQUENTIAL,
+                obedient=True,
+            )
+        invited, left_out = _interim_sums(policy, env)
 
     total = 0.0
     outcomes = []
     for label, probs, seq in _signal_events(policy, env.n_states):
-        weights = env.prior * probs
-        if float(weights.sum()) <= 0.0:
+        if float((env.prior * probs).sum()) <= 0.0:
             continue
-        count = uniform_walk(weights) if seq is None else chain_walk(seq)
         belief = posterior_from_event(env, probs)
+        if private and seq is not None:
+            count = _chain_walk(env, seq, invited, left_out, tol)
+        else:
+            count = smallest_equilibrium(env, belief, tol=tol).coop_count
         event = event_outcome(env, welfare, label, probs, belief, count)
         total += event.welfare_contribution
         outcomes.append(event)
-    return RealizedEvaluation(
-        welfare=total, mode=PRIVATE_SEQUENTIAL, obedient=False, events=tuple(outcomes)
+    obedient = False if private else None
+    return RealizedEvaluation(total, mode, obedient, tuple(outcomes))
+
+
+def _interim_sums(policy, env) -> tuple[np.ndarray, np.ndarray]:
+    """The private information of each interim event as three prior-weighted
+    sums over the states that send it: mass, sum of w * (b - c) and sum of
+    w * lambda. ``invited[i, k]`` is "agent i invited after k others" and
+    ``left_out[i]`` is "agent i not invited". The gain is affine in the
+    count, so these sums give it at every count (see ``_interim_gain``)."""
+    n = env.n_agents
+    per_state = np.stack(
+        (np.ones(env.n_states), env.benefit - env.cost, env.complementarity), axis=1
     )
+    invited = np.zeros((n, n, 3))
+    left_out = np.zeros((n, 3))
+    for (s, seq), p in policy.entries.items():
+        sums = env.prior[s] * p * per_state[s]
+        invited[list(seq), range(len(seq))] += sums
+        outside = np.ones(n, dtype=bool)
+        outside[list(seq)] = False
+        left_out[outside] += sums
+    # a uniform ordering puts each agent at each rank with probability 1/N
+    uniform = np.zeros(env.n_states)
+    for s, p in policy.uniform_full.items():
+        uniform[s] = p
+    invited += (env.prior * uniform / n) @ per_state
+    return invited, left_out
+
+
+def _interim_gain(env, sums: np.ndarray, count: int) -> float:
+    mass, net, comp = sums
+    if mass <= 0.0:
+        return -math.inf  # event never happens; treat as never joining
+    return float((net + comp * count / (env.n_agents - 1)) / mass)
+
+
+def _chain_walk(env, seq: tuple[int, ...], invited, left_out, tol) -> int:
+    """Invitees accept in order while their interim gain at the believed rank
+    stays strictly positive; the first refusal breaks the chain and the rest
+    is iterated best response at actual counts."""
+    accepted = 0
+    for pos, i in enumerate(seq):
+        if _interim_gain(env, invited[i, pos], pos) > tol:
+            accepted += 1
+        else:
+            break
+    # committed invitees stay in; everyone else re-evaluates at the count
+    # actually reached, under their own interim information
+    candidates = [
+        invited[i, seq.index(i)] if i in seq else left_out[i]
+        for i in range(env.n_agents)
+        if i not in seq or seq.index(i) >= accepted
+    ]
+    count = accepted
+    changed = True
+    while changed and count < env.n_agents:
+        changed = False
+        still = []
+        for sums in candidates:
+            if _interim_gain(env, sums, count) > tol:
+                count += 1
+                changed = True
+            else:
+                still.append(sums)
+        candidates = still
+    return count

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -86,15 +87,31 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _number(value, where: str, kind=float):
+    """``kind(value)``, or a ValueError naming the field if it is no number."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{where}: expected a number, got {value!r}")
+
+
+def _field(block: dict, key: str, where: str, kind=float):
+    return _number(_require(block, key, where), f"{where}.{key}", kind)
+
+
+def _decimal(block: dict, key: str, where: str) -> Decimal:
+    """A finite number as an exact decimal, read from its JSON spelling."""
+    if not math.isfinite(_field(block, key, where)):
+        raise ValueError(f"{where}.{key}: must be finite")
+    return Decimal(str(block[key]))
+
+
 def _ramp_endpoints(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{where}: expected [lo, hi]")
-    return float(value[0]), float(value[1])
-
-
-def _decimal_steps(start, step, count: int) -> list[Decimal]:
-    d0, dd = Decimal(str(start)), Decimal(str(step))
-    return [d0 + k * dd for k in range(count)]
+    return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
 
 
 def _build_explicit(config: dict, n_agents: int, cost: float, beta: float):
@@ -106,10 +123,10 @@ def _build_explicit(config: dict, n_agents: int, cost: float, beta: float):
         where = f"states[{k}]"
         _reject_unknown(st, {"label", "prob", "b", "lambda", "alpha"}, where)
         labels.append(str(_require(st, "label", where)))
-        prior.append(float(_require(st, "prob", where)))
-        benefit.append(float(_require(st, "b", where)))
-        comp.append(float(_require(st, "lambda", where)))
-        alpha.append(float(_require(st, "alpha", where)))
+        prior.append(_field(st, "prob", where))
+        benefit.append(_field(st, "b", where))
+        comp.append(_field(st, "lambda", where))
+        alpha.append(_field(st, "alpha", where))
     env = Environment(
         n_agents=n_agents,
         labels=tuple(labels),
@@ -126,12 +143,11 @@ def _build_grid(config: dict, n_agents: int, cost: float, beta: float):
     _reject_unknown(
         grid, {"count", "theta_start", "theta_step", "b", "lambda", "alpha"}, "grid"
     )
-    count = int(_require(grid, "count", "grid"))
+    count = _field(grid, "count", "grid", int)
     if count < 1:
         raise ValueError("grid.count: must be at least 1")
-    decs = _decimal_steps(
-        _require(grid, "theta_start", "grid"), _require(grid, "theta_step", "grid"), count
-    )
+    d0, dd = _decimal(grid, "theta_start", "grid"), _decimal(grid, "theta_step", "grid")
+    decs = [d0 + k * dd for k in range(count)]
     theta = np.array([float(d) for d in decs])
 
     def ramp(key: str) -> np.ndarray:
@@ -151,9 +167,9 @@ def _build_grid(config: dict, n_agents: int, cost: float, beta: float):
 
 def _build_sweep(block: dict) -> tuple[float, ...]:
     _reject_unknown(block, {"start", "stop", "step"}, "sweep")
-    start = Decimal(str(_require(block, "start", "sweep")))
-    stop = Decimal(str(_require(block, "stop", "sweep")))
-    step = Decimal(str(_require(block, "step", "sweep")))
+    start = _decimal(block, "start", "sweep")
+    stop = _decimal(block, "stop", "sweep")
+    step = _decimal(block, "step", "sweep")
     if step <= 0:
         raise ValueError("sweep.step: must be positive")
     if stop < start:
@@ -175,9 +191,9 @@ def build_scenario(config: dict) -> Scenario:
     if schema != SCHEMA_VERSION:
         raise ValueError(f"scenario.schema: expected {SCHEMA_VERSION}, got {schema!r}")
     name = str(_require(config, "name", "scenario"))
-    n_agents = int(_require(config, "n_agents", "scenario"))
-    cost = float(_require(config, "cost", "scenario"))
-    beta = float(_require(config, "beta", "scenario"))
+    n_agents = _field(config, "n_agents", "scenario", int)
+    cost = _field(config, "cost", "scenario")
+    beta = _field(config, "beta", "scenario")
 
     if ("states" in config) == ("grid" in config):
         raise ValueError("scenario: provide exactly one of 'states' or 'grid'")

@@ -18,6 +18,7 @@ from ._kernels import (
     OPTIMAL,
     PIVOT_TOL,
     UNBOUNDED,
+    pivot,
     pivot_loop,
 )
 
@@ -34,14 +35,6 @@ class SimplexResult:
     reduced_costs: np.ndarray
     iterations: int
     basis: np.ndarray
-
-
-def _single_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    basis[row] = col
 
 
 def solve_min(
@@ -128,7 +121,7 @@ def solve_min(
             if basis[i] >= art_start:
                 for j in range(art_start):
                     if abs(T[i, j]) > PIVOT_TOL:
-                        _single_pivot(T, basis, i, j)
+                        pivot(T, basis, i, j)
                         used += 1
                         break
 

@@ -192,6 +192,34 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "message, edit",
+    [
+        ("states[0].prob: expected a number", lambda cfg: cfg["states"][0].update(prob=None)),
+        ("scenario.cost: expected a number", lambda cfg: cfg.update(cost=[2.0])),
+        ("sweep.step: expected a number", lambda cfg: cfg["sweep"].update(step=None)),
+        ("sweep.step: must be finite", lambda cfg: cfg["sweep"].update(step=float("nan"))),
+    ],
+    ids=["prob-null", "cost-list", "sweep-step-null", "sweep-step-nan"],
+)
+def test_malformed_number_exits_2(tmp_path, capsys, message, edit):
+    cfg = {
+        "schema": 1,
+        "name": "malformed",
+        "n_agents": 2,
+        "states": [{"label": "x", "prob": 1.0, "b": 2.0, "lambda": 0.5, "alpha": 1.0}],
+        "cost": 1.0,
+        "beta": 1.0,
+        "sweep": {"start": 1.0, "stop": 1.1, "step": 0.05},
+        "modes": ["design"],
+    }
+    edit(cfg)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("design", str(path), tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_without_block_exits_2(tmp_path, capsys):
     cfg = {
         "schema": 1,

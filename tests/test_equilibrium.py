@@ -11,6 +11,7 @@ from robustcoord import (
     PRIVATE_SEQUENTIAL,
     PUBLIC,
     SequentialPolicy,
+    WelfareSpec,
     design,
     evaluate_policy_realized,
     expected_gain,
@@ -65,6 +66,15 @@ def test_posterior_from_event(case1):
         posterior_from_event(env, (0.0, 0.0))
     with pytest.raises(ValueError, match="lie in"):
         posterior_from_event(env, (1.2, 0.5))
+
+
+def test_posterior_rejects_states_out_of_range(case1):
+    # a negative key must not wrap around to the last state
+    env, _ = case1
+    with pytest.raises(ValueError, match="state -1 out of range"):
+        posterior_from_event(env, {-1: 1.0})
+    with pytest.raises(ValueError, match="state 5 out of range"):
+        posterior_from_event(env, {5: 1.0})
 
 
 def test_posterior_zero_coop_gain(case1):
@@ -270,6 +280,42 @@ def test_unknown_mode_rejected(case1):
     pol = SequentialPolicy(3, 2, {(0, ()): 1.0, (1, ()): 1.0}, {})
     with pytest.raises(ValueError, match="mode"):
         evaluate_policy_realized(pol, env, wf, mode="simultaneous")
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, PRIVATE_SEQUENTIAL])
+def test_policy_with_more_agents_rejected(case1, mode):
+    env, wf = case1
+    pol = SequentialPolicy(5, 2, {(1, (0, 1, 2, 3, 4)): 1.0}, {})
+    with pytest.raises(ValueError, match="policy does not match the environment"):
+        evaluate_policy_realized(pol, env, wf, mode=mode)
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, PRIVATE_SEQUENTIAL])
+def test_policy_with_more_states_rejected(case1, mode):
+    env, wf = case1
+    pol = SequentialPolicy(3, 3, {(2, (0,)): 1.0}, {})
+    with pytest.raises(ValueError, match="policy does not match the environment"):
+        evaluate_policy_realized(pol, env, wf, mode=mode)
+    three = Environment(
+        n_agents=3,
+        labels=("a", "b", "c"),
+        prior=np.full(3, 1 / 3),
+        benefit=np.array([1.0, 2.4, 3.0]),
+        complementarity=np.array([0.1, 0.5, 0.5]),
+        cost=2.0,
+    )
+    tp = design(three, WelfareSpec.power(3, [6.0, 12.0, 12.0], 1.5))
+    with pytest.raises(ValueError, match="policy does not match the environment"):
+        evaluate_policy_realized(tp, env, wf, mode=mode)
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, PRIVATE_SEQUENTIAL])
+def test_welfare_with_fewer_states_rejected(case1, mode):
+    env, _ = case1
+    pol = SequentialPolicy(3, 2, {(0, ()): 1.0}, {1: 1.0})
+    one_state = WelfareSpec.power(3, [6.0], 1.5)
+    with pytest.raises(ValueError, match="welfare spec does not match the environment"):
+        evaluate_policy_realized(pol, env, one_state, mode=mode)
 
 
 def test_outcome_serialization(case1):

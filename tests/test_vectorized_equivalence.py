@@ -1,10 +1,11 @@
 """The numpy state axis against the per-state loops it replaced.
 
 Each ``_loop_*`` function below is the scalar implementation the package
-used before its state loops became numpy arrays, kept as the reference. On
-seeded instances every reported float must be the same double, compared
-through ``repr`` so that -0.0 and 0.0, and the infinite scores, count as
-different values.
+used before its state loops became numpy arrays, kept as the reference;
+``_loop_private`` is the private-play walk that kept one state-length belief
+vector per interim event. On seeded instances every reported float must be
+the same double, compared through ``repr`` so that -0.0 and 0.0, and the
+infinite scores, count as different values.
 """
 
 import math
@@ -16,6 +17,7 @@ from robustcoord import (
     Environment,
     InfeasibleDesignError,
     OpCounter,
+    PRIVATE_SEQUENTIAL,
     PUBLIC,
     SequentialPolicy,
     WelfareSpec,
@@ -32,6 +34,7 @@ from robustcoord import (
     to_sequential_policy,
     welfare_value,
 )
+from robustcoord.env import gain_column, ordered_sum
 
 
 def bits(x):
@@ -160,26 +163,125 @@ def _loop_bce_realized(q, env, welfare, tol=1e-12):
     return total, events
 
 
-def _loop_public(policy, env, welfare, tol=1e-12):
+def _signals(policy, env):
     by_seq = {}
     for (s, seq), p in policy.canonical_items():
         by_seq.setdefault(seq, np.zeros(env.n_states))[s] += p
     signals = []
     for seq in sorted(by_seq, key=lambda q: (len(q), q)):
         label = "invite[" + ",".join(map(str, seq)) + "]" if seq else "invite[-]"
-        signals.append((label, by_seq[seq]))
+        signals.append((label, by_seq[seq], seq))
     if policy.uniform_full:
         probs = np.zeros(env.n_states)
         for s, p in policy.uniform_full.items():
             probs[s] += p
-        signals.append(("invite[all,uniform]", probs))
+        signals.append(("invite[all,uniform]", probs, None))
+    return signals
+
+
+def _loop_public(policy, env, welfare, tol=1e-12):
     total, events = 0.0, []
-    for label, probs in signals:
+    for label, probs, _ in _signals(policy, env):
         if float((env.prior * probs).sum()) <= 0.0:
             continue
         events.append(_loop_event(env, welfare, label, probs, tol))
         total += events[-1][2]
     return total, events
+
+
+def _interim_invited_weights(policy, env):
+    w = {}
+    for (s, seq), p in policy.entries.items():
+        for pos, i in enumerate(seq):
+            key = (i, pos)
+            if key not in w:
+                w[key] = np.zeros(env.n_states)
+            w[key][s] += env.prior[s] * p
+    share = 1.0 / env.n_agents  # uniform orderings put i at each rank equally
+    for s, p in policy.uniform_full.items():
+        for i in range(env.n_agents):
+            for pos in range(env.n_agents):
+                key = (i, pos)
+                if key not in w:
+                    w[key] = np.zeros(env.n_states)
+                w[key][s] += env.prior[s] * p * share
+    return w
+
+
+def _uninvited_weights(policy, env):
+    w = {i: np.zeros(env.n_states) for i in range(env.n_agents)}
+    for (s, seq), p in policy.entries.items():
+        for i in range(env.n_agents):
+            if i not in seq:
+                w[i][s] += env.prior[s] * p
+    return w
+
+
+def _gain_under(env, weights, count):
+    total = float(weights.sum())
+    if total <= 0.0:
+        return -math.inf  # event never happens; treat as never joining
+    return float(ordered_sum(weights * gain_column(env, count)) / total)
+
+
+def _loop_private(policy, env, welfare, tol=1e-12):
+    """Private-sequential play with one S-length belief vector per interim
+    event. Each event is (label, count, contribution, walk), where walk is
+    None for the uniform-full block and otherwise the pair (invitees the
+    chain kept before breaking, sequence length)."""
+    if check_policy(policy, env).passed:
+        return expected_welfare(policy, env, welfare), True, []
+
+    inv_w = _interim_invited_weights(policy, env)
+    non_w = _uninvited_weights(policy, env)
+
+    def chain_walk(seq):
+        accepted = 0
+        for pos, i in enumerate(seq):
+            if _gain_under(env, inv_w[(i, pos)], pos) > tol:
+                accepted += 1
+            else:
+                break
+        candidates = [
+            inv_w[(i, seq.index(i))] if i in seq else non_w[i]
+            for i in range(env.n_agents)
+            if i not in seq or seq.index(i) >= accepted
+        ]
+        count = accepted
+        changed = True
+        while changed and count < env.n_agents:
+            changed = False
+            still = []
+            for w in candidates:
+                if _gain_under(env, w, count) > tol:
+                    count += 1
+                    changed = True
+                else:
+                    still.append(w)
+            candidates = still
+        return count, (accepted, len(seq))
+
+    def uniform_walk(weights):
+        count = 0
+        while count < env.n_agents and _gain_under(env, weights, count) > tol:
+            count += 1
+        return count, None
+
+    total, events = 0.0, []
+    for label, probs, seq in _signals(policy, env):
+        weights = env.prior * probs
+        if float(weights.sum()) <= 0.0:
+            continue
+        count, walk = uniform_walk(weights) if seq is None else chain_walk(seq)
+        contrib = float(
+            sum(
+                env.prior[s] * probs[s] * welfare_value(welfare, s, count)
+                for s in range(env.n_states)
+            )
+        )
+        events.append((label, count, contrib, walk))
+        total += contrib
+    return total, False, events
 
 
 def _loop_so_c(policy, env, agent):
@@ -323,6 +425,7 @@ def test_optimistic_baseline_matches_loops():
 
 
 def test_obedience_values_and_welfare_match_loops():
+    seen = set()
     for env, wf, rng in _cases():
         policies = [_mixed_policy(env, rng)]
         try:
@@ -345,6 +448,27 @@ def test_obedience_values_and_welfare_match_loops():
                 (e.label, e.coop_count, bits(e.welfare_contribution))
                 for e in public.events
             ] == [(lab, n_coop, bits(c)) for lab, n_coop, c, _ in events]
+
+            private = evaluate_policy_realized(pol, env, wf, mode=PRIVATE_SEQUENTIAL)
+            total, obedient, events = _loop_private(pol, env, wf)
+            assert bits(private.welfare) == bits(total)
+            assert private.obedient == obedient
+            assert [
+                (e.label, e.coop_count, bits(e.welfare_contribution))
+                for e in private.events
+            ] == [(lab, n_coop, bits(c)) for lab, n_coop, c, _ in events]
+            if not obedient:
+                seen.add("non-obedient")
+            for _, n_coop, _, walk in events:
+                if walk is None:
+                    seen.add("uniform block")
+                elif walk[0] < walk[1] and walk[0] < n_coop < n:
+                    seen.add("broken chain recovers to an interior count")
+    assert seen == {
+        "non-obedient",
+        "uniform block",
+        "broken chain recovers to an interior count",
+    }
 
 
 def test_zero_prior_negative_gain_sums_to_positive_zero():
