@@ -7,7 +7,7 @@ deterministic: rerunning a scenario reproduces byte-identical files except
 for the manifest timestamp.
 
 Exit codes: 0 success, 1 assumption failure under --strict, 2 input or I/O
-error, 3 problem too large for the exact LP (enumeration guard).
+error, 3 problem too large for the exact LP (tableau-size guard).
 """
 
 from __future__ import annotations
@@ -67,18 +67,20 @@ def _run_check(scn: Scenario, out: Path, args) -> list[str]:
 
 
 def _run_lp(scn: Scenario, out: Path, args) -> list[str]:
-    prog = build_lp(scn.env, scn.welfare)
+    prog = build_lp(scn.env, scn.welfare, symmetric=True)
     sol = solve(prog)
     tp = design(scn.env, scn.welfare, strict=args.strict)
+    sizes = scn.env.n_agents + 1  # columns p[s, k], state-major over k = 0..N
     payload = {
         "status": sol.status,
         "value": sol.value,
         "iterations": sol.iterations,
         "n_vars": prog.n_vars,
         "assignment": [
-            {"state": scn.env.labels[s], "sequence": list(seq), "prob": p}
-            for s, seq, p in sol.assignment(prog)
+            {"state": scn.env.labels[j // sizes], "size": j % sizes, "prob": p}
+            for j, p in sol.support()
         ],
+        **sol.check.residuals(),
         "greedy_welfare": tp.expected_welfare,
         "agreement_gap": abs(sol.value - tp.expected_welfare)
         if sol.status == "OPTIMAL"
@@ -170,7 +172,7 @@ def _run_all(scn: Scenario, out: Path, args) -> list[str]:
 _COMMANDS = {
     "design": (_run_design, "compute the robust threshold policy"),
     "check": (_run_check, "verify obedience of the designed policy"),
-    "lp": (_run_lp, "cross-check the design against the exact LP"),
+    "lp": (_run_lp, "cross-check the design against the exact agent-symmetric LP"),
     "evaluate": (_run_public, "realized welfare, private versus public signals"),
     "compare": (_run_compare, "robust versus optimistic baselines at one cost"),
     "sweep": (_run_sweep, "baseline comparison across the configured cost grid"),

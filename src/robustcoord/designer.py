@@ -236,6 +236,10 @@ def to_sequential_policy(tp: ThresholdPolicy, env: Environment) -> SequentialPol
     """Materialize the threshold policy: invited mass rides the uniform mixture
     over full orderings, the rest sits on the empty sequence."""
     q = tp.invite_probabilities()
+    if len(q) != env.n_states:
+        raise ValueError(
+            f"design covers {len(q)} states, environment has {env.n_states}"
+        )
     entries: dict[tuple[int, tuple[int, ...]], float] = {}
     uniform_full: dict[int, float] = {}
     for s in range(env.n_states):

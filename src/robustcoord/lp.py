@@ -1,8 +1,16 @@
-"""Exact LP formulation of the design problem over explicit sequences.
+"""Exact LP formulations of the design problem.
 
-One variable per (state, sequence) pair, one mass-balance equality per state,
-and one row per agent for each obedience half. Solved with the in-package
-simplex so results are bit-reproducible; this is the ground truth the
+``build_lp`` is the explicit program: one variable per (state, sequence)
+pair, one mass-balance equality per state, and one row per agent for each
+obedience half. ``build_symmetric_lp`` (also ``build_lp(..., symmetric=True)``,
+which the ``lp`` command uses) is the same program averaged over agent
+relabellings: payoffs are anonymous, so the average of a feasible policy
+over all permutations of the agents is feasible at the same value (Bödi,
+Herr & Joswig, Math. Prog. 137, 2013), and an optimum may be sought among
+policies that draw a uniformly random ordered k-subset of the agents. That
+leaves one variable per (state, size k), one mass row per state, one
+invited row and one stay-out row. Both are solved with the in-package
+simplex, so results are bit-reproducible; they are the ground truth the
 threshold designer is checked against.
 """
 
@@ -12,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment, WelfareSpec, marginal_gain, welfare_value
+from .env import (
+    Environment,
+    WelfareSpec,
+    gain_column,
+    marginal_gain,
+    potential_column,
+    welfare_column,
+    welfare_value,
+)
 from .seqpolicy import (
     MAX_SEQUENCES,
     CapacityError,
@@ -21,10 +37,13 @@ from .seqpolicy import (
     enumerate_sequences,
     predecessors,
 )
-from .simplex import SimplexResult, solve_min
+from .simplex import BasisCheck, SimplexResult, solve_min
 
 GE = ">="
 LE = "<="
+
+# cap on the dense tableau of the symmetric LP, in float64 cells (8 bytes each)
+MAX_TABLEAU_CELLS = 4_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,18 +57,18 @@ class LinearProgram:
     ineq_rhs: np.ndarray
     ineq_senses: tuple[str, ...]
     row_labels: tuple[str, ...]  # eq rows first, then inequality rows
-    var_index: tuple[tuple[int, tuple[int, ...]], ...]
+    var_names: tuple[str, ...]  # columns, state-major
     n_agents: int
     n_states: int
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_index)
+        return len(self.var_names)
 
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: str  # OPTIMAL | INFEASIBLE | ITERATION_LIMIT
+    status: str  # OPTIMAL | NUMERICAL | INFEASIBLE | ITERATION_LIMIT
     value: float
     x: np.ndarray
     eq_residuals: np.ndarray
@@ -59,15 +78,13 @@ class LpSolution:
     reduced_costs: np.ndarray
     iterations: int
     basis: tuple[int, ...]
+    # the final basis re-solved against the original rows, in solve_min's
+    # minimization form; its residuals are what OPTIMAL was checked on
+    check: BasisCheck
 
-    def assignment(
-        self, lp: LinearProgram, tol: float = 1e-12
-    ) -> list[tuple[int, tuple[int, ...], float]]:
-        return [
-            (s, seq, float(v))
-            for (s, seq), v in zip(lp.var_index, self.x)
-            if v > tol
-        ]
+    def support(self, tol: float = 1e-12) -> list[tuple[int, float]]:
+        """(column, value) of every variable above ``tol``."""
+        return [(int(j), float(self.x[j])) for j in np.flatnonzero(self.x > tol)]
 
     def to_dict(self) -> dict:
         return {
@@ -78,11 +95,17 @@ class LpSolution:
             "ineq_slacks": self.ineq_slacks.tolist(),
             "duals_eq": self.duals_eq.tolist(),
             "duals_ineq": self.duals_ineq.tolist(),
+            **self.check.residuals(),
         }
 
 
-def build_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
-    """Assemble the sequential-obedience LP for an explicit sequence grid."""
+def build_lp(
+    env: Environment, welfare: WelfareSpec, *, symmetric: bool = False
+) -> LinearProgram:
+    """Assemble the sequential-obedience LP for an explicit sequence grid,
+    or with ``symmetric`` its agent-symmetric reduction."""
+    if symmetric:
+        return build_symmetric_lp(env, welfare)
     if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
         raise ValueError("welfare spec does not match the environment's dimensions")
     n_seq = count_sequences(env.n_agents)
@@ -93,13 +116,13 @@ def build_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
         )
     seqs = enumerate_sequences(env.n_agents)
     n_states, n_agents = env.n_states, env.n_agents
-    var_index = tuple((s, seq) for s in range(n_states) for seq in seqs)
-    nv = len(var_index)
+    columns = [(s, seq) for s in range(n_states) for seq in seqs]
+    nv = len(columns)
 
     objective = np.empty(nv)
     eq_matrix = np.zeros((n_states, nv))
     ineq_matrix = np.zeros((2 * n_agents, nv))
-    for j, (s, seq) in enumerate(var_index):
+    for j, (s, seq) in enumerate(columns):
         objective[j] = env.prior[s] * welfare_value(welfare, s, len(seq))
         eq_matrix[s, j] = 1.0
         for i in seq:
@@ -126,7 +149,58 @@ def build_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
         ineq_rhs=np.zeros(2 * n_agents),
         ineq_senses=senses,
         row_labels=row_labels,
-        var_index=var_index,
+        var_names=tuple(
+            f"pi[{s}|{','.join(map(str, seq)) or '-'}]" for s, seq in columns
+        ),
+        n_agents=n_agents,
+        n_states=n_states,
+    )
+
+
+def build_symmetric_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
+    """Assemble the agent-symmetric LP: p[s, k] is the mass on a uniformly
+    random ordered k-subset of the agents in state s, k = 0..N.
+
+    Under such a draw an agent is invited with probability k/N, and then
+    equally likely at each of the k positions, so its expected obedience
+    gain is potential(s, k)/N; it is left out with probability (N - k)/N
+    and then sees all k invitees cooperate.
+    """
+    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
+        raise ValueError("welfare spec does not match the environment's dimensions")
+    n_states, n_agents = env.n_states, env.n_agents
+    nv = n_states * (n_agents + 1)
+    # tableau of solve_min: mass rows, two obedience rows and the objective,
+    # by the variables, two slacks, one artificial per mass row and the rhs
+    cells = (n_states + 3) * (nv + n_states + 3)
+    if cells > MAX_TABLEAU_CELLS:
+        raise CapacityError(
+            f"symmetric LP tableau of {cells} cells ({n_states} states x "
+            f"{n_agents + 1} sizes) exceeds the {MAX_TABLEAU_CELLS}-cell cap"
+        )
+    sizes = range(n_agents + 1)
+    # column blocks indexed [s, k], flattened state-major
+    value = np.column_stack([welfare_column(welfare, k) for k in sizes])
+    invited = np.column_stack([potential_column(env, k) for k in sizes])
+    stay_out = np.column_stack(
+        [gain_column(env, k) * ((n_agents - k) / n_agents) for k in range(n_agents)]
+        + [np.zeros(n_states)]
+    )
+    prior = env.prior[:, None]
+    eq_matrix = np.kron(np.eye(n_states), np.ones(n_agents + 1))
+    ineq_matrix = np.vstack(
+        [(prior * invited / n_agents).ravel(), (prior * stay_out).ravel()]
+    )
+    return LinearProgram(
+        objective=(prior * value).ravel(),
+        eq_matrix=eq_matrix,
+        eq_rhs=np.ones(n_states),
+        ineq_matrix=ineq_matrix,
+        ineq_rhs=np.zeros(2),
+        ineq_senses=(GE, LE),
+        row_labels=tuple(f"mass[{label}]" for label in env.labels)
+        + ("obey_invited", "stay_out"),
+        var_names=tuple(f"p[{s}|{k}]" for s in range(n_states) for k in sizes),
         n_agents=n_agents,
         n_states=n_states,
     )
@@ -141,53 +215,55 @@ def solve(lp: LinearProgram, maxiter: int | None = None) -> LpSolution:
     res: SimplexResult = solve_min(
         -lp.objective, lp.eq_matrix, lp.eq_rhs, A_ub, b_ub, maxiter=maxiter
     )
-    eq_residuals = lp.eq_matrix @ res.x - lp.eq_rhs
-    ineq_values = lp.ineq_matrix @ res.x
+    check = res.check
+    eq_residuals = lp.eq_matrix @ check.x - lp.eq_rhs
+    ineq_values = lp.ineq_matrix @ check.x
     ineq_slacks = (lp.ineq_rhs - ineq_values) * sense_sign  # >= 0 when satisfied
     return LpSolution(
         status=res.status,
-        value=float(lp.objective @ res.x),
-        x=res.x,
+        value=float(lp.objective @ check.x),
+        x=check.x,
         eq_residuals=eq_residuals,
         ineq_slacks=ineq_slacks,
-        duals_eq=-res.duals_eq,  # back to the maximization reading
-        duals_ineq=-res.duals_ub * sense_sign,
-        reduced_costs=-res.reduced_costs,
+        duals_eq=-check.duals_eq,  # back to the maximization reading
+        duals_ineq=-check.duals_ub * sense_sign,
+        reduced_costs=-check.reduced_costs,
         iterations=res.iterations,
         basis=tuple(int(b) for b in res.basis),
+        check=check,
     )
 
 
 def extract_policy(lp: LinearProgram, sol: LpSolution) -> SequentialPolicy:
-    """Positive-mass variables as an explicit sequential policy."""
-    entries = {
-        (s, seq): p for (s, seq, p) in sol.assignment(lp)
-    }
+    """Positive-mass variables of the explicit LP as a sequential policy."""
+    seqs = enumerate_sequences(lp.n_agents)
+    if lp.n_vars != lp.n_states * len(seqs):
+        raise ValueError("extract_policy needs the explicit LP of build_lp")
+    entries = {}
+    for j, p in sol.support():
+        s, i = divmod(j, len(seqs))
+        entries[(s, seqs[i])] = p
     return SequentialPolicy(lp.n_agents, lp.n_states, entries, {})
 
 
 def lp_to_text(lp: LinearProgram) -> str:
     """Plain-text interchange dump: objective, then one row per line."""
-    lines = [f"max {_combo(lp.objective, lp.var_index)}"]
+    lines = [f"max {_combo(lp.objective, lp.var_names)}"]
     for r in range(lp.eq_matrix.shape[0]):
         lines.append(
-            f"{lp.row_labels[r]}: {_combo(lp.eq_matrix[r], lp.var_index)} "
+            f"{lp.row_labels[r]}: {_combo(lp.eq_matrix[r], lp.var_names)} "
             f"= {lp.eq_rhs[r]:.10g}"
         )
     n_eq = lp.eq_matrix.shape[0]
     for r in range(lp.ineq_matrix.shape[0]):
         lines.append(
-            f"{lp.row_labels[n_eq + r]}: {_combo(lp.ineq_matrix[r], lp.var_index)} "
+            f"{lp.row_labels[n_eq + r]}: {_combo(lp.ineq_matrix[r], lp.var_names)} "
             f"{lp.ineq_senses[r]} {lp.ineq_rhs[r]:.10g}"
         )
     lines.append("bounds: x >= 0")
     return "\n".join(lines) + "\n"
 
 
-def _combo(coeffs: np.ndarray, var_index) -> str:
-    terms = []
-    for j in np.nonzero(coeffs)[0]:
-        s, seq = var_index[j]
-        name = f"pi[{s}|{','.join(map(str, seq)) or '-'}]"
-        terms.append(f"{coeffs[j]:+.10g} {name}")
+def _combo(coeffs: np.ndarray, names: tuple[str, ...]) -> str:
+    terms = [f"{coeffs[j]:+.10g} {names[j]}" for j in np.nonzero(coeffs)[0]]
     return " ".join(terms) if terms else "0"

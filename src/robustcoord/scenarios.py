@@ -88,12 +88,17 @@ def _require(block: dict, key: str, where: str):
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)``, or a ValueError naming the field if it is no number."""
+    """``kind(value)``, or a ValueError naming the field if it is no number
+    (or, for ``kind=int``, a number with a fractional part)."""
     if not isinstance(value, bool):
         try:
-            return kind(value)
+            number = kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if kind is int and isinstance(value, float) and number != value:
+                raise ValueError(f"{where}: expected an integer, got {value!r}")
+            return number
     raise ValueError(f"{where}: expected a number, got {value!r}")
 
 

@@ -38,7 +38,8 @@ Sequence_ = tuple[int, ...]
 
 
 class CapacityError(RuntimeError):
-    """Raised when explicit enumeration would exceed MAX_SEQUENCES."""
+    """Raised when a problem exceeds a size cap: explicit enumeration past
+    MAX_SEQUENCES, or a symmetric-LP tableau past lp.MAX_TABLEAU_CELLS."""
 
 
 def count_sequences(n_agents: int) -> int:

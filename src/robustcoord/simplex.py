@@ -5,11 +5,20 @@ tableau. Small and deterministic by construction: fixed pivot rules, no
 scaling, no presolve. Intended for the moderate, mostly-degenerate programs
 this package builds (RHS of the obedience rows is zero, so ties in the ratio
 test are exact and Bland's rule does the anti-cycling work).
+
+The tableau is updated in place, pivot after pivot, so its numbers drift
+away from the data. Answers are therefore never read off the final tableau:
+the final basis is re-solved against the original rows (``check_basis``,
+after Koberstein's refactorisation, PhD thesis, Paderborn 2005), and an
+optimal tableau is reported OPTIMAL only when the recomputed point and duals
+satisfy the program to CERT_TOL; otherwise the status is NUMERICAL.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,18 +32,138 @@ from ._kernels import (
 )
 
 PHASE1_TOL = 1e-8  # residual infeasibility we are willing to call zero
+CERT_TOL = 1e-9  # largest recomputed residual an OPTIMAL answer may carry
+
+
+@dataclass(frozen=True, eq=False)
+class BasisCheck:
+    """A basis re-solved against the original rows: the point and duals it
+    defines, and by how much they miss optimality."""
+
+    x: np.ndarray
+    duals_eq: np.ndarray
+    duals_ub: np.ndarray
+    reduced_costs: np.ndarray
+    primal_residual: float  # max |A x + slack - b| over all rows
+    bound_violation: float  # max(0, -v) over the basic variables and slacks
+    dual_violation: float  # max(0, -d) off the basis, |d| on it, d a reduced cost
+
+    @property
+    def passed(self) -> bool:
+        return max(self.primal_residual, self.bound_violation, self.dual_violation) <= CERT_TOL
+
+    def residuals(self) -> dict:
+        """The three figures, JSON-ready: a singular basis's infinite
+        figures become null."""
+        figures = {
+            "primal_residual": self.primal_residual,
+            "bound_violation": self.bound_violation,
+            "dual_violation": self.dual_violation,
+        }
+        return {k: v if math.isfinite(v) else None for k, v in figures.items()}
 
 
 @dataclass(frozen=True, eq=False)
 class SimplexResult:
-    status: str  # OPTIMAL | INFEASIBLE | ITERATION_LIMIT
-    x: np.ndarray
-    objective: float
-    duals_eq: np.ndarray
-    duals_ub: np.ndarray
-    reduced_costs: np.ndarray
+    status: str  # OPTIMAL | NUMERICAL | INFEASIBLE | ITERATION_LIMIT
     iterations: int
     basis: np.ndarray
+    # the final basis re-solved against the original rows: the point, duals
+    # and residuals come from here, none from the tableau
+    check: BasisCheck
+
+
+class _Form(NamedTuple):
+    """The rows in tableau form. Columns are the n variables, then one slack
+    per ub row, then one artificial per row in ``art_rows``."""
+
+    rows: np.ndarray  # every row signed so that its rhs is >= 0
+    rhs: np.ndarray
+    slack_coeff: np.ndarray  # per row: 0 on eq rows, +-1 on ub rows
+    flip: np.ndarray  # rows negated to make the rhs nonnegative
+    art_rows: np.ndarray
+    m_eq: int
+
+
+def _standard_form(c, A_eq, b_eq, A_ub, b_ub) -> tuple[np.ndarray, _Form]:
+    c = np.asarray(c, dtype=np.float64)
+    n = c.shape[0]
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=np.float64)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=np.float64)
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=np.float64)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=np.float64)
+    m_eq = A_eq.shape[0]
+    if m_eq + A_ub.shape[0] == 0:
+        raise ValueError("need at least one constraint row")
+
+    # rows normalized to nonnegative RHS; ub rows keep a slack (+-1), eq rows
+    # and flipped ub rows get an artificial
+    rows = np.vstack([A_eq, A_ub])
+    rhs = np.concatenate([b_eq, b_ub])
+    slack_coeff = np.zeros(rows.shape[0])
+    slack_coeff[m_eq:] = 1.0
+    flip = rhs < 0
+    rows[flip] *= -1.0
+    rhs[flip] *= -1.0
+    slack_coeff[flip] *= -1.0
+    needs_art = slack_coeff <= 0.0  # eq rows, and ub rows whose slack turned negative
+    return c, _Form(rows, rhs, slack_coeff, flip, np.nonzero(needs_art)[0], m_eq)
+
+
+def check_basis(c, A_eq, b_eq, A_ub, b_ub, basis) -> BasisCheck:
+    """Re-solve ``basis`` (one column index per row, in ``solve_min``'s column
+    order) against the program ``solve_min`` takes."""
+    c, form = _standard_form(c, A_eq, b_eq, A_ub, b_ub)
+    return _check(form, c, np.asarray(basis, dtype=np.int64))
+
+
+def _check(form: _Form, c: np.ndarray, basis: np.ndarray) -> BasisCheck:
+    """x_B = B^-1 b and y = B^-T c_B from the original rows, then the primal
+    residual, the bounds and the reduced-cost signs at that point."""
+    m, n = form.rows.shape
+    m_eq = form.m_eq
+    art_start = n + m - m_eq
+    is_var = basis < n
+    is_slack = (basis >= n) & (basis < art_start)
+    slack_row = m_eq + basis[is_slack] - n
+    B = np.zeros((m, m))
+    B[:, is_var] = form.rows[:, basis[is_var]]
+    B[slack_row, np.nonzero(is_slack)[0]] = form.slack_coeff[slack_row]
+    art = ~(is_var | is_slack)
+    B[form.art_rows[basis[art] - art_start], np.nonzero(art)[0]] = 1.0
+    c_B = np.zeros(m)  # slacks and artificials cost nothing in phase 2
+    c_B[is_var] = c[basis[is_var]]
+    try:
+        x_B = np.linalg.solve(B, form.rhs)
+        y = np.linalg.solve(B.T, c_B)
+    except np.linalg.LinAlgError:  # singular basis: nothing to certify
+        inf = float("inf")
+        return BasisCheck(
+            np.zeros(n), np.zeros(m_eq), np.zeros(m - m_eq), np.zeros(n), inf, inf, inf
+        )
+
+    x = np.zeros(n)
+    x[basis[is_var]] = x_B[is_var]
+    slack = np.zeros(m)  # slack value per row; zero on eq rows
+    slack[slack_row] = x_B[is_slack]
+    residual = form.rows @ x + form.slack_coeff * slack - form.rhs
+    real = is_var | is_slack
+    bound = float(max(0.0, -x_B[real].min())) if real.any() else 0.0
+
+    # reduced costs of the variables, then of the slacks (cost 0)
+    d = np.concatenate([c - form.rows.T @ y, -form.slack_coeff[m_eq:] * y[m_eq:]])
+    on_basis = np.zeros(art_start, dtype=bool)
+    on_basis[basis[real]] = True
+    dual = np.where(on_basis, np.abs(d), np.maximum(-d, 0.0))
+    return BasisCheck(
+        x=x,
+        duals_eq=np.where(form.flip[:m_eq], -1.0, 1.0) * y[:m_eq],
+        duals_ub=form.slack_coeff[m_eq:] * y[m_eq:],
+        reduced_costs=d[:n],
+        primal_residual=float(np.abs(residual).max()),
+        bound_violation=bound,
+        dual_violation=float(dual.max()),
+    )
 
 
 def solve_min(
@@ -45,50 +174,26 @@ def solve_min(
     b_ub: np.ndarray | None,
     maxiter: int | None = None,
 ) -> SimplexResult:
-    c = np.asarray(c, dtype=np.float64)
-    n = c.shape[0]
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=np.float64)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=np.float64)
-    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=np.float64)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=np.float64)
-    m_eq, m_ub = A_eq.shape[0], A_ub.shape[0]
-    m = m_eq + m_ub
-    if m == 0:
-        raise ValueError("need at least one constraint row")
-
-    # rows normalized to nonnegative RHS; ub rows keep a slack (+-1), eq rows
-    # and flipped ub rows get an artificial
-    rows = np.vstack([A_eq, A_ub])
-    rhs = np.concatenate([b_eq, b_ub])
-    slack_coeff = np.zeros(m)
-    slack_coeff[m_eq:] = 1.0
-    flip = rhs < 0
-    rows[flip] *= -1.0
-    rhs[flip] *= -1.0
-    slack_coeff[m_eq:][flip[m_eq:]] *= -1.0
-
-    needs_art = np.ones(m, dtype=bool)
-    needs_art[m_eq:] = slack_coeff[m_eq:] < 0  # flipped ub rows lost their basis
-    art_rows = np.nonzero(needs_art)[0]
-    n_slack, n_art = m_ub, len(art_rows)
-    art_start = n + n_slack
-    total_cols = n + n_slack + n_art
+    c, form = _standard_form(c, A_eq, b_eq, A_ub, b_ub)
+    m, n = form.rows.shape
+    m_eq = form.m_eq
+    m_ub = m - m_eq
+    art_rows = form.art_rows
+    n_art = len(art_rows)
+    art_start = n + m_ub
+    total_cols = art_start + n_art
 
     T = np.zeros((m + 1, total_cols + 1))
-    T[:m, :n] = rows
-    T[:m, total_cols] = rhs
+    T[:m, :n] = form.rows
+    T[:m, total_cols] = form.rhs
     for k in range(m_ub):
-        T[m_eq + k, n + k] = slack_coeff[m_eq + k]
+        T[m_eq + k, n + k] = form.slack_coeff[m_eq + k]
     basis = np.empty(m, dtype=np.int64)
     for k in range(m_ub):
         basis[m_eq + k] = n + k
-    art_col_of_row = np.full(m, -1, dtype=np.int64)
     for j, i in enumerate(art_rows):
         T[i, art_start + j] = 1.0
         basis[i] = art_start + j
-        art_col_of_row[i] = art_start + j
-    # sign linking tableau-row duals back to the rows as the caller stated them
-    eq_dual_sign = np.where(flip[:m_eq], -1.0, 1.0)
 
     if maxiter is None:
         maxiter = 100 * (m + total_cols)
@@ -104,17 +209,11 @@ def solve_min(
         code, it = pivot_loop(T, basis, total_cols, maxiter)
         used += it
         if code == ITER_LIMIT:
-            return _result(
-                "ITERATION_LIMIT", T, basis, c, n, m_eq, m_ub, used,
-                art_col_of_row, eq_dual_sign,
-            )
+            return _finish("ITERATION_LIMIT", form, c, basis, used)
         if code == UNBOUNDED:  # impossible: phase-1 objective is bounded below
             raise RuntimeError("phase-1 unbounded; simplex construction bug")
         if -T[m, total_cols] > PHASE1_TOL:
-            return _result(
-                "INFEASIBLE", T, basis, c, n, m_eq, m_ub, used,
-                art_col_of_row, eq_dual_sign,
-            )
+            return _finish("INFEASIBLE", form, c, basis, used)
         # drive surviving artificials out of the basis where possible; rows
         # with no eligible pivot are redundant and stay inert at level zero
         for i in range(m):
@@ -135,42 +234,17 @@ def solve_min(
     code, it = pivot_loop(T, basis, art_start, maxiter - used)
     used += it
     if code == ITER_LIMIT:
-        return _result(
-            "ITERATION_LIMIT", T, basis, c, n, m_eq, m_ub, used,
-            art_col_of_row, eq_dual_sign,
-        )
+        return _finish("ITERATION_LIMIT", form, c, basis, used)
     if code == UNBOUNDED:
         raise RuntimeError("objective unbounded; the caller built a bad program")
-    return _result(
-        "OPTIMAL", T, basis, c, n, m_eq, m_ub, used, art_col_of_row, eq_dual_sign
-    )
+    return _finish("OPTIMAL", form, c, basis, used)
 
 
-def _result(
-    status, T, basis, c, n, m_eq, m_ub, iterations, art_col_of_row, eq_dual_sign
-) -> SimplexResult:
-    m = m_eq + m_ub
-    total_cols = T.shape[1] - 1
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, total_cols]
-    # Duals read off the reduced costs of each row's own unit column: the
-    # artificial for eq rows (sign flipped back when the row was negated), the
-    # slack for ub rows (where a flipped row's two sign changes cancel).
-    o = T[m]
-    duals_eq = np.array(
-        [-o[art_col_of_row[i]] * eq_dual_sign[i] for i in range(m_eq)]
-    )
-    duals_ub = np.array([-o[n + k] for k in range(m_ub)])
-    objective = float(c @ x)
-    return SimplexResult(
-        status=status,
-        x=x,
-        objective=objective,
-        duals_eq=duals_eq,
-        duals_ub=duals_ub,
-        reduced_costs=o[:n].copy(),
-        iterations=iterations,
-        basis=basis.copy(),
-    )
+def _finish(status, form, c, basis, iterations) -> SimplexResult:
+    """The result at the final basis. An optimal tableau stands as OPTIMAL
+    only when the re-solved basis passes the check; otherwise NUMERICAL,
+    with the re-solved point (zero when the basis is singular)."""
+    check = _check(form, c, basis)
+    if status == "OPTIMAL" and not check.passed:
+        status = "NUMERICAL"
+    return SimplexResult(status, iterations, basis.copy(), check)

@@ -31,12 +31,14 @@ def example3():
     return env, welfare
 
 
-def random_convex_instance(rng):
+def random_convex_instance(rng, n_agents=None, n_states=None):
     """Small random environment with convex power welfare, guaranteed to
-    admit at least one state with positive full-cooperation potential."""
+    admit at least one state with positive full-cooperation potential.
+    Agent and state counts are drawn (2..4 and 1..3) unless given."""
+    fixed_agents, fixed_states = n_agents, n_states
     while True:
-        n_agents = int(rng.integers(2, 5))
-        n_states = int(rng.integers(1, 4))
+        n_agents = int(rng.integers(2, 5)) if fixed_agents is None else fixed_agents
+        n_states = int(rng.integers(1, 4)) if fixed_states is None else fixed_states
         benefit = rng.uniform(0.0, 3.0, n_states)
         comp = rng.uniform(0.0, 2.0, n_states)
         cost = float(rng.uniform(0.5, 2.5))

@@ -52,8 +52,15 @@ def test_lp_artifacts(tmp_path):
     assert lp["status"] == "OPTIMAL"
     assert lp["value"] == pytest.approx(8.052631578947368, abs=1e-9)
     assert lp["agreement_gap"] <= 1e-9
-    assert lp["n_vars"] == 32
-    assert all(set(a) == {"state", "sequence", "prob"} for a in lp["assignment"])
+    assert lp["n_vars"] == 8  # agent-symmetric LP: sizes 0..3 per state
+    assert all(set(a) == {"state", "size", "prob"} for a in lp["assignment"])
+    assert lp["assignment"] == [
+        {"state": "L", "size": 0, "prob": pytest.approx(0.3157894736842105, abs=1e-12)},
+        {"state": "L", "size": 3, "prob": pytest.approx(0.6842105263157894, abs=1e-12)},
+        {"state": "H", "size": 3, "prob": 1.0},
+    ]
+    for key in ("primal_residual", "bound_violation", "dual_violation"):
+        assert 0.0 <= lp[key] <= 1e-9
 
 
 def test_evaluate_artifacts(tmp_path):
@@ -162,9 +169,38 @@ def test_strict_assumption_failure_exits_1(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_capacity_guard_exits_3(tmp_path):
-    # case2 has ten agents; the ordered-sequence space exceeds the LP guard
-    assert run_cli("lp", "case2", tmp_path) == 3
+def test_capacity_guard_exits_3(tmp_path, capsys):
+    # a wide-grid-sized instance: 2,000 states and 20 agents give a dense
+    # symmetric-LP tableau of ~8.8e7 cells (~700 MB), above the guard
+    cfg = {
+        "schema": 1,
+        "name": "wide",
+        "n_agents": 20,
+        "grid": {
+            "count": 2000,
+            "theta_start": 0.0005,
+            "theta_step": 0.0005,
+            "b": [0.5, 2.0],
+            "lambda": [0.1, 0.8],
+            "alpha": [6.0, 12.0],
+        },
+        "cost": 2.0,
+        "beta": 1.5,
+        "modes": ["lp"],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("lp", str(path), tmp_path / "out") == 3
+    assert "cell cap" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "lp.json").exists()
+
+
+def test_lp_case2_within_guard(tmp_path):
+    assert run_cli("lp", "case2", tmp_path) == 0
+    lp = json.loads((tmp_path / "lp.json").read_text())
+    assert lp["status"] == "OPTIMAL"
+    assert lp["n_vars"] == 1100
+    assert lp["agreement_gap"] <= 1e-9
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
@@ -192,6 +228,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
+def _to_grid(cfg, count):
+    del cfg["states"]
+    cfg["grid"] = {
+        "count": count,
+        "theta_start": 0.1,
+        "theta_step": 0.1,
+        "b": [0.5, 2.0],
+        "lambda": [0.1, 0.8],
+        "alpha": [6.0, 12.0],
+    }
+
+
 @pytest.mark.parametrize(
     "message, edit",
     [
@@ -199,8 +247,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("scenario.cost: expected a number", lambda cfg: cfg.update(cost=[2.0])),
         ("sweep.step: expected a number", lambda cfg: cfg["sweep"].update(step=None)),
         ("sweep.step: must be finite", lambda cfg: cfg["sweep"].update(step=float("nan"))),
+        ("scenario.n_agents: expected an integer, got 3.9", lambda cfg: cfg.update(n_agents=3.9)),
+        ("grid.count: expected an integer, got 2.5", lambda cfg: _to_grid(cfg, count=2.5)),
     ],
-    ids=["prob-null", "cost-list", "sweep-step-null", "sweep-step-nan"],
+    ids=[
+        "prob-null",
+        "cost-list",
+        "sweep-step-null",
+        "sweep-step-nan",
+        "n-agents-fractional",
+        "grid-count-fractional",
+    ],
 )
 def test_malformed_number_exits_2(tmp_path, capsys, message, edit):
     cfg = {
@@ -244,15 +301,17 @@ def test_tol_flag_reaches_checker(tmp_path):
 
 
 # SHA-256 of every artifact `run` writes except manifest.json, as recorded
-# from commit 2330f8c. A change that alters any of these files on purpose
-# updates the digest here and says so in CHANGES.md.
+# from commit 2330f8c; case1's lp.json changed on purpose when `lp` moved to
+# the agent-symmetric LP and began reporting its basis-check residuals. A
+# change that alters any of these files on purpose updates the digest here
+# and says so in CHANGES.md.
 GOLDEN_DIGESTS = {
     "case1": {
         "comparison.csv": "622058182ae1080a41505e14ac835884521b62118dddb033a598c0ba505b6a18",
         "design.json": "69eed7719cea990137d46fb8910c2c4c8286daf92c578b10353fb49eff3d9f92",
         "figdata_scores.csv": "cafec2bc2ae334a6016e7f054ff3c3785507953291514a78fd1bc81611eb7755",
         "figdata_welfare.csv": "861bc338b1bba0812bc77544d4c75fca58ada1af16b4f0bb8026d78fdb743b00",
-        "lp.json": "3f6853c2c63569eee8caf888b3ed40fb587617d3b7e708bb01fdee75d2960aba",
+        "lp.json": "51978e41329612033f544fb513b231106a035362ef1bea68350930e5881394b2",
         "obedience.json": "4716ceb85c97df5532c635b46516ef08ff23d2a034a7084564330cadb3961899",
         "policy.json": "e2e8874b273465d48555711931bf15b6e76879b58cdf4e13a36bd5d8a4b76d72",
         "public.json": "9c639c532aab72d3357eb554c494b7228a8e74c169a5038691d3a9b9dc6fdc47",

@@ -143,6 +143,23 @@ def test_to_sequential_policy_structure(case1):
     assert pol.entries == pytest.approx({(0, ()): 1 - 0.6842105263157894})
 
 
+def test_to_sequential_policy_rejects_other_state_count(case1):
+    env, wf = case1
+    one_state = Environment(
+        n_agents=3,
+        labels=("D",),
+        prior=np.array([1.0]),
+        benefit=np.array([3.0]),
+        complementarity=np.array([0.5]),
+        cost=2.0,
+    )
+    one_state_wf = WelfareSpec.power(3, np.array([5.0]), 2.0)
+    with pytest.raises(ValueError, match="design covers 2 states, environment has 1"):
+        to_sequential_policy(design(env, wf), one_state)
+    with pytest.raises(ValueError, match="design covers 1 states, environment has 2"):
+        to_sequential_policy(design(one_state, one_state_wf), env)
+
+
 def test_op_count_independent_of_n_agents():
     # same state space, wildly different N: the construction does equal work
     counts = {}

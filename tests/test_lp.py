@@ -8,14 +8,51 @@ from robustcoord import (
     Environment,
     WelfareSpec,
     build_lp,
+    build_scenario,
+    build_symmetric_lp,
     check_policy,
     design,
     extract_policy,
     lp_to_text,
     solve,
 )
+from robustcoord import simplex
+from robustcoord.simplex import CERT_TOL, check_basis
 
 from conftest import random_convex_instance
+
+# Three states, six agents: Bland's rule on the explicit LP (5,871 columns)
+# drifts here; read off the final tableau it claimed OPTIMAL at 9.3015, above
+# the all-invite ceiling of 9.3, with state s2 carrying mass 1.0005.
+LP_N6 = {
+    "schema": 1,
+    "name": "lp-n6",
+    "n_agents": 6,
+    "states": [
+        {"label": "s0", "prob": 0.3, "b": 1.0, "lambda": 0.3, "alpha": 6.0},
+        {"label": "s1", "prob": 0.3, "b": 1.8, "lambda": 0.6, "alpha": 9.0},
+        {"label": "s2", "prob": 0.4, "b": 2.5, "lambda": 0.9, "alpha": 12.0},
+    ],
+    "cost": 2.0,
+    "beta": 1.5,
+    "modes": ["lp"],
+}
+
+
+def _residuals(sol):
+    return (sol.check.primal_residual, sol.check.bound_violation, sol.check.dual_violation)
+
+
+def _min_form(prog):
+    """``prog`` in solve_min's form: minimize, every inequality as <=."""
+    sign = np.array([1.0 if s == "<=" else -1.0 for s in prog.ineq_senses])
+    return (
+        -prog.objective,
+        prog.eq_matrix,
+        prog.eq_rhs,
+        prog.ineq_matrix * sign[:, None],
+        prog.ineq_rhs * sign,
+    )
 
 
 def test_case1_lp_shape(case1):
@@ -122,3 +159,153 @@ def test_lp_to_text(case1):
     assert "mass[L]" in text and "stay_out[2]" in text
     assert text.startswith("max ")
     assert "pi[1|0,1]" in text
+
+
+def test_lp_n6_explicit_lp_is_certified_or_numerical():
+    scn = build_scenario(LP_N6)
+    prog = build_lp(scn.env, scn.welfare)
+    sol = solve(prog)
+    assert sol.status in ("OPTIMAL", "NUMERICAL")
+    if sol.status == "OPTIMAL":
+        assert sol.value == pytest.approx(9.3, abs=1e-9)
+        assert np.abs(prog.eq_matrix @ sol.x - 1.0).max() <= 1e-9
+        assert max(_residuals(sol)) <= CERT_TOL
+    else:
+        assert max(_residuals(sol)) > CERT_TOL
+
+
+def test_lp_n6_symmetric_lp_matches_design():
+    scn = build_scenario(LP_N6)
+    prog = build_symmetric_lp(scn.env, scn.welfare)
+    sol = solve(prog)
+    assert sol.status == "OPTIMAL"
+    assert sol.value == pytest.approx(9.3, abs=1e-9)  # every state invited
+    assert sol.value == pytest.approx(design(scn.env, scn.welfare).expected_welfare, abs=1e-9)
+    assert np.abs(prog.eq_matrix @ sol.x - 1.0).max() <= 1e-9
+    assert max(_residuals(sol)) <= CERT_TOL
+
+
+def test_check_basis_passes_only_the_optimal_basis(case1):
+    env, wf = case1
+    prog = build_symmetric_lp(env, wf)
+    form = _min_form(prog)
+    good = check_basis(*form, solve(prog).basis)
+    assert good.passed
+    assert float(prog.objective @ good.x) == pytest.approx(8.052631578947368, abs=1e-12)
+    # columns: p[L, 0..3] = 0..3, p[H, 0..3] = 4..7, slacks of the invited and
+    # stay-out rows = 8, 9, artificials of the two mass rows = 10, 11
+    nobody = check_basis(*form, [0, 4, 8, 9])  # feasible, welfare 0
+    assert nobody.primal_residual <= CERT_TOL and nobody.bound_violation == 0.0
+    assert nobody.dual_violation > 1.0
+    assert not nobody.passed
+    start = check_basis(*form, [10, 11, 8, 9])  # phase 1's start: mass rows unmet
+    assert start.primal_residual == pytest.approx(1.0)
+    assert not start.passed
+    singular = check_basis(*form, [0, 0, 8, 9])
+    assert singular.primal_residual == np.inf and not singular.passed
+
+
+def test_premature_optimal_tableau_gives_numerical(monkeypatch, case1):
+    env, wf = case1
+    prog = build_symmetric_lp(env, wf)
+    real = simplex.pivot_loop
+
+    def stop_in_phase2(T, basis, active_cols, maxiter):
+        if active_cols < T.shape[1] - 1:  # phase 2 shuts out the artificials
+            return simplex.OPTIMAL, 0  # claim optimality at phase 1's basis
+        return real(T, basis, active_cols, maxiter)
+
+    monkeypatch.setattr(simplex, "pivot_loop", stop_in_phase2)
+    sol = solve(prog)
+    assert sol.status == "NUMERICAL"
+    assert sol.check.dual_violation > CERT_TOL
+    assert sol.check.primal_residual <= CERT_TOL
+
+
+def test_drifted_tableau_values_are_recomputed(monkeypatch, case1):
+    env, wf = case1
+    prog = build_symmetric_lp(env, wf)
+    clean = solve(prog)
+    real = simplex.pivot_loop
+
+    def drift(T, basis, active_cols, maxiter):
+        code, it = real(T, basis, active_cols, maxiter)
+        if active_cols < T.shape[1] - 1:
+            T[:, -1] += 1e-4  # rhs column and objective value off, basis kept
+        return code, it
+
+    monkeypatch.setattr(simplex, "pivot_loop", drift)
+    sol = solve(prog)
+    assert sol.status == "OPTIMAL"
+    assert sol.basis == clean.basis
+    assert np.array_equal(sol.x, clean.x)
+    assert sol.value == clean.value == pytest.approx(8.052631578947368, abs=1e-12)
+
+
+def test_symmetric_lp_shape(case1):
+    env, wf = case1
+    prog = build_symmetric_lp(env, wf)
+    assert prog.n_vars == 8  # sizes 0..3 per state
+    assert prog.var_names[:5] == ("p[0|0]", "p[0|1]", "p[0|2]", "p[0|3]", "p[1|0]")
+    assert build_lp(env, wf, symmetric=True).var_names == prog.var_names
+    assert prog.eq_matrix.shape == (2, 8) and prog.ineq_matrix.shape == (2, 8)
+    assert prog.ineq_senses == (">=", "<=")
+    assert prog.row_labels == ("mass[L]", "mass[H]", "obey_invited", "stay_out")
+    # state L: prior 0.5, b - c = -1, lambda = 0.1, N = 3
+    gains = [-1.0, -0.95, -0.9]
+    invited = [0.5 * sum(gains[:k]) / 3 for k in range(4)]
+    stay_out = [0.5 * (3 - k) / 3 * gains[k] for k in range(3)] + [0.0]
+    assert prog.ineq_matrix[0, :4] == pytest.approx(invited, abs=1e-15)
+    assert prog.ineq_matrix[1, :4] == pytest.approx(stay_out, abs=1e-15)
+    assert prog.objective[:4] == pytest.approx(
+        [0.5 * 6.0 * (k / 3) ** 1.5 for k in range(4)], abs=1e-15
+    )
+    assert "p[1|3]" in lp_to_text(prog)
+    with pytest.raises(ValueError, match="explicit LP"):
+        extract_policy(prog, solve(prog))
+
+
+def test_symmetric_lp_matches_explicit_lp():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for n_agents in (2, 3, 4, 5):
+        for _ in range(10):
+            env, wf = random_convex_instance(rng, n_agents=n_agents)
+            sym, full = solve(build_symmetric_lp(env, wf)), solve(build_lp(env, wf))
+            assert sym.status == full.status == "OPTIMAL"
+            worst = max(worst, abs(sym.value - full.value))
+    assert worst <= 1e-9
+
+
+def test_symmetric_lp_matches_design():
+    rng = np.random.default_rng(2013)
+    worst = 0.0
+    count = 0
+    for n_agents in range(2, 13):
+        for n_states in range(1, 7):
+            for _ in range(4):
+                env, wf = random_convex_instance(rng, n_agents, n_states)
+                sol = solve(build_symmetric_lp(env, wf))
+                assert sol.status == "OPTIMAL"
+                assert max(_residuals(sol)) <= CERT_TOL
+                worst = max(worst, abs(sol.value - design(env, wf).expected_welfare))
+                count += 1
+    assert count >= 200
+    assert worst <= 1e-9
+
+
+def test_symmetric_lp_capacity_guard(case2):
+    env, wf = case2
+    assert build_symmetric_lp(env, wf).n_vars == 1100
+    n_states = 2000
+    wide = Environment(
+        n_agents=20,
+        labels=tuple(str(s) for s in range(n_states)),
+        prior=np.full(n_states, 1.0 / n_states),
+        benefit=np.linspace(0.5, 2.0, n_states),
+        complementarity=np.linspace(0.1, 0.8, n_states),
+        cost=2.0,
+    )
+    wide_wf = WelfareSpec.power(20, np.linspace(6.0, 12.0, n_states), 1.5)
+    with pytest.raises(CapacityError, match="cell cap"):
+        build_symmetric_lp(wide, wide_wf)
