@@ -1,10 +1,11 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Dense two-phase primal simplex: Dantzig pricing, Bland's rule on stalls.
 
 Solves  min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0  on an explicit
 tableau. Small and deterministic by construction: fixed pivot rules, no
 scaling, no presolve. Intended for the moderate, mostly-degenerate programs
 this package builds (RHS of the obedience rows is zero, so ties in the ratio
-test are exact and Bland's rule does the anti-cycling work).
+test are exact and degenerate pivots are common, which is why the kernel
+falls back to Bland's rule while pivots stall).
 
 The tableau is updated in place, pivot after pivot, so its numbers drift
 away from the data. Answers are therefore never read off the final tableau:
@@ -186,14 +187,13 @@ def solve_min(
     T = np.zeros((m + 1, total_cols + 1))
     T[:m, :n] = form.rows
     T[:m, total_cols] = form.rhs
-    for k in range(m_ub):
-        T[m_eq + k, n + k] = form.slack_coeff[m_eq + k]
+    slacks = n + np.arange(m_ub)
+    T[np.arange(m_eq, m), slacks] = form.slack_coeff[m_eq:]
+    arts = art_start + np.arange(n_art)
+    T[art_rows, arts] = 1.0
     basis = np.empty(m, dtype=np.int64)
-    for k in range(m_ub):
-        basis[m_eq + k] = n + k
-    for j, i in enumerate(art_rows):
-        T[i, art_start + j] = 1.0
-        basis[i] = art_start + j
+    basis[m_eq:] = slacks
+    basis[art_rows] = arts  # flipped ub rows start on their artificial
 
     if maxiter is None:
         maxiter = 100 * (m + total_cols)
@@ -202,8 +202,7 @@ def solve_min(
     # phase 1: minimize the artificial mass
     if n_art:
         T[m] = 0.0
-        for j in range(n_art):
-            T[m, art_start + j] = 1.0
+        T[m, arts] = 1.0
         for i in art_rows:
             T[m] -= T[i]
         code, it = pivot_loop(T, basis, total_cols, maxiter)
@@ -218,11 +217,10 @@ def solve_min(
         # with no eligible pivot are redundant and stay inert at level zero
         for i in range(m):
             if basis[i] >= art_start:
-                for j in range(art_start):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        pivot(T, basis, i, j)
-                        used += 1
-                        break
+                eligible = np.flatnonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)
+                if eligible.size:
+                    pivot(T, basis, i, int(eligible[0]))
+                    used += 1
 
     # phase 2: original objective, artificial columns shut out
     T[m] = 0.0

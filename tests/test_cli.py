@@ -302,16 +302,18 @@ def test_tol_flag_reaches_checker(tmp_path):
 
 # SHA-256 of every artifact `run` writes except manifest.json, as recorded
 # from commit 2330f8c; case1's lp.json changed on purpose when `lp` moved to
-# the agent-symmetric LP and began reporting its basis-check residuals. A
-# change that alters any of these files on purpose updates the digest here
-# and says so in CHANGES.md.
+# the agent-symmetric LP and began reporting its basis-check residuals, and
+# again when the simplex moved to most-negative pricing (its `iterations`
+# went from 8 to 4, every other field unchanged). A change that alters any
+# of these files on purpose updates the digest here and says so in
+# CHANGES.md.
 GOLDEN_DIGESTS = {
     "case1": {
         "comparison.csv": "622058182ae1080a41505e14ac835884521b62118dddb033a598c0ba505b6a18",
         "design.json": "69eed7719cea990137d46fb8910c2c4c8286daf92c578b10353fb49eff3d9f92",
         "figdata_scores.csv": "cafec2bc2ae334a6016e7f054ff3c3785507953291514a78fd1bc81611eb7755",
         "figdata_welfare.csv": "861bc338b1bba0812bc77544d4c75fca58ada1af16b4f0bb8026d78fdb743b00",
-        "lp.json": "51978e41329612033f544fb513b231106a035362ef1bea68350930e5881394b2",
+        "lp.json": "55c59710a5a284ec9469098d19d068c09016dc2996ed4bc1d8f75384abe69dc2",
         "obedience.json": "4716ceb85c97df5532c635b46516ef08ff23d2a034a7084564330cadb3961899",
         "policy.json": "e2e8874b273465d48555711931bf15b6e76879b58cdf4e13a36bd5d8a4b76d72",
         "public.json": "9c639c532aab72d3357eb554c494b7228a8e74c169a5038691d3a9b9dc6fdc47",

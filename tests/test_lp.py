@@ -21,9 +21,9 @@ from robustcoord.simplex import CERT_TOL, check_basis
 
 from conftest import random_convex_instance
 
-# Three states, six agents: Bland's rule on the explicit LP (5,871 columns)
-# drifts here; read off the final tableau it claimed OPTIMAL at 9.3015, above
-# the all-invite ceiling of 9.3, with state s2 carrying mass 1.0005.
+# Three states, six agents: under pure Bland pricing the explicit LP (5,871
+# columns) drifted here over 23,781 pivots, to a false OPTIMAL at 9.3015 read
+# off the tableau (above the all-invite ceiling of 9.3) and a singular basis.
 LP_N6 = {
     "schema": 1,
     "name": "lp-n6",
@@ -161,17 +161,16 @@ def test_lp_to_text(case1):
     assert "pi[1|0,1]" in text
 
 
-def test_lp_n6_explicit_lp_is_certified_or_numerical():
+def test_lp_n6_explicit_lp_is_certified():
     scn = build_scenario(LP_N6)
     prog = build_lp(scn.env, scn.welfare)
     sol = solve(prog)
-    assert sol.status in ("OPTIMAL", "NUMERICAL")
-    if sol.status == "OPTIMAL":
-        assert sol.value == pytest.approx(9.3, abs=1e-9)
-        assert np.abs(prog.eq_matrix @ sol.x - 1.0).max() <= 1e-9
-        assert max(_residuals(sol)) <= CERT_TOL
-    else:
-        assert max(_residuals(sol)) > CERT_TOL
+    assert sol.status == "OPTIMAL"
+    assert sol.iterations < 200  # pure Bland pricing took 23,781
+    assert sol.value == pytest.approx(9.3, abs=1e-9)
+    assert sol.value == pytest.approx(design(scn.env, scn.welfare).expected_welfare, abs=1e-9)
+    assert np.abs(prog.eq_matrix @ sol.x - 1.0).max() <= 1e-9
+    assert max(_residuals(sol)) <= CERT_TOL
 
 
 def test_lp_n6_symmetric_lp_matches_design():
@@ -183,6 +182,32 @@ def test_lp_n6_symmetric_lp_matches_design():
     assert sol.value == pytest.approx(design(scn.env, scn.welfare).expected_welfare, abs=1e-9)
     assert np.abs(prog.eq_matrix @ sol.x - 1.0).max() <= 1e-9
     assert max(_residuals(sol)) <= CERT_TOL
+
+
+def test_case2_symmetric_lp_pivot_count(case2):
+    env, wf = case2
+    sol = solve(build_symmetric_lp(env, wf))
+    assert sol.status == "OPTIMAL"
+    assert sol.iterations < 500  # pure Bland pricing took 2,509
+
+
+def test_degenerate_cycle_terminates():
+    # Beale's (1955) program: most-negative pricing with lowest-index ratio
+    # ties cycles through six degenerate bases at x = 0, forever
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    A_ub = np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    b_ub = np.array([0.0, 0.0, 1.0])
+    res = simplex.solve_min(c, None, None, A_ub, b_ub)
+    assert res.status == "OPTIMAL"
+    assert res.check.passed
+    assert res.check.x == pytest.approx([1 / 25, 0.0, 1.0, 0.0], abs=1e-12)
+    assert float(c @ res.check.x) == pytest.approx(-1 / 20, abs=1e-12)
 
 
 def test_check_basis_passes_only_the_optimal_basis(case1):
@@ -268,8 +293,8 @@ def test_symmetric_lp_shape(case1):
 def test_symmetric_lp_matches_explicit_lp():
     rng = np.random.default_rng(11)
     worst = 0.0
-    for n_agents in (2, 3, 4, 5):
-        for _ in range(10):
+    for n_agents, count in ((2, 10), (3, 10), (4, 10), (5, 10), (6, 3)):
+        for _ in range(count):
             env, wf = random_convex_instance(rng, n_agents=n_agents)
             sym, full = solve(build_symmetric_lp(env, wf)), solve(build_lp(env, wf))
             assert sym.status == full.status == "OPTIMAL"
