@@ -7,6 +7,14 @@ sequences, and quantifies the gap to classical persuasion baselines that
 presume the best equilibrium.
 """
 
+import os
+
+# numpy's OpenBLAS starts one worker thread per extra CPU when it loads, and
+# each worker busy-waits before it sleeps; no BLAS call here is large enough
+# to use one, so the spin only burns CPU. One thread unless the user chose
+# otherwise; this must run before the first numpy import to take effect.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .baselines import (
     BaselinePolicy,
     ComparisonRecord,

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 from .baselines import compare, sweep, sweep_boundaries
@@ -44,9 +45,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_design(scn: Scenario, out: Path, args) -> list[str]:
-    tp = design(scn.env, scn.welfare, strict=args.strict)
-    pol = to_sequential_policy(tp, scn.env)
+class _Designed:
+    """The scenario's design and its sequential policy, each computed at
+    most once per command and only when a mode first asks for it."""
+
+    def __init__(self, scn: Scenario, strict: bool):
+        self.scn, self.strict = scn, strict
+
+    @cached_property
+    def tp(self):
+        return design(self.scn.env, self.scn.welfare, strict=self.strict)
+
+    @cached_property
+    def policy(self):
+        return to_sequential_policy(self.tp, self.scn.env)
+
+
+def _run_design(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
+    tp, pol = dsn.tp, dsn.policy
     _write_json(out / "design.json", tp.to_dict(labels=scn.env.labels))
     _write_json(out / "policy.json", policy_to_dict(pol, labels=scn.env.labels))
     q = tp.invite_probabilities()
@@ -58,18 +74,16 @@ def _run_design(scn: Scenario, out: Path, args) -> list[str]:
     return ["design.json", "policy.json", "figdata_scores.csv"]
 
 
-def _run_check(scn: Scenario, out: Path, args) -> list[str]:
-    tp = design(scn.env, scn.welfare, strict=args.strict)
-    pol = to_sequential_policy(tp, scn.env)
-    report = check_policy(pol, scn.env, tol=args.tol)
+def _run_check(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
+    report = check_policy(dsn.policy, scn.env, tol=args.tol)
     _write_json(out / "obedience.json", report.to_dict())
     return ["obedience.json"]
 
 
-def _run_lp(scn: Scenario, out: Path, args) -> list[str]:
+def _run_lp(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     prog = build_lp(scn.env, scn.welfare, symmetric=True)
     sol = solve(prog)
-    tp = design(scn.env, scn.welfare, strict=args.strict)
+    tp = dsn.tp
     sizes = scn.env.n_agents + 1  # columns p[s, k], state-major over k = 0..N
     payload = {
         "status": sol.status,
@@ -90,9 +104,8 @@ def _run_lp(scn: Scenario, out: Path, args) -> list[str]:
     return ["lp.json"]
 
 
-def _run_public(scn: Scenario, out: Path, args) -> list[str]:
-    tp = design(scn.env, scn.welfare, strict=args.strict)
-    pol = to_sequential_policy(tp, scn.env)
+def _run_public(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
+    pol = dsn.policy
     priv = evaluate_policy_realized(
         pol, scn.env, scn.welfare, mode=PRIVATE_SEQUENTIAL, obedience_tol=args.tol
     )
@@ -131,13 +144,13 @@ def _compare_row(rec) -> list:
     ]
 
 
-def _run_compare(scn: Scenario, out: Path, args) -> list[str]:
+def _run_compare(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     rec = compare(scn.env, scn.welfare)
     _write_csv(out / "comparison.csv", _COMPARE_HEADER, [_compare_row(rec)])
     return ["comparison.csv"]
 
 
-def _run_sweep(scn: Scenario, out: Path, args) -> list[str]:
+def _run_sweep(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     if scn.sweep_costs is None:
         raise ValueError(f"scenario {scn.name!r} has no sweep block")
     records = sweep(scn.env, scn.welfare, scn.sweep_costs)
@@ -160,12 +173,12 @@ _MODE_RUNNERS = {
 }
 
 
-def _run_all(scn: Scenario, out: Path, args) -> list[str]:
+def _run_all(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     written: list[str] = []
     for mode in scn.modes:
-        written.extend(_MODE_RUNNERS[mode](scn, out, args))
+        written.extend(_MODE_RUNNERS[mode](scn, out, args, dsn))
     if scn.sweep_costs is not None:
-        written.extend(_run_sweep(scn, out, args))
+        written.extend(_run_sweep(scn, out, args, dsn))
     return written
 
 
@@ -220,7 +233,7 @@ def main(argv=None) -> int:
         scn = load_scenario(args.scenario)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        written = _COMMANDS[args.command][0](scn, out, args)
+        written = _COMMANDS[args.command][0](scn, out, args, _Designed(scn, args.strict))
         _write_json(
             out / "manifest.json",
             {

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import robustcoord
 from robustcoord.cli import main
 from robustcoord.scenarios import load_scenario
 from robustcoord.seqpolicy import check_policy, policy_from_json
@@ -146,6 +151,26 @@ def test_manifest_written_even_for_empty_modes(tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", str(path), out) == 0
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_run_computes_the_design_only_when_a_mode_needs_it(tmp_path):
+    # no state has a positive potential, so `design` would exit 2; the
+    # baselines mode alone must never ask for it
+    cfg = {
+        "schema": 1,
+        "name": "hopeless",
+        "n_agents": 2,
+        "states": [{"label": "x", "prob": 1.0, "b": 0.1, "lambda": 0.1, "alpha": 1.0}],
+        "cost": 2.0,
+        "beta": 1.0,
+        "modes": ["baselines"],
+    }
+    path = tmp_path / "hopeless.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("run", str(path), tmp_path / "ok") == 0
+    cfg["modes"] = ["baselines", "check"]
+    path.write_text(json.dumps(cfg))
+    assert run_cli("run", str(path), tmp_path / "fails") == 2
 
 
 def test_repeat_runs_byte_identical(tmp_path):
@@ -342,3 +367,53 @@ def test_run_artifacts_match_golden_digests(tmp_path, scenario):
         if p.name != "manifest.json"
     }
     assert digests == GOLDEN_DIGESTS[scenario]
+
+
+def _child_env(**extra):
+    """This process's environment for a child interpreter that can import
+    robustcoord, without the OPENBLAS_NUM_THREADS that importing robustcoord
+    has already set here, plus ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(robustcoord.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="counts threads in /proc/self/task; OpenBLAS starts workers only on 2+ usable CPUs",
+)
+def test_one_blas_thread_unless_the_user_sets_one():
+    def threads(**extra):
+        code = "import robustcoord, os; print(len(os.listdir('/proc/self/task')))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=_child_env(**extra),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return int(proc.stdout)
+
+    assert threads() == 1
+    assert threads(OPENBLAS_NUM_THREADS="2") == 2  # the user's own setting wins
+
+
+def test_blas_thread_count_never_changes_an_artifact(tmp_path):
+    # case2's LP has the package's largest np.linalg.solve calls, in the
+    # simplex's final basis check
+    def artifacts(command, scenario, threads):
+        out = tmp_path / f"{command}-{scenario}-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "robustcoord.cli", command, "--scenario", scenario, "--out", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            check=True,
+        )
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    for command, scenario in [("lp", "case2"), ("run", "case1")]:
+        one = artifacts(command, scenario, "1")
+        assert one
+        assert artifacts(command, scenario, "2") == one, (command, scenario)
