@@ -28,11 +28,15 @@ def active_backend() -> str:
 
 def pivot(T, basis, row, col):
     """One pivot on (row, col): the column becomes that row's unit vector and
-    enters the basis. Mutates T and basis in place."""
+    enters the basis. Only the columns where the normalised pivot row is
+    nonzero are updated; the others would only lose factor * 0, so at most
+    the sign of a zero differs from the dense update. Mutates T and basis in
+    place."""
     T[row] /= T[row, col]
+    cols = np.flatnonzero(T[row])
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T[:, cols] -= np.outer(factors, T[row, cols])
     basis[row] = col
 
 

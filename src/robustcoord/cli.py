@@ -13,6 +13,7 @@ error, 3 problem too large for the exact LP (tableau-size guard).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from datetime import datetime, timezone
@@ -228,6 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # we own the process: park the import-time heap in the permanent
+        # generation, so no collection walks it and exit leaves it to the OS
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         scn = load_scenario(args.scenario)

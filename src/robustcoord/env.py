@@ -82,7 +82,7 @@ class Environment:
             s = int(np.argmax(self.prior < 0))
             raise ValueError(f"prior must be nonnegative, state {s} is {self.prior[s]}")
         if abs(float(self.prior.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"prior must sum to 1, got {self.prior.sum()!r}")
+            raise ValueError(f"prior must sum to 1, got {float(self.prior.sum())!r}")
         if np.any(self.complementarity < 0):
             s = int(np.argmax(self.complementarity < 0))
             raise ValueError(

@@ -37,7 +37,7 @@ class Belief:
         if np.any(~np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("belief must be finite and nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"belief must sum to 1, got {probs.sum()!r}")
+            raise ValueError(f"belief must sum to 1, got {float(probs.sum())!r}")
         object.__setattr__(self, "probs", probs)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -88,18 +89,25 @@ def _require(block: dict, key: str, where: str):
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)``, or a ValueError naming the field if it is no number
-    (or, for ``kind=int``, a number with a fractional part)."""
-    if not isinstance(value, bool):
+    """``kind(value)`` for a JSON number, or a ValueError naming the field if
+    it is anything else (a string, a bool, null, ...) or, for ``kind=int``, a
+    number with a fractional part."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = kind(value)
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):  # int() of nan or inf
             pass
         else:
             if kind is int and isinstance(value, float) and number != value:
                 raise ValueError(f"{where}: expected an integer, got {value!r}")
             return number
     raise ValueError(f"{where}: expected a number, got {value!r}")
+
+
+def _reject_duplicates(items, where: str, what: str) -> None:
+    dups = sorted(k for k, n in Counter(items).items() if n > 1)
+    if dups:
+        raise ValueError(f"{where}: duplicate {what} {dups}")
 
 
 def _field(block: dict, key: str, where: str, kind=float):
@@ -206,6 +214,7 @@ def build_scenario(config: dict) -> Scenario:
         env, welfare = _build_explicit(config, n_agents, cost, beta)
     else:
         env, welfare = _build_grid(config, n_agents, cost, beta)
+    _reject_duplicates(env.labels, "states" if "states" in config else "grid", "label(s)")
 
     modes = _require(config, "modes", "scenario")
     if not isinstance(modes, list):
@@ -213,6 +222,7 @@ def build_scenario(config: dict) -> Scenario:
     bad = [m for m in modes if m not in MODES]
     if bad:
         raise ValueError(f"scenario.modes: unknown mode(s) {bad}; valid: {list(MODES)}")
+    _reject_duplicates(modes, "scenario.modes", "mode(s)")
 
     sweep_costs = _build_sweep(config["sweep"]) if "sweep" in config else None
     return Scenario(

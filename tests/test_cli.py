@@ -1,5 +1,6 @@
 """Command line interface: exit codes, artifacts, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -253,12 +254,12 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
-def _to_grid(cfg, count):
+def _to_grid(cfg, count, theta_step=0.1):
     del cfg["states"]
     cfg["grid"] = {
         "count": count,
         "theta_start": 0.1,
-        "theta_step": 0.1,
+        "theta_step": theta_step,
         "b": [0.5, 2.0],
         "lambda": [0.1, 0.8],
         "alpha": [6.0, 12.0],
@@ -274,6 +275,18 @@ def _to_grid(cfg, count):
         ("sweep.step: must be finite", lambda cfg: cfg["sweep"].update(step=float("nan"))),
         ("scenario.n_agents: expected an integer, got 3.9", lambda cfg: cfg.update(n_agents=3.9)),
         ("grid.count: expected an integer, got 2.5", lambda cfg: _to_grid(cfg, count=2.5)),
+        # JSON strings are not numbers, whatever they spell
+        ("scenario.cost: expected a number, got '2.0'", lambda cfg: cfg.update(cost="2.0")),
+        ("scenario.n_agents: expected a number, got '3'", lambda cfg: cfg.update(n_agents="3")),
+        (
+            "states[0].prob: expected a number, got '1.0'",
+            lambda cfg: cfg["states"][0].update(prob="1.0"),
+        ),
+        (
+            "grid.theta_step: expected a number, got '0.01'",
+            lambda cfg: _to_grid(cfg, count=3, theta_step="0.01"),
+        ),
+        ("sweep.step: expected a number, got '0.05'", lambda cfg: cfg["sweep"].update(step="0.05")),
     ],
     ids=[
         "prob-null",
@@ -282,6 +295,11 @@ def _to_grid(cfg, count):
         "sweep-step-nan",
         "n-agents-fractional",
         "grid-count-fractional",
+        "cost-string",
+        "n-agents-string",
+        "prob-string",
+        "theta-step-string",
+        "sweep-step-string",
     ],
 )
 def test_malformed_number_exits_2(tmp_path, capsys, message, edit):
@@ -358,15 +376,18 @@ GOLDEN_DIGESTS = {
 }
 
 
+def _digests(out: Path) -> dict:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.name != "manifest.json"
+    }
+
+
 @pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))
 def test_run_artifacts_match_golden_digests(tmp_path, scenario):
     assert run_cli("run", scenario, tmp_path) == 0
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.iterdir())
-        if p.name != "manifest.json"
-    }
-    assert digests == GOLDEN_DIGESTS[scenario]
+    assert _digests(tmp_path) == GOLDEN_DIGESTS[scenario]
 
 
 def _child_env(**extra):
@@ -417,3 +438,32 @@ def test_blas_thread_count_never_changes_an_artifact(tmp_path):
         one = artifacts(command, scenario, "1")
         assert one
         assert artifacts(command, scenario, "2") == one, (command, scenario)
+
+
+def test_command_process_freezes_its_import_heap(tmp_path):
+    # main() without argv is the console script or `python -m`: it owns the
+    # process, so the import-time heap goes to the permanent generation
+    code = (
+        "import gc, sys\n"
+        "import robustcoord.cli as cli\n"
+        "out = sys.argv[1]\n"
+        "sys.argv = ['robustcoord', 'run', '--scenario', 'case1', '--out', out]\n"
+        "code = cli.main()\n"
+        "print(gc.get_freeze_count())\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(proc.stdout) > 0
+    assert _digests(tmp_path) == GOLDEN_DIGESTS["case1"]
+
+
+def test_main_with_argv_leaves_the_collector_alone(tmp_path):
+    before = gc.get_freeze_count()
+    assert run_cli("run", "case1", tmp_path) == 0
+    assert gc.get_freeze_count() == before

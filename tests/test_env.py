@@ -126,6 +126,10 @@ def test_environment_validation():
     bad = dict(base, prior=np.array([0.5, 0.4]))
     with pytest.raises(ValueError, match="prior must sum to 1"):
         Environment(n_agents=3, **bad)
+    bad = dict(base, prior=np.array([0.5, 0.75]))
+    with pytest.raises(ValueError) as err:
+        Environment(n_agents=3, **bad)
+    assert str(err.value) == "prior must sum to 1, got 1.25"  # not np.float64(1.25)
     bad = dict(base, complementarity=np.array([0.1, -0.2]))
     with pytest.raises(ValueError, match="nonnegative, state 1"):
         Environment(n_agents=3, **bad)

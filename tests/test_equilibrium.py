@@ -23,7 +23,7 @@ from conftest import random_convex_instance
 
 
 def test_belief_validation():
-    with pytest.raises(ValueError, match="sum"):
+    with pytest.raises(ValueError, match=r"^belief must sum to 1, got 0\.9$"):
         Belief((0.5, 0.4))
     with pytest.raises(ValueError, match="negative"):
         Belief((1.5, -0.5))

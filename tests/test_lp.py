@@ -166,7 +166,7 @@ def test_lp_n6_explicit_lp_is_certified():
     prog = build_lp(scn.env, scn.welfare)
     sol = solve(prog)
     assert sol.status == "OPTIMAL"
-    assert sol.iterations < 200  # pure Bland pricing took 23,781
+    assert sol.iterations == 8  # pure Bland pricing took 23,781
     assert sol.value == pytest.approx(9.3, abs=1e-9)
     assert sol.value == pytest.approx(design(scn.env, scn.welfare).expected_welfare, abs=1e-9)
     assert np.abs(prog.eq_matrix @ sol.x - 1.0).max() <= 1e-9
@@ -188,7 +188,36 @@ def test_case2_symmetric_lp_pivot_count(case2):
     env, wf = case2
     sol = solve(build_symmetric_lp(env, wf))
     assert sol.status == "OPTIMAL"
-    assert sol.iterations < 500  # pure Bland pricing took 2,509
+    assert sol.iterations == 145  # pure Bland pricing took 2,509
+
+
+def _dense_pivot(T, basis, row, col):
+    """Reference pivot: the rank-1 update over every column."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def test_sparse_pivot_matches_dense_update():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        m, n = rng.integers(2, 12), rng.integers(3, 40)
+        T = rng.normal(size=(m + 1, n + 1))
+        T[rng.random(T.shape) < 0.8] = 0.0  # exact zeros, as in the obedience rows
+        basis = np.arange(m)
+        dense, dense_basis = T.copy(), basis.copy()
+        for _ in range(10):
+            row = int(rng.integers(m))
+            nonzero = np.flatnonzero(np.abs(T[row, :n]) > 1e-3)
+            if nonzero.size == 0:
+                continue
+            col = int(rng.choice(nonzero))
+            simplex.pivot(T, basis, row, col)
+            _dense_pivot(dense, dense_basis, row, col)
+            assert np.array_equal(T, dense)  # equal up to the sign of a zero
+            assert np.array_equal(basis, dense_basis)
 
 
 def test_degenerate_cycle_terminates():

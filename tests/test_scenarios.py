@@ -142,6 +142,32 @@ def test_modes_validation():
     assert build_scenario(cfg).modes == ()
 
 
+def test_duplicate_modes_rejected():
+    cfg = _base_config()
+    cfg["modes"] = ["design", "check", "design"]
+    with pytest.raises(ValueError, match=r"scenario.modes: duplicate mode\(s\) \['design'\]"):
+        build_scenario(cfg)
+
+
+def test_duplicate_state_labels_rejected():
+    cfg = _base_config()
+    cfg["states"][1]["label"] = "a"
+    with pytest.raises(ValueError, match=r"states: duplicate label\(s\) \['a'\]"):
+        build_scenario(cfg)
+    # a zero grid step puts every state at the same theta, hence one label
+    del cfg["states"]
+    cfg["grid"] = {
+        "count": 3,
+        "theta_start": 0.1,
+        "theta_step": 0,
+        "b": [0.0, 1.0],
+        "lambda": [0.0, 1.0],
+        "alpha": [1.0, 2.0],
+    }
+    with pytest.raises(ValueError, match=r"grid: duplicate label\(s\) \['0.1'\]"):
+        build_scenario(cfg)
+
+
 def test_sweep_validation():
     cfg = _base_config()
     cfg["sweep"] = {"start": 1.0, "stop": 2.0, "step": 0.25}
