@@ -8,6 +8,7 @@ presume the best equilibrium.
 """
 
 import os
+from importlib import import_module
 
 # numpy's OpenBLAS starts one worker thread per extra CPU when it loads, and
 # each worker busy-waits before it sleeps; no BLAS call here is large enough
@@ -15,136 +16,44 @@ import os
 # otherwise; this must run before the first numpy import to take effect.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .baselines import (
-    BaselinePolicy,
-    ComparisonRecord,
-    compare,
-    design_bce_optimistic,
-    evaluate_bce_realized,
-    sweep,
-    sweep_boundaries,
-)
-from .designer import (
-    InfeasibleDesignError,
-    OpCounter,
-    StrictModeError,
-    ThresholdPolicy,
-    design,
-    score,
-    to_sequential_policy,
-)
-from .env import (
-    POWER,
-    TABULATED,
-    AssumptionReport,
-    Environment,
-    WelfareSpec,
-    check_assumptions,
-    full_coop_value,
-    marginal_gain,
-    potential,
-    utility,
-    welfare_value,
-)
-from .equilibrium import (
-    PRIVATE_SEQUENTIAL,
-    PUBLIC,
-    Belief,
-    EquilibriumOutcome,
-    EventOutcome,
-    RealizedEvaluation,
-    evaluate_policy_realized,
-    expected_gain,
-    posterior_from_event,
-    smallest_equilibrium,
-)
-from .lp import (
-    LinearProgram,
-    LpSolution,
-    build_lp,
-    build_symmetric_lp,
-    extract_policy,
-    lp_to_text,
-    solve,
-)
-from .scenarios import MODES, PRESETS, Scenario, build_scenario, load_scenario
-from .seqpolicy import (
-    CapacityError,
-    ObedienceReport,
-    SequentialPolicy,
-    check_policy,
-    count_sequences,
-    enumerate_sequences,
-    expected_welfare,
-    policy_from_dict,
-    policy_from_json,
-    policy_to_dict,
-    policy_to_json,
-    so_c_value,
-    so_n_value,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionReport",
-    "BaselinePolicy",
-    "Belief",
-    "CapacityError",
-    "ComparisonRecord",
-    "Environment",
-    "EquilibriumOutcome",
-    "EventOutcome",
-    "InfeasibleDesignError",
-    "LinearProgram",
-    "LpSolution",
-    "MODES",
-    "ObedienceReport",
-    "OpCounter",
-    "POWER",
-    "PRESETS",
-    "PRIVATE_SEQUENTIAL",
-    "PUBLIC",
-    "RealizedEvaluation",
-    "Scenario",
-    "SequentialPolicy",
-    "StrictModeError",
-    "TABULATED",
-    "ThresholdPolicy",
-    "WelfareSpec",
-    "build_lp",
-    "build_symmetric_lp",
-    "build_scenario",
-    "check_assumptions",
-    "check_policy",
-    "compare",
-    "count_sequences",
-    "design",
-    "design_bce_optimistic",
-    "enumerate_sequences",
-    "evaluate_bce_realized",
-    "evaluate_policy_realized",
-    "expected_gain",
-    "expected_welfare",
-    "extract_policy",
-    "full_coop_value",
-    "load_scenario",
-    "lp_to_text",
-    "marginal_gain",
-    "policy_from_dict",
-    "policy_from_json",
-    "policy_to_dict",
-    "policy_to_json",
-    "posterior_from_event",
-    "potential",
-    "score",
-    "smallest_equilibrium",
-    "so_c_value",
-    "so_n_value",
-    "solve",
-    "sweep",
-    "sweep_boundaries",
-    "to_sequential_policy",
-    "utility",
-    "welfare_value",
-]
+# every public name and the submodule that defines it; a submodule is
+# imported the first time one of its names is used (PEP 562), so a command
+# loads only the modules it runs
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "baselines": "BaselinePolicy ComparisonRecord compare design_bce_optimistic "
+        "evaluate_bce_realized sweep sweep_boundaries",
+        "designer": "InfeasibleDesignError OpCounter StrictModeError ThresholdPolicy "
+        "design score to_sequential_policy",
+        "env": "POWER TABULATED AssumptionReport Environment WelfareSpec "
+        "check_assumptions full_coop_value marginal_gain potential utility "
+        "welfare_value",
+        "equilibrium": "PRIVATE_SEQUENTIAL PUBLIC Belief EquilibriumOutcome "
+        "EventOutcome RealizedEvaluation evaluate_policy_realized expected_gain "
+        "posterior_from_event smallest_equilibrium",
+        "lp": "LinearProgram LpSolution build_lp build_symmetric_lp extract_policy "
+        "lp_to_text solve",
+        "scenarios": "MODES PRESETS Scenario build_scenario load_scenario",
+        "seqpolicy": "CapacityError ObedienceReport SequentialPolicy check_policy "
+        "count_sequences enumerate_sequences expected_welfare policy_from_dict "
+        "policy_from_json policy_to_dict policy_to_json so_c_value so_n_value",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -28,15 +28,16 @@ def active_backend() -> str:
 
 def pivot(T, basis, row, col):
     """One pivot on (row, col): the column becomes that row's unit vector and
-    enters the basis. Only the columns where the normalised pivot row is
-    nonzero are updated; the others would only lose factor * 0, so at most
-    the sign of a zero differs from the dense update. Mutates T and basis in
-    place."""
+    enters the basis. Only the block where the normalised pivot row and the
+    pivot column are both nonzero is updated; every other cell would only
+    lose 0 * x, so at most the sign of a zero differs from the dense update.
+    Mutates T and basis in place."""
     T[row] /= T[row, col]
     cols = np.flatnonzero(T[row])
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T[:, cols] -= np.outer(factors, T[row, cols])
+    rows = np.flatnonzero(factors)
+    T[rows[:, None], cols] -= np.outer(factors[rows], T[row, cols])
     basis[row] = col
 
 

@@ -11,8 +11,7 @@ one-shot analogue of the threshold rule is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .equilibrium import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class BaselinePolicy:
+class BaselinePolicy(NamedTuple):
     """All-or-none recommendation policy with one fractional boundary state."""
 
     invite_probs: np.ndarray
@@ -55,8 +53,7 @@ class BaselinePolicy:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class ComparisonRecord:
+class ComparisonRecord(NamedTuple):
     """One cost point: robust optimum against both baseline readings."""
 
     cost: float

@@ -18,14 +18,39 @@ import json
 import sys
 from datetime import datetime, timezone
 from functools import cached_property
+from importlib import import_module
 from pathlib import Path
 
-from .baselines import compare, sweep, sweep_boundaries
 from .designer import InfeasibleDesignError, StrictModeError, design, to_sequential_policy
-from .equilibrium import PRIVATE_SEQUENTIAL, PUBLIC, evaluate_policy_realized
 from .lp import build_lp, solve
 from .scenarios import Scenario, load_scenario
 from .seqpolicy import CapacityError, check_policy, policy_to_dict
+
+# Only the baselines, sweep and public-counterfactual modes run baselines
+# and equilibrium, so these names of theirs are taken from the package on
+# first use (PEP 562): a `design`, `check` or `lp` process never loads those
+# modules. The runners look the names up on this module when they call them,
+# so whatever is bound here at that moment (a tracing wrapper, say) is what
+# runs.
+_LAZY = {
+    "compare",
+    "sweep",
+    "sweep_boundaries",
+    "evaluate_policy_realized",
+    "PRIVATE_SEQUENTIAL",
+    "PUBLIC",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(__package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 def _fmt(value) -> str:
@@ -107,10 +132,11 @@ def _run_lp(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
 
 def _run_public(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     pol = dsn.policy
-    priv = evaluate_policy_realized(
-        pol, scn.env, scn.welfare, mode=PRIVATE_SEQUENTIAL, obedience_tol=args.tol
+    evaluate = _cli.evaluate_policy_realized
+    priv = evaluate(
+        pol, scn.env, scn.welfare, mode=_cli.PRIVATE_SEQUENTIAL, obedience_tol=args.tol
     )
-    pub = evaluate_policy_realized(pol, scn.env, scn.welfare, mode=PUBLIC)
+    pub = evaluate(pol, scn.env, scn.welfare, mode=_cli.PUBLIC)
     _write_json(
         out / "public.json",
         {
@@ -146,7 +172,7 @@ def _compare_row(rec) -> list:
 
 
 def _run_compare(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
-    rec = compare(scn.env, scn.welfare)
+    rec = _cli.compare(scn.env, scn.welfare)
     _write_csv(out / "comparison.csv", _COMPARE_HEADER, [_compare_row(rec)])
     return ["comparison.csv"]
 
@@ -154,14 +180,14 @@ def _run_compare(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
 def _run_sweep(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     if scn.sweep_costs is None:
         raise ValueError(f"scenario {scn.name!r} has no sweep block")
-    records = sweep(scn.env, scn.welfare, scn.sweep_costs)
+    records = _cli.sweep(scn.env, scn.welfare, scn.sweep_costs)
     _write_csv(out / "sweep.csv", _COMPARE_HEADER, [_compare_row(r) for r in records])
     _write_csv(
         out / "figdata_welfare.csv",
         ["cost", "robust", "bce_predicted", "bce_realized"],
         [[r.cost, r.robust_welfare, r.bce_predicted, r.bce_realized] for r in records],
     )
-    _write_json(out / "sweep_summary.json", sweep_boundaries(records))
+    _write_json(out / "sweep_summary.json", _cli.sweep_boundaries(records))
     return ["sweep.csv", "figdata_welfare.csv", "sweep_summary.json"]
 
 

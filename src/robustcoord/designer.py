@@ -13,7 +13,6 @@ independent of the number of agents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,19 +38,18 @@ class StrictModeError(ValueError):
     the construction otherwise only warns about."""
 
 
-@dataclass
 class OpCounter:
     """Counts designer work items (score evaluations, sort keys, scan steps)
     so tests can pin the N-independence of the construction."""
 
-    ops: int = 0
+    def __init__(self, ops: int = 0):
+        self.ops = ops
 
     def tick(self, k: int = 1) -> None:
         self.ops += k
 
 
-@dataclass(frozen=True, eq=False)
-class ThresholdPolicy:
+class ThresholdPolicy(NamedTuple):
     """Designer output: ranked scores plus the boundary state and its mass."""
 
     scores: np.ndarray

@@ -8,8 +8,7 @@ plus a complementarity term that scales with the fraction of other cooperators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,8 +23,29 @@ DEFAULT_TOL = 1e-9
 HeterogeneityFn = Callable[[int, tuple[int, ...], int], float]
 
 
-@dataclass(frozen=True, eq=False)
-class Environment:
+class Frozen:
+    """Base of the records whose constructors convert or validate their
+    input: each sets its fields once, with ``object.__setattr__``, and they
+    can never be assigned or deleted afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Environment(Frozen):
     """Primitives of the coordination game.
 
     States are indexed 0..n_states-1 in input order; outputs elsewhere refer to
@@ -35,13 +55,15 @@ class Environment:
     ``potential``, which it cannot affect.
     """
 
-    n_agents: int
-    labels: tuple[str, ...]
-    prior: np.ndarray
-    benefit: np.ndarray
-    complementarity: np.ndarray
-    cost: float
-    heterogeneity: HeterogeneityFn | None = None
+    __slots__ = (
+        "n_agents",
+        "labels",
+        "prior",
+        "benefit",
+        "complementarity",
+        "cost",
+        "heterogeneity",
+    )
 
     def __init__(
         self,
@@ -109,21 +131,32 @@ class Environment:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class WelfareSpec:
+class WelfareSpec(Frozen):
     """Designer's objective: value of n cooperators in state s.
 
     POWER: V(n, s) = alpha[s] * (n / N) ** beta with alpha > 0, beta >= 1.
     TABULATED: explicit table of shape (n_states, N + 1), V(0, s) = 0 and
     weakly increasing in n. Convexity (V(n, s) <= (n/N) V(N, s)) is an
-    assumption to be *checked*, not enforced at construction.
+    assumption to be *checked*, not enforced at construction. Build one with
+    ``power`` or ``tabulated``, which validate; the constructor stores its
+    arguments as given.
     """
 
-    kind: str
-    n_agents: int
-    alpha: np.ndarray | None = None
-    beta: float = 1.0
-    table: np.ndarray | None = None
+    __slots__ = ("kind", "n_agents", "alpha", "beta", "table")
+
+    def __init__(
+        self,
+        kind: str,
+        n_agents: int,
+        alpha: np.ndarray | None = None,
+        beta: float = 1.0,
+        table: np.ndarray | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n_agents", n_agents)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def power(cls, n_agents: int, alpha: Sequence[float], beta: float) -> "WelfareSpec":
@@ -132,13 +165,7 @@ class WelfareSpec:
             raise ValueError("power welfare requires finite alpha > 0 for every state")
         if not (math.isfinite(beta) and beta >= 1.0):
             raise ValueError(f"power welfare requires beta >= 1, got {beta}")
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "kind", POWER)
-        object.__setattr__(spec, "n_agents", int(n_agents))
-        object.__setattr__(spec, "alpha", alpha)
-        object.__setattr__(spec, "beta", float(beta))
-        object.__setattr__(spec, "table", None)
-        return spec
+        return cls(POWER, int(n_agents), alpha, float(beta))
 
     @classmethod
     def tabulated(cls, table: Sequence[Sequence[float]]) -> "WelfareSpec":
@@ -156,13 +183,7 @@ class WelfareSpec:
                 f"welfare must be weakly increasing in cooperators, "
                 f"state {s} decreases at n={n + 1}"
             )
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "kind", TABULATED)
-        object.__setattr__(spec, "n_agents", int(table.shape[1]) - 1)
-        object.__setattr__(spec, "alpha", None)
-        object.__setattr__(spec, "beta", 1.0)
-        object.__setattr__(spec, "table", table)
-        return spec
+        return cls(TABULATED, int(table.shape[1]) - 1, table=table)
 
     @property
     def n_states(self) -> int:
@@ -171,8 +192,7 @@ class WelfareSpec:
         return self.table.shape[0]
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Result of check_assumptions; witnesses are (state, count) or state index."""
 
     dominance: bool

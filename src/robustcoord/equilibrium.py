@@ -11,13 +11,19 @@ about how many others cooperate, never which ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .designer import ThresholdPolicy, to_sequential_policy
-from .env import Environment, WelfareSpec, gain_column, ordered_sum, welfare_column
+from .env import (
+    Environment,
+    Frozen,
+    WelfareSpec,
+    gain_column,
+    ordered_sum,
+    welfare_column,
+)
 from .seqpolicy import DEFAULT_TOL, SequentialPolicy, check_policy, expected_welfare
 
 PUBLIC = "public"
@@ -26,11 +32,10 @@ PRIVATE_SEQUENTIAL = "private_sequential"
 STRICT_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class Belief:
+class Belief(Frozen):
     """Posterior over states; validated to be a probability vector."""
 
-    probs: np.ndarray
+    __slots__ = ("probs",)
 
     def __init__(self, probs: Sequence[float]):
         probs = np.asarray(probs, dtype=np.float64)
@@ -41,8 +46,7 @@ class Belief:
         object.__setattr__(self, "probs", probs)
 
 
-@dataclass(frozen=True)
-class EquilibriumOutcome:
+class EquilibriumOutcome(NamedTuple):
     coop_count: int
     all_equilibria: tuple[int, ...]
     selected: str  # always SMALLEST
@@ -59,8 +63,7 @@ class EquilibriumOutcome:
         }
 
 
-@dataclass(frozen=True)
-class EventOutcome:
+class EventOutcome(NamedTuple):
     """One public signal event: its conditional probabilities and play."""
 
     label: str
@@ -70,8 +73,7 @@ class EventOutcome:
     welfare_contribution: float
 
 
-@dataclass(frozen=True)
-class RealizedEvaluation:
+class RealizedEvaluation(NamedTuple):
     welfare: float
     mode: str
     obedient: bool | None  # None in PUBLIC mode, where obedience plays no role

@@ -16,7 +16,7 @@ threshold designer is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ LE = "<="
 MAX_TABLEAU_CELLS = 4_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
+class LinearProgram(NamedTuple):
     """max objective @ x subject to eq rows and signed inequality rows."""
 
     objective: np.ndarray
@@ -66,8 +65,7 @@ class LinearProgram:
         return len(self.var_names)
 
 
-@dataclass(frozen=True, eq=False)
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str  # OPTIMAL | NUMERICAL | INFEASIBLE | ITERATION_LIMIT
     value: float
     x: np.ndarray

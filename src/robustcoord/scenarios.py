@@ -17,9 +17,9 @@ import copy
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ _CASE2 = {
 PRESETS = {"case1": _CASE1, "case2": _CASE2}
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     env: Environment
     welfare: WelfareSpec

@@ -15,13 +15,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .env import (
     Environment,
+    Frozen,
     WelfareSpec,
     gain_column,
     ordered_sum,
@@ -75,15 +75,11 @@ def predecessors(seq: Sequence_, agent: int) -> int:
     return len(seq)
 
 
-@dataclass(frozen=True, eq=False)
-class SequentialPolicy:
+class SequentialPolicy(Frozen):
     """Sparse (state, sequence) -> probability map, plus the implicit uniform
     mixture over full orderings per state."""
 
-    n_agents: int
-    n_states: int
-    entries: dict[tuple[int, Sequence_], float]
-    uniform_full: dict[int, float]
+    __slots__ = ("n_agents", "n_states", "entries", "uniform_full")
 
     def __init__(
         self,
@@ -139,8 +135,7 @@ class SequentialPolicy:
         return total
 
 
-@dataclass(frozen=True)
-class ObedienceReport:
+class ObedienceReport(NamedTuple):
     """Per-agent obedience values and per-state feasibility for one policy."""
 
     so_c: tuple[float, ...]  # invited-agent values, must all be >= -tol

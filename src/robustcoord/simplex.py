@@ -18,7 +18,6 @@ satisfy the program to CERT_TOL; otherwise the status is NUMERICAL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +35,7 @@ PHASE1_TOL = 1e-8  # residual infeasibility we are willing to call zero
 CERT_TOL = 1e-9  # largest recomputed residual an OPTIMAL answer may carry
 
 
-@dataclass(frozen=True, eq=False)
-class BasisCheck:
+class BasisCheck(NamedTuple):
     """A basis re-solved against the original rows: the point and duals it
     defines, and by how much they miss optimality."""
 
@@ -64,8 +62,7 @@ class BasisCheck:
         return {k: v if math.isfinite(v) else None for k, v in figures.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class SimplexResult:
+class SimplexResult(NamedTuple):
     status: str  # OPTIMAL | NUMERICAL | INFEASIBLE | ITERATION_LIMIT
     iterations: int
     basis: np.ndarray

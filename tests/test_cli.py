@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import robustcoord
+from robustcoord import cli
 from robustcoord.cli import main
 from robustcoord.scenarios import load_scenario
 from robustcoord.seqpolicy import check_policy, policy_from_json
@@ -407,7 +409,11 @@ def _child_env(**extra):
 )
 def test_one_blas_thread_unless_the_user_sets_one():
     def threads(**extra):
-        code = "import robustcoord, os; print(len(os.listdir('/proc/self/task')))"
+        # the package first: its default holds for a numpy imported after it
+        code = (
+            "import robustcoord, numpy, os, sys\n"
+            "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=_child_env(**extra),
@@ -415,7 +421,9 @@ def test_one_blas_thread_unless_the_user_sets_one():
             text=True,
             check=True,
         )
-        return int(proc.stdout)
+        numpy_loaded, count = proc.stdout.split()
+        assert numpy_loaded == "True"
+        return int(count)
 
     assert threads() == 1
     assert threads(OPENBLAS_NUM_THREADS="2") == 2  # the user's own setting wins
@@ -467,3 +475,72 @@ def test_main_with_argv_leaves_the_collector_alone(tmp_path):
     before = gc.get_freeze_count()
     assert run_cli("run", "case1", tmp_path) == 0
     assert gc.get_freeze_count() == before
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    code = (
+        "import json, sys\n"
+        "import robustcoord\n"
+        "watch = ('numpy', 'dataclasses', 'robustcoord.baselines', 'robustcoord.equilibrium')\n"
+        "def show(*first):\n"
+        "    print(json.dumps([*first, [m for m in watch if m in sys.modules]]))\n"
+        "show(sorted(set(robustcoord.__all__) - set(dir(robustcoord))),\n"
+        "     [m for m in sys.modules if m.startswith('robustcoord.')])\n"
+        "import robustcoord.cli as cli\n"
+        "show()\n"
+        "out = sys.argv[1]\n"
+        "show(cli.main(['lp', '--scenario', 'case1', '--out', out + '/lp']))\n"
+        "show(cli.main(['run', '--scenario', 'case1', '--out', out + '/run']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        # the package alone: dir() lists every export, nothing is loaded
+        [[], [], []],
+        [["numpy"]],  # robustcoord.cli
+        [0, ["numpy"]],  # after lp
+        [0, ["numpy", "robustcoord.baselines", "robustcoord.equilibrium"]],  # after run
+    ]
+    assert _digests(tmp_path / "run") == GOLDEN_DIGESTS["case1"]
+
+
+def test_package_exports_resolve_on_first_use():
+    for name, module in robustcoord._EXPORTS.items():
+        home = importlib.import_module(f"robustcoord.{module}")
+        assert getattr(robustcoord, name) is getattr(home, name)
+    assert set(robustcoord.__all__) == set(robustcoord._EXPORTS)
+    namespace = {}
+    exec("from robustcoord import *", namespace)
+    assert set(robustcoord.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        robustcoord.no_such_name
+
+
+def test_runners_call_the_names_bound_on_cli(tmp_path, monkeypatch):
+    # a tracer rebinds these on the cli module before a command runs; the
+    # runners must call what is bound there, not a copy imported elsewhere
+    calls = dict.fromkeys(
+        ["compare", "sweep", "sweep_boundaries", "evaluate_policy_realized"], 0
+    )
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert run_cli("run", "case1", tmp_path) == 0
+    assert calls == {
+        "compare": 1,
+        "sweep": 1,
+        "sweep_boundaries": 1,
+        "evaluate_policy_realized": 2,
+    }
+    assert _digests(tmp_path) == GOLDEN_DIGESTS["case1"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name

@@ -202,6 +202,7 @@ def _dense_pivot(T, basis, row, col):
 
 def test_sparse_pivot_matches_dense_update():
     rng = np.random.default_rng(0)
+    zero_factors = 0  # rows the sparse pivot skips for a zero in the pivot column
     for _ in range(20):
         m, n = rng.integers(2, 12), rng.integers(3, 40)
         T = rng.normal(size=(m + 1, n + 1))
@@ -214,10 +215,15 @@ def test_sparse_pivot_matches_dense_update():
             if nonzero.size == 0:
                 continue
             col = int(rng.choice(nonzero))
-            simplex.pivot(T, basis, row, col)
-            _dense_pivot(dense, dense_basis, row, col)
-            assert np.array_equal(T, dense)  # equal up to the sign of a zero
-            assert np.array_equal(basis, dense_basis)
+            zero_factors += int(np.count_nonzero(T[:, col] == 0.0))
+            # a second pivot on the same cell finds a unit column: every
+            # other row's factor is an exact zero
+            for _ in range(2):
+                simplex.pivot(T, basis, row, col)
+                _dense_pivot(dense, dense_basis, row, col)
+                assert np.array_equal(T, dense)  # equal up to the sign of a zero
+                assert np.array_equal(basis, dense_basis)
+    assert zero_factors > 500
 
 
 def test_degenerate_cycle_terminates():

@@ -1,0 +1,253 @@
+"""Record types: immutability, constructor signatures, the op counter."""
+
+import copy
+import inspect
+import pickle
+
+import pytest
+
+import robustcoord
+from robustcoord import (
+    PUBLIC,
+    Belief,
+    OpCounter,
+    build_lp,
+    check_assumptions,
+    check_policy,
+    compare,
+    design,
+    design_bce_optimistic,
+    evaluate_policy_realized,
+    load_scenario,
+    simplex,
+    smallest_equilibrium,
+    solve,
+    to_sequential_policy,
+)
+
+E = inspect.Parameter.empty
+
+# (name, default) of every constructor parameter, in order
+SIGNATURES = {
+    "AssumptionReport": [
+        ("dominance", E),
+        ("dominance_witness", E),
+        ("convex_welfare", E),
+        ("convex_welfare_witness", E),
+        ("convex_potential", E),
+        ("convex_potential_witness", E),
+    ],
+    "BaselinePolicy": [
+        ("invite_probs", E),
+        ("mixing_state", E),
+        ("mixing_label", E),
+        ("mixing_weight", E),
+        ("first_full_state", E),
+        ("first_full_label", E),
+        ("predicted_welfare", E),
+        ("degenerate", E),
+        ("notes", ()),
+    ],
+    "Belief": [("probs", E)],
+    "ComparisonRecord": [
+        ("cost", E),
+        ("robust_welfare", E),
+        ("bce_predicted", E),
+        ("bce_realized", E),
+        ("theta_star", E),
+        ("p_star", E),
+        ("bce_threshold", E),
+        ("bce_first_full", E),
+        ("robust_degenerate", E),
+        ("notes", ()),
+    ],
+    "Environment": [
+        ("n_agents", E),
+        ("labels", E),
+        ("prior", E),
+        ("benefit", E),
+        ("complementarity", E),
+        ("cost", E),
+        ("heterogeneity", None),
+    ],
+    "EquilibriumOutcome": [
+        ("coop_count", E),
+        ("all_equilibria", E),
+        ("selected", E),
+        ("rounds", E),
+        ("expected_welfare", None),
+    ],
+    "EventOutcome": [
+        ("label", E),
+        ("probs", E),
+        ("posterior", E),
+        ("coop_count", E),
+        ("welfare_contribution", E),
+    ],
+    "LinearProgram": [
+        ("objective", E),
+        ("eq_matrix", E),
+        ("eq_rhs", E),
+        ("ineq_matrix", E),
+        ("ineq_rhs", E),
+        ("ineq_senses", E),
+        ("row_labels", E),
+        ("var_names", E),
+        ("n_agents", E),
+        ("n_states", E),
+    ],
+    "LpSolution": [
+        ("status", E),
+        ("value", E),
+        ("x", E),
+        ("eq_residuals", E),
+        ("ineq_slacks", E),
+        ("duals_eq", E),
+        ("duals_ineq", E),
+        ("reduced_costs", E),
+        ("iterations", E),
+        ("basis", E),
+        ("check", E),
+    ],
+    "ObedienceReport": [
+        ("so_c", E),
+        ("so_n", E),
+        ("state_mass", E),
+        ("feasible", E),
+        ("passed", E),
+        ("tol", E),
+    ],
+    "OpCounter": [("ops", 0)],
+    "RealizedEvaluation": [
+        ("welfare", E),
+        ("mode", E),
+        ("obedient", E),
+        ("events", ()),
+    ],
+    "Scenario": [
+        ("name", E),
+        ("env", E),
+        ("welfare", E),
+        ("modes", E),
+        ("sweep_costs", E),
+        ("config", E),
+    ],
+    "SequentialPolicy": [
+        ("n_agents", E),
+        ("n_states", E),
+        ("entries", None),
+        ("uniform_full", None),
+    ],
+    "ThresholdPolicy": [
+        ("scores", E),
+        ("order", E),
+        ("invite_probs", E),
+        ("threshold_state", E),
+        ("threshold_label", E),
+        ("mixing_weight", E),
+        ("expected_welfare", E),
+        ("degenerate", E),
+        ("warnings", ()),
+    ],
+    "WelfareSpec": [
+        ("kind", E),
+        ("n_agents", E),
+        ("alpha", None),
+        ("beta", 1.0),
+        ("table", None),
+    ],
+    "BasisCheck": [
+        ("x", E),
+        ("duals_eq", E),
+        ("duals_ub", E),
+        ("reduced_costs", E),
+        ("primal_residual", E),
+        ("bound_violation", E),
+        ("dual_violation", E),
+    ],
+    "SimplexResult": [
+        ("status", E),
+        ("iterations", E),
+        ("basis", E),
+        ("check", E),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_constructor_signature(name):
+    cls = getattr(robustcoord, name, None) or getattr(simplex, name)
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default) for p in params] == SIGNATURES[name]
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def _case1_records():
+    """One instance of every immutable record, all from case1."""
+    scn = load_scenario("case1")
+    env, wf = scn.env, scn.welfare
+    tp = design(env, wf)
+    pol = to_sequential_policy(tp, env)
+    belief = Belief(env.prior)
+    public = evaluate_policy_realized(pol, env, wf, mode=PUBLIC)
+    prog = build_lp(env, wf, symmetric=True)
+    sol = solve(prog)
+    return [
+        scn,
+        env,
+        wf,
+        check_assumptions(env, wf),
+        tp,
+        pol,
+        check_policy(pol, env),
+        belief,
+        smallest_equilibrium(env, belief, wf),
+        public,
+        public.events[0],
+        prog,
+        sol,
+        sol.check,
+        simplex.solve_min([1.0], None, None, [[1.0]], [1.0]),
+        design_bce_optimistic(env, wf),
+        compare(env, wf),
+    ]
+
+
+def test_records_refuse_assignment_and_deletion():
+    records = _case1_records()
+    assert {type(r).__name__ for r in records} == set(SIGNATURES) - {"OpCounter"}
+    for rec in records:
+        for field, _ in SIGNATURES[type(rec).__name__]:
+            value = getattr(rec, field)
+            with pytest.raises(AttributeError):
+                setattr(rec, field, value)
+            with pytest.raises(AttributeError):
+                delattr(rec, field)
+            assert getattr(rec, field) is value
+        with pytest.raises(AttributeError):
+            rec.not_a_field = 1
+
+
+def test_validating_records_repr_their_fields(case1):
+    env, wf = case1
+    assert repr(Belief([0.25, 0.75])) == "Belief(probs=array([0.25, 0.75]))"
+    assert repr(wf).startswith("WelfareSpec(kind='power', n_agents=3, alpha=array(")
+    assert repr(env).startswith("Environment(n_agents=3, labels=('L', 'H'), prior=")
+
+
+def test_validating_records_copy_and_pickle(case1):
+    env, wf = case1
+    pol = to_sequential_policy(design(env, wf), env)
+    for rec in (env, wf, Belief(env.prior), pol):
+        for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert type(twin) is type(rec)
+            assert repr(twin) == repr(rec)
+
+
+def test_op_counter_starts_at_zero_and_counts():
+    counter = OpCounter()
+    assert counter.ops == 0
+    counter.tick()
+    counter.tick(3)
+    assert counter.ops == 4
+    assert OpCounter(5).ops == 5
