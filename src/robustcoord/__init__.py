@@ -29,17 +29,15 @@ _EXPORTS = {
         "designer": "InfeasibleDesignError OpCounter StrictModeError ThresholdPolicy "
         "design score to_sequential_policy",
         "env": "POWER TABULATED AssumptionReport Environment WelfareSpec "
-        "check_assumptions full_coop_value marginal_gain potential utility "
-        "welfare_value",
+        "check_assumptions marginal_gain potential welfare_value",
         "equilibrium": "PRIVATE_SEQUENTIAL PUBLIC Belief EquilibriumOutcome "
         "EventOutcome RealizedEvaluation evaluate_policy_realized expected_gain "
         "posterior_from_event smallest_equilibrium",
-        "lp": "LinearProgram LpSolution build_lp build_symmetric_lp extract_policy "
-        "lp_to_text solve",
+        "lp": "LinearProgram LpSolution build_lp build_symmetric_lp extract_policy solve",
         "scenarios": "MODES PRESETS Scenario build_scenario load_scenario",
         "seqpolicy": "CapacityError ObedienceReport SequentialPolicy check_policy "
         "count_sequences enumerate_sequences expected_welfare policy_from_dict "
-        "policy_from_json policy_to_dict policy_to_json so_c_value so_n_value",
+        "policy_to_dict",
     }.items()
     for name in names.split()
 }

@@ -39,19 +39,6 @@ class BaselinePolicy(NamedTuple):
     degenerate: bool
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "invite_probs": self.invite_probs.tolist(),
-            "mixing_state": self.mixing_state,
-            "mixing_label": self.mixing_label,
-            "mixing_weight": self.mixing_weight,
-            "first_full_state": self.first_full_state,
-            "first_full_label": self.first_full_label,
-            "predicted_welfare": self.predicted_welfare,
-            "degenerate": self.degenerate,
-            "notes": list(self.notes),
-        }
-
 
 class ComparisonRecord(NamedTuple):
     """One cost point: robust optimum against both baseline readings."""
@@ -66,12 +53,6 @@ class ComparisonRecord(NamedTuple):
     bce_first_full: str | None
     robust_degenerate: bool
     notes: tuple[str, ...] = ()
-
-    def gap_predicted(self) -> float:
-        return self.bce_predicted - self.robust_welfare
-
-    def gap_realized(self) -> float:
-        return self.robust_welfare - self.bce_realized
 
 
 def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePolicy:

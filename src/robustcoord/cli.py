@@ -22,6 +22,7 @@ from importlib import import_module
 from pathlib import Path
 
 from .designer import InfeasibleDesignError, StrictModeError, design, to_sequential_policy
+from .env import check_tol
 from .lp import build_lp, solve
 from .scenarios import Scenario, load_scenario
 from .seqpolicy import CapacityError, check_policy, policy_to_dict
@@ -261,6 +262,7 @@ def main(argv=None) -> int:
         gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
+        check_tol(args.tol)
         scn = load_scenario(args.scenario)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

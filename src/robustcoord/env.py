@@ -8,7 +8,7 @@ plus a complementarity term that scales with the fraction of other cooperators.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,8 +19,26 @@ TABULATED = "tabulated"
 # default tolerance for payoff comparisons
 DEFAULT_TOL = 1e-9
 
-# kappa(agent, others_profile, state) -> float; never sees the agent's own action
-HeterogeneityFn = Callable[[int, tuple[int, ...], int], float]
+
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not finite and nonnegative: a NaN would
+    fail every comparison, and an infinite one would pass them all."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _check_cost(cost: float) -> float:
+    if not math.isfinite(cost):
+        raise ValueError("cost must be finite")
+    return cost
+
+
+def owned(values) -> np.ndarray:
+    """Read-only float64 copy of ``values``: a record shares no array with
+    its caller and hands out none that can be written."""
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 class Frozen:
@@ -38,6 +56,8 @@ class Frozen:
 
     def __setstate__(self, state):  # copy and pickle restore the slots here
         for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
@@ -49,10 +69,7 @@ class Environment(Frozen):
     """Primitives of the coordination game.
 
     States are indexed 0..n_states-1 in input order; outputs elsewhere refer to
-    states by index plus label. ``heterogeneity`` is an optional additive
-    utility term that cannot depend on the agent's own action (it only receives
-    the others' profile); it is deliberately ignored by ``marginal_gain`` and
-    ``potential``, which it cannot affect.
+    states by index plus label. The arrays are read-only copies of the input.
     """
 
     __slots__ = (
@@ -62,7 +79,6 @@ class Environment(Frozen):
         "benefit",
         "complementarity",
         "cost",
-        "heterogeneity",
     )
 
     def __init__(
@@ -73,17 +89,13 @@ class Environment(Frozen):
         benefit: Sequence[float],
         complementarity: Sequence[float],
         cost: float,
-        heterogeneity: HeterogeneityFn | None = None,
     ):
         object.__setattr__(self, "n_agents", int(n_agents))
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
-        object.__setattr__(self, "prior", np.asarray(prior, dtype=np.float64))
-        object.__setattr__(self, "benefit", np.asarray(benefit, dtype=np.float64))
-        object.__setattr__(
-            self, "complementarity", np.asarray(complementarity, dtype=np.float64)
-        )
+        object.__setattr__(self, "prior", owned(prior))
+        object.__setattr__(self, "benefit", owned(benefit))
+        object.__setattr__(self, "complementarity", owned(complementarity))
         object.__setattr__(self, "cost", float(cost))
-        object.__setattr__(self, "heterogeneity", heterogeneity)
         self._validate()
 
     def _validate(self) -> None:
@@ -111,24 +123,21 @@ class Environment(Frozen):
                 f"complementarity must be nonnegative, state {s} is "
                 f"{self.complementarity[s]}"
             )
-        if not math.isfinite(self.cost):
-            raise ValueError("cost must be finite")
+        _check_cost(self.cost)
 
     @property
     def n_states(self) -> int:
         return len(self.labels)
 
     def with_cost(self, cost: float) -> "Environment":
-        """Same environment at a different action cost (used by cost sweeps)."""
-        return Environment(
-            self.n_agents,
-            self.labels,
-            self.prior,
-            self.benefit,
-            self.complementarity,
-            cost,
-            self.heterogeneity,
-        )
+        """Same environment at a different action cost (used by cost sweeps).
+        It shares this one's validated, read-only arrays and labels, so only
+        the new cost is checked."""
+        env = object.__new__(Environment)
+        for name in self.__slots__:
+            object.__setattr__(env, name, getattr(self, name))
+        object.__setattr__(env, "cost", _check_cost(float(cost)))
+        return env
 
 
 class WelfareSpec(Frozen):
@@ -138,8 +147,8 @@ class WelfareSpec(Frozen):
     TABULATED: explicit table of shape (n_states, N + 1), V(0, s) = 0 and
     weakly increasing in n. Convexity (V(n, s) <= (n/N) V(N, s)) is an
     assumption to be *checked*, not enforced at construction. Build one with
-    ``power`` or ``tabulated``, which validate; the constructor stores its
-    arguments as given.
+    ``power`` or ``tabulated``, which validate; the constructor only keeps
+    read-only copies of the arrays.
     """
 
     __slots__ = ("kind", "n_agents", "alpha", "beta", "table")
@@ -154,9 +163,9 @@ class WelfareSpec(Frozen):
     ):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n_agents", n_agents)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", None if alpha is None else owned(alpha))
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", None if table is None else owned(table))
 
     @classmethod
     def power(cls, n_agents: int, alpha: Sequence[float], beta: float) -> "WelfareSpec":
@@ -199,12 +208,10 @@ class AssumptionReport(NamedTuple):
     dominance_witness: int | None
     convex_welfare: bool
     convex_welfare_witness: tuple[int, int] | None
-    convex_potential: bool
-    convex_potential_witness: tuple[int, int] | None
 
     @property
     def passed(self) -> bool:
-        return self.dominance and self.convex_welfare and self.convex_potential
+        return self.dominance and self.convex_welfare
 
     def findings(self) -> tuple[str, ...]:
         out = []
@@ -213,32 +220,7 @@ class AssumptionReport(NamedTuple):
         if not self.convex_welfare:
             s, n = self.convex_welfare_witness
             out.append(f"welfare exceeds the linear hull at state {s}, n={n}")
-        if not self.convex_potential:
-            s, n = self.convex_potential_witness
-            out.append(f"potential is not convex at state {s}, n={n}")
         return tuple(out)
-
-
-def utility(env: Environment, agent: int, profile: Sequence[int], state: int) -> float:
-    """Realized payoff of ``agent`` under a full binary action profile."""
-    n = env.n_agents
-    if len(profile) != n:
-        raise ValueError(f"profile has length {len(profile)}, expected {n}")
-    if any(a not in (0, 1) for a in profile):
-        raise ValueError("profile must be binary")
-    if not 0 <= agent < n:
-        raise ValueError(f"agent {agent} out of range")
-    if not 0 <= state < env.n_states:
-        raise ValueError(f"state {state} out of range")
-    others = tuple(profile[:agent]) + tuple(profile[agent + 1 :])
-    n_others = sum(others)
-    a_i = profile[agent]
-    u = a_i * (
-        env.benefit[state] + env.complementarity[state] * n_others / (n - 1)
-    ) - env.cost * a_i
-    if env.heterogeneity is not None:
-        u += env.heterogeneity(agent, others, state)
-    return float(u)
 
 
 def marginal_gain(env: Environment, state: int, count: int) -> float:
@@ -271,11 +253,6 @@ def welfare_value(welfare: WelfareSpec, state: int, n: int) -> float:
     if welfare.kind == POWER:
         return float(welfare.alpha[state] * (n / welfare.n_agents) ** welfare.beta)
     return float(welfare.table[state, n])
-
-
-def full_coop_value(welfare: WelfareSpec, state: int) -> float:
-    """V at full cooperation, the per-state stake in the designer's score."""
-    return welfare_value(welfare, state, welfare.n_agents)
 
 
 def gain_column(env: Environment, count: int) -> np.ndarray:
@@ -311,12 +288,12 @@ def ordered_sum(terms: np.ndarray) -> np.float64:
 
 
 def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionReport:
-    """Check dominance, welfare convexity, and potential convexity.
+    """Check dominance and welfare convexity.
 
-    Potential convexity reduces to complementarity >= 0 because the second
-    difference of the potential is the constant lambda / (N - 1); welfare
-    convexity for POWER reduces to beta >= 1. Both shortcuts keep this O(1)
-    per state so the designer's operation count stays independent of N.
+    The potential is always convex: its second difference is the constant
+    lambda / (N - 1), and ``Environment`` rejects lambda < 0. Welfare
+    convexity for POWER reduces to beta >= 1. Both keep this O(1) per state
+    so the designer's operation count stays independent of N.
     """
     if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
         raise ValueError("welfare spec does not match the environment's dimensions")
@@ -333,16 +310,9 @@ def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionRepor
             cw_ok, cw_witness = False, (int(s), int(n))
     # POWER: (n/N)^beta <= n/N holds for every n once beta >= 1
 
-    cp_ok, cp_witness = True, None
-    concave = env.complementarity < 0
-    if concave.any():
-        cp_ok, cp_witness = False, (int(np.argmax(concave)), 1)
-
     return AssumptionReport(
         dominance=dom_witness is not None,
         dominance_witness=dom_witness,
         convex_welfare=cw_ok,
         convex_welfare_witness=cw_witness,
-        convex_potential=cp_ok,
-        convex_potential_witness=cp_witness,
     )

@@ -20,8 +20,10 @@ from .env import (
     Environment,
     Frozen,
     WelfareSpec,
+    check_tol,
     gain_column,
     ordered_sum,
+    owned,
     welfare_column,
 )
 from .seqpolicy import DEFAULT_TOL, SequentialPolicy, check_policy, expected_welfare
@@ -33,12 +35,13 @@ STRICT_TOL = 1e-12
 
 
 class Belief(Frozen):
-    """Posterior over states; validated to be a probability vector."""
+    """Posterior over states; a read-only copy, validated to be a
+    probability vector."""
 
     __slots__ = ("probs",)
 
     def __init__(self, probs: Sequence[float]):
-        probs = np.asarray(probs, dtype=np.float64)
+        probs = owned(probs)
         if np.any(~np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("belief must be finite and nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
@@ -52,15 +55,6 @@ class EquilibriumOutcome(NamedTuple):
     selected: str  # always SMALLEST
     rounds: tuple[int, ...]  # cooperation count after each best-response round
     expected_welfare: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "coop_count": self.coop_count,
-            "all_equilibria": list(self.all_equilibria),
-            "selected": self.selected,
-            "rounds": list(self.rounds),
-            "expected_welfare": self.expected_welfare,
-        }
 
 
 class EventOutcome(NamedTuple):
@@ -148,8 +142,7 @@ def smallest_equilibrium(
     The gain is affine in the count, E[b - c] + E[lambda] * k / (N - 1), so
     two belief means give all N gains.
     """
-    if tol < 0.0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    check_tol(tol)
     if belief.probs.shape != (env.n_states,):
         raise ValueError("belief does not match the state count")
     n = env.n_agents
@@ -239,6 +232,8 @@ def evaluate_policy_realized(
     """
     if mode not in (PUBLIC, PRIVATE_SEQUENTIAL):
         raise ValueError(f"unknown evaluation mode {mode!r}")
+    check_tol(tol)
+    check_tol(obedience_tol)
     if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
         raise ValueError("welfare spec does not match the environment's dimensions")
     if isinstance(policy, ThresholdPolicy):

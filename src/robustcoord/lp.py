@@ -84,18 +84,6 @@ class LpSolution(NamedTuple):
         """(column, value) of every variable above ``tol``."""
         return [(int(j), float(self.x[j])) for j in np.flatnonzero(self.x > tol)]
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "value": self.value,
-            "iterations": self.iterations,
-            "eq_residuals": self.eq_residuals.tolist(),
-            "ineq_slacks": self.ineq_slacks.tolist(),
-            "duals_eq": self.duals_eq.tolist(),
-            "duals_ineq": self.duals_ineq.tolist(),
-            **self.check.residuals(),
-        }
-
 
 def build_lp(
     env: Environment, welfare: WelfareSpec, *, symmetric: bool = False
@@ -242,26 +230,3 @@ def extract_policy(lp: LinearProgram, sol: LpSolution) -> SequentialPolicy:
         s, i = divmod(j, len(seqs))
         entries[(s, seqs[i])] = p
     return SequentialPolicy(lp.n_agents, lp.n_states, entries, {})
-
-
-def lp_to_text(lp: LinearProgram) -> str:
-    """Plain-text interchange dump: objective, then one row per line."""
-    lines = [f"max {_combo(lp.objective, lp.var_names)}"]
-    for r in range(lp.eq_matrix.shape[0]):
-        lines.append(
-            f"{lp.row_labels[r]}: {_combo(lp.eq_matrix[r], lp.var_names)} "
-            f"= {lp.eq_rhs[r]:.10g}"
-        )
-    n_eq = lp.eq_matrix.shape[0]
-    for r in range(lp.ineq_matrix.shape[0]):
-        lines.append(
-            f"{lp.row_labels[n_eq + r]}: {_combo(lp.ineq_matrix[r], lp.var_names)} "
-            f"{lp.ineq_senses[r]} {lp.ineq_rhs[r]:.10g}"
-        )
-    lines.append("bounds: x >= 0")
-    return "\n".join(lines) + "\n"
-
-
-def _combo(coeffs: np.ndarray, names: tuple[str, ...]) -> str:
-    terms = [f"{coeffs[j]:+.10g} {names[j]}" for j in np.nonzero(coeffs)[0]]
-    return " ".join(terms) if terms else "0"

@@ -13,7 +13,6 @@ large-N checks tractable.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from typing import Iterable, Mapping, NamedTuple
 
@@ -23,6 +22,7 @@ from .env import (
     Environment,
     Frozen,
     WelfareSpec,
+    check_tol,
     gain_column,
     ordered_sum,
     potential_column,
@@ -126,13 +126,6 @@ class SequentialPolicy(Frozen):
     def canonical_items(self) -> list[tuple[tuple[int, Sequence_], float]]:
         # length-prefixed sequence ordering gives a stable, canonical listing
         return sorted(self.entries.items(), key=lambda kv: (kv[0][0], len(kv[0][1]), kv[0][1]))
-
-    def state_mass(self, state: int) -> float:
-        total = self.uniform_full.get(state, 0.0)
-        for (s, _), p in self.entries.items():
-            if s == state:
-                total += p
-        return total
 
 
 class ObedienceReport(NamedTuple):
@@ -248,29 +241,18 @@ def _obedience_values(
     return so_c, so_n
 
 
-def so_c_value(policy: SequentialPolicy, env: Environment, agent: int) -> float:
-    """Prior-weighted gain of ``agent`` over all invitations, assuming only the
-    agents sequenced before them cooperate. Nonnegative for every agent is the
-    cooperation half of sequential obedience."""
-    if not 0 <= agent < env.n_agents:
-        raise ValueError(f"agent {agent} out of range")
-    return float(_obedience_values(policy, env)[0][agent])
-
-
-def so_n_value(policy: SequentialPolicy, env: Environment, agent: int) -> float:
-    """Prior-weighted gain of ``agent`` from joining uninvited, assuming every
-    invited agent cooperates. Nonpositive for every agent is the exclusion half
-    of sequential obedience. Full sequences invite everyone, so the uniform-full
-    block never contributes."""
-    if not 0 <= agent < env.n_agents:
-        raise ValueError(f"agent {agent} out of range")
-    return float(_obedience_values(policy, env)[1][agent])
-
-
 def check_policy(
     policy: SequentialPolicy, env: Environment, tol: float = DEFAULT_TOL
 ) -> ObedienceReport:
-    """Feasibility plus both obedience halves for every agent."""
+    """Feasibility plus both obedience halves for every agent.
+
+    ``so_c[i]`` is agent i's prior-weighted gain over all invitations,
+    assuming only the agents sequenced before them cooperate; nonnegative for
+    every agent is the cooperation half of sequential obedience. ``so_n[i]``
+    is their gain from joining uninvited, assuming every invitee cooperates;
+    nonpositive for every agent is the exclusion half. Full sequences invite
+    everyone, so the uniform-full block adds to ``so_c`` only."""
+    check_tol(tol)
     if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
         raise ValueError("policy does not match the environment's dimensions")
     feasible, mass = check_feasibility(policy, tol)
@@ -308,23 +290,6 @@ def expected_welfare(
     return float(ordered_sum(env.prior[states] * probs * values))
 
 
-def expand_uniform_full(policy: SequentialPolicy) -> SequentialPolicy:
-    """Explicit form of the uniform-full block: N! entries per flagged state."""
-    if not policy.uniform_full:
-        return policy
-    if count_sequences(policy.n_agents) > MAX_SEQUENCES:
-        raise CapacityError(
-            f"cannot expand uniform-full orderings for {policy.n_agents} agents"
-        )
-    entries = dict(policy.entries)
-    share = 1.0 / math.factorial(policy.n_agents)
-    for s, p in policy.uniform_full.items():
-        for seq in itertools.permutations(range(policy.n_agents)):
-            key = (s, seq)
-            entries[key] = entries.get(key, 0.0) + p * share
-    return SequentialPolicy(policy.n_agents, policy.n_states, entries, {})
-
-
 def policy_to_dict(policy: SequentialPolicy, labels: Iterable[str] | None = None) -> dict:
     labels = list(labels) if labels is not None else None
     out = {
@@ -354,11 +319,3 @@ def policy_from_dict(data: Mapping) -> SequentialPolicy:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed policy payload: {exc}") from exc
-
-
-def policy_to_json(policy: SequentialPolicy, labels: Iterable[str] | None = None) -> str:
-    return json.dumps(policy_to_dict(policy, labels), indent=2, sort_keys=True)
-
-
-def policy_from_json(text: str) -> SequentialPolicy:
-    return policy_from_dict(json.loads(text))

@@ -46,7 +46,6 @@ from robustcoord import (
     score,
     smallest_equilibrium,
     solve,
-    so_c_value,
     sweep,
     to_sequential_policy,
     welfare_value,
@@ -121,12 +120,12 @@ def test_criterion_04_obedience_fixtures(case1, example3):
     pol = SequentialPolicy(
         3, 2, {(0, (0, 2)): 0.6, (0, (1, 2)): 0.4, (1, (2, 0, 1)): 1.0}, {}
     )
-    assert so_c_value(pol, env, 2) == pytest.approx(-0.275, abs=1e-12)
+    assert check_policy(pol, env).so_c[2] == pytest.approx(-0.275, abs=1e-12)
     assert not check_policy(pol, env).passed
 
     env3, _ = example3
     fixed = SequentialPolicy(3, 1, {(0, (0, 1, 2)): 1.0}, {})
-    assert so_c_value(fixed, env3, 0) == pytest.approx(-1.0, abs=1e-12)
+    assert check_policy(fixed, env3).so_c[0] == pytest.approx(-1.0, abs=1e-12)
     assert marginal_gain(env3, 0, 0) == -1.0
     assert not check_policy(fixed, env3).passed
 

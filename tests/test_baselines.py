@@ -79,8 +79,12 @@ def test_compare_case1(case1):
     assert rec.bce_realized == 0.0
     assert rec.theta_star == "L"
     assert rec.p_star == pytest.approx(1.95 / 2.85, abs=1e-12)
-    assert rec.gap_predicted() == pytest.approx(9.0 - 8.052631578947368, abs=1e-12)
-    assert rec.gap_realized() == pytest.approx(8.052631578947368, abs=1e-12)
+    assert rec.bce_predicted - rec.robust_welfare == pytest.approx(
+        9.0 - 8.052631578947368, abs=1e-12
+    )
+    assert rec.robust_welfare - rec.bce_realized == pytest.approx(
+        8.052631578947368, abs=1e-12
+    )
 
 
 def test_compare_handles_infeasible_robust(example3):

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import robustcoord
 from robustcoord import cli
 from robustcoord.cli import main
 from robustcoord.scenarios import load_scenario
-from robustcoord.seqpolicy import check_policy, policy_from_json
+from robustcoord.seqpolicy import check_policy, policy_from_dict
 
 
 def run_cli(command, scenario, out, *extra):
@@ -41,7 +42,7 @@ def test_design_artifacts(tmp_path):
 
 def test_policy_json_round_trips(tmp_path):
     run_cli("design", "case1", tmp_path)
-    pol = policy_from_json((tmp_path / "policy.json").read_text())
+    pol = policy_from_dict(json.loads((tmp_path / "policy.json").read_text()))
     env = load_scenario("case1").env
     assert check_policy(pol, env, tol=1e-9).passed
 
@@ -343,6 +344,15 @@ def test_tol_flag_reaches_checker(tmp_path):
     assert run_cli("check", "case1", tmp_path, "--tol", "1e-18") == 0
     rep = json.loads((tmp_path / "obedience.json").read_text())
     assert rep["tol"] == 1e-18
+    assert run_cli("check", "case1", tmp_path / "zero", "--tol", "0") == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    for command in ("design", "check", "evaluate"):
+        assert run_cli(command, "case1", tmp_path / command, "--tol", tol) == 2
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 # SHA-256 of every artifact `run` writes except manifest.json, as recorded
@@ -519,6 +529,15 @@ def test_package_exports_resolve_on_first_use():
     assert set(robustcoord.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         robustcoord.no_such_name
+
+
+def test_readme_lists_the_library_api():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for module, names in re.findall(r"^- from `(\w+)`: (.+)$", section, re.M):
+        listed.update(dict.fromkeys(re.findall(r"`(\w+)`", names), module))
+    assert listed == robustcoord._EXPORTS
 
 
 def test_runners_call_the_names_bound_on_cli(tmp_path, monkeypatch):

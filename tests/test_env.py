@@ -8,12 +8,18 @@ from robustcoord import (
     Environment,
     WelfareSpec,
     check_assumptions,
-    full_coop_value,
     marginal_gain,
     potential,
-    utility,
     welfare_value,
 )
+
+
+def utility(env, agent, profile, state):
+    """Payoff of ``agent`` under a full binary action profile, straight from
+    the model's definition: the reference for the gains and the potential."""
+    n_others = sum(profile) - profile[agent]
+    comp = env.complementarity[state] * n_others / (env.n_agents - 1)
+    return float(profile[agent] * (env.benefit[state] + comp - env.cost))
 
 
 def test_case1_utilities(case1):
@@ -22,33 +28,8 @@ def test_case1_utilities(case1):
     assert utility(env, 0, (1, 0, 0), 1) == pytest.approx(0.4, abs=1e-12)
     # full cooperation in the weak state still loses money
     assert utility(env, 0, (1, 1, 1), 0) == pytest.approx(-0.9, abs=1e-12)
-    # defectors earn exactly zero absent heterogeneity
+    # defectors earn exactly zero
     assert utility(env, 2, (1, 1, 0), 0) == 0.0
-
-
-def test_utility_validates_profile(case1):
-    env, _ = case1
-    with pytest.raises(ValueError, match="profile"):
-        utility(env, 0, (1, 0), 0)
-    with pytest.raises(ValueError, match="binary"):
-        utility(env, 0, (1, 2, 0), 0)
-
-
-def test_heterogeneity_shifts_payoff_only(case1):
-    env, _ = case1
-    shifted = Environment(
-        n_agents=3,
-        labels=env.labels,
-        prior=env.prior,
-        benefit=env.benefit,
-        complementarity=env.complementarity,
-        cost=env.cost,
-        heterogeneity=lambda agent, others, state: 10.0 * (agent + 1),
-    )
-    assert utility(shifted, 1, (1, 0, 0), 1) == pytest.approx(20.0, abs=1e-12)
-    # additive shifts never touch the incentive math
-    assert marginal_gain(shifted, 1, 0) == marginal_gain(env, 1, 0)
-    assert potential(shifted, 1, 3) == potential(env, 1, 3)
 
 
 def test_case1_marginal_gains(case1):
@@ -84,13 +65,17 @@ def test_potential_difference_identity():
             for n in range(1, n_agents + 1):
                 diff = potential(env, 0, n) - potential(env, 0, n - 1)
                 assert diff == pytest.approx(marginal_gain(env, 0, n - 1), abs=1e-12)
+                # agent 0 joining n - 1 cooperators, from the payoffs
+                others = (1,) * (n - 1) + (0,) * (n_agents - n)
+                gain = utility(env, 0, (1, *others), 0) - utility(env, 0, (0, *others), 0)
+                assert gain == pytest.approx(marginal_gain(env, 0, n - 1), abs=1e-12)
 
 
 def test_power_welfare_values(case1):
     _, wf = case1
     assert welfare_value(wf, 1, 2) == pytest.approx(6.531972647421808, abs=1e-12)
     assert welfare_value(wf, 0, 0) == 0.0
-    assert full_coop_value(wf, 1) == pytest.approx(12.0, abs=1e-12)
+    assert welfare_value(wf, 1, 3) == pytest.approx(12.0, abs=1e-12)
     with pytest.raises(ValueError, match="n must be"):
         welfare_value(wf, 0, 4)
 
@@ -99,7 +84,7 @@ def test_tabulated_welfare_lookup():
     wf = WelfareSpec.tabulated(np.array([[0.0, 0.5, 2.0, 6.0]]))
     assert wf.n_agents == 3
     assert welfare_value(wf, 0, 2) == 2.0
-    assert full_coop_value(wf, 0) == 6.0
+    assert welfare_value(wf, 0, 3) == 6.0
 
 
 def test_welfare_validation():
@@ -147,6 +132,11 @@ def test_with_cost_returns_new_environment(case1):
     assert cheap.cost == 0.5
     assert env.cost == 2.0
     assert cheap.labels == env.labels
+    # the validated read-only arrays are shared, not copied and re-checked
+    assert cheap.prior is env.prior and cheap.benefit is env.benefit
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cost must be finite"):
+            env.with_cost(bad)
 
 
 def test_check_assumptions_case1(case1):
@@ -173,16 +163,6 @@ def test_check_assumptions_flags_nonconvex_welfare(case1):
     report = check_assumptions(env, wf)
     assert not report.convex_welfare
     assert report.convex_welfare_witness[0] == 0
-
-
-def test_check_assumptions_flags_negative_complementarity(case1):
-    env, wf = case1
-    # construction forbids lambda < 0, so inject it past validation
-    broken = env.with_cost(env.cost)
-    object.__setattr__(broken, "complementarity", np.array([0.1, -0.5]))
-    report = check_assumptions(broken, wf)
-    assert not report.convex_potential
-    assert report.convex_potential_witness == (1, 1)
 
 
 def test_power_welfare_second_difference_nonnegative():

@@ -198,6 +198,20 @@ def test_negative_tolerance_rejected(case1):
     env, _ = case1
     with pytest.raises(ValueError, match="nonnegative"):
         smallest_equilibrium(env, Belief(env.prior), tol=-1e-12)
+    for tol in (0.0, 1e-18):
+        assert smallest_equilibrium(env, Belief(env.prior), tol=tol).coop_count == 0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_bad_tolerance_rejected(case1, tol):
+    env, wf = case1
+    pol = to_sequential_policy(design(env, wf), env)
+    match = "tol must be finite and nonnegative"
+    with pytest.raises(ValueError, match=match):
+        smallest_equilibrium(env, Belief(env.prior), tol=tol)
+    for kwargs in ({"tol": tol}, {"obedience_tol": tol}):
+        with pytest.raises(ValueError, match=match):
+            evaluate_policy_realized(pol, env, wf, **kwargs)
 
 
 def test_private_evaluation_of_optimal_policy(case1):
@@ -320,9 +334,6 @@ def test_welfare_with_fewer_states_rejected(case1, mode):
 
 def test_outcome_serialization(case1):
     env, wf = case1
-    out = smallest_equilibrium(env, Belief(env.prior), welfare=wf)
-    d = out.to_dict()
-    assert d["coop_count"] == 0 and d["all_equilibria"] == [0, 3]
     pol = to_sequential_policy(design(env, wf), env)
     ev = evaluate_policy_realized(pol, env, wf, mode=PUBLIC)
     d = ev.to_dict()

@@ -13,7 +13,6 @@ from robustcoord import (
     check_policy,
     design,
     extract_policy,
-    lp_to_text,
     solve,
 )
 from robustcoord import simplex
@@ -154,11 +153,16 @@ def test_random_instances_match_greedy():
 
 
 def test_lp_to_text(case1):
+    """The program names its rows and variables: a reader of the LP needs no text dump."""
     env, wf = case1
-    text = lp_to_text(build_lp(env, wf))
-    assert "mass[L]" in text and "stay_out[2]" in text
-    assert text.startswith("max ")
-    assert "pi[1|0,1]" in text
+    prog = build_lp(env, wf)
+    assert len(prog.row_labels) == prog.eq_matrix.shape[0] + prog.ineq_matrix.shape[0]
+    assert prog.row_labels[0] == "mass[L]"
+    assert prog.row_labels[-1] == "stay_out[2]"
+    assert len(prog.var_names) == len(prog.objective) == prog.n_vars
+    assert prog.var_names[:2] == ("pi[0|-]", "pi[0|0]")
+    assert "pi[1|0,1]" in prog.var_names
+    assert np.count_nonzero(prog.objective) > 0
 
 
 def test_lp_n6_explicit_lp_is_certified():
@@ -320,7 +324,7 @@ def test_symmetric_lp_shape(case1):
     assert prog.objective[:4] == pytest.approx(
         [0.5 * 6.0 * (k / 3) ** 1.5 for k in range(4)], abs=1e-15
     )
-    assert "p[1|3]" in lp_to_text(prog)
+    assert prog.var_names[-1] == "p[1|3]"
     with pytest.raises(ValueError, match="explicit LP"):
         extract_policy(prog, solve(prog))
 

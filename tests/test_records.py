@@ -4,13 +4,16 @@ import copy
 import inspect
 import pickle
 
+import numpy as np
 import pytest
 
 import robustcoord
 from robustcoord import (
     PUBLIC,
     Belief,
+    Environment,
     OpCounter,
+    WelfareSpec,
     build_lp,
     check_assumptions,
     check_policy,
@@ -34,8 +37,6 @@ SIGNATURES = {
         ("dominance_witness", E),
         ("convex_welfare", E),
         ("convex_welfare_witness", E),
-        ("convex_potential", E),
-        ("convex_potential_witness", E),
     ],
     "BaselinePolicy": [
         ("invite_probs", E),
@@ -68,7 +69,6 @@ SIGNATURES = {
         ("benefit", E),
         ("complementarity", E),
         ("cost", E),
-        ("heterogeneity", None),
     ],
     "EquilibriumOutcome": [
         ("coop_count", E),
@@ -242,6 +242,28 @@ def test_validating_records_copy_and_pickle(case1):
         for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
             assert type(twin) is type(rec)
             assert repr(twin) == repr(rec)
+
+
+def test_validating_records_own_read_only_arrays():
+    prior, benefit, comp = np.array([0.5, 0.5]), np.array([1.0, 2.4]), np.array([0.1, 0.5])
+    alpha, table = np.array([6.0, 12.0]), np.array([[0.0, 1.0, 2.0, 6.0]])
+    probs = np.array([0.25, 0.75])
+    env = Environment(3, ("L", "H"), prior, benefit, comp, 2.0)
+    power = WelfareSpec.power(3, alpha, 1.5)
+    tabulated = WelfareSpec.tabulated(table)
+    belief = Belief(probs)
+    for arr in (prior, benefit, comp, alpha, table, probs):
+        arr[0] = 7.0  # the caller's arrays stay the caller's
+    assert env.prior.tolist() == [0.5, 0.5] and env.prior.sum() == 1.0
+    assert env.benefit[0] == 1.0 and env.complementarity[0] == 0.1
+    assert power.alpha[0] == 6.0 and tabulated.table[0, 0] == 0.0
+    assert belief.probs[0] == 0.25
+    twins = (copy.deepcopy(env), pickle.loads(pickle.dumps(env)), env.with_cost(1.0))
+    held = [env.prior, env.benefit, env.complementarity, power.alpha]
+    held += [tabulated.table, belief.probs, *(t.prior for t in twins)]
+    for arr in held:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
 
 
 def test_op_counter_starts_at_zero_and_counts():

@@ -1,6 +1,8 @@
 """Sequential policies: enumeration, obedience values, serialization."""
 
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -13,17 +15,20 @@ from robustcoord import (
     enumerate_sequences,
     expected_welfare,
     policy_from_dict,
-    policy_from_json,
     policy_to_dict,
-    policy_to_json,
-    so_c_value,
-    so_n_value,
 )
-from robustcoord.seqpolicy import (
-    check_feasibility,
-    expand_uniform_full,
-    predecessors,
-)
+from robustcoord.seqpolicy import check_feasibility, predecessors
+
+
+def expand_uniform_full(policy):
+    """The uniform-full block as explicit entries, N! per flagged state: the
+    reference for the closed forms that keep it implicit."""
+    entries = dict(policy.entries)
+    share = 1.0 / math.factorial(policy.n_agents)
+    for s, p in policy.uniform_full.items():
+        for seq in itertools.permutations(range(policy.n_agents)):
+            entries[(s, seq)] = entries.get((s, seq), 0.0) + p * share
+    return SequentialPolicy(policy.n_agents, policy.n_states, entries, {})
 
 
 def test_count_sequences():
@@ -80,7 +85,6 @@ class TestPolicyConstruction:
     def test_state_mass_and_feasibility(self, case1):
         env, _ = case1
         pol = SequentialPolicy(3, 2, {(0, ()): 0.4, (1, ()): 1.0}, {0: 0.6})
-        assert pol.state_mass(0) == pytest.approx(1.0, abs=1e-12)
         ok, mass = check_feasibility(pol, 1e-9)
         assert ok and mass == pytest.approx((1.0, 1.0), abs=1e-12)
         short = SequentialPolicy(3, 2, {(0, ()): 0.4, (1, ()): 1.0}, {})
@@ -94,15 +98,15 @@ def test_worked_example_obedience_values(case1):
     pol = SequentialPolicy(
         3, 2, {(0, (0, 2)): 0.6, (0, (1, 2)): 0.4, (1, (2, 0, 1)): 1.0}, {}
     )
-    so_c = [so_c_value(pol, env, i) for i in range(3)]
+    report = check_policy(pol, env)
+    so_c = report.so_c
     assert so_c[0] == pytest.approx(0.025, abs=1e-12)
     assert so_c[1] == pytest.approx(0.25, abs=1e-12)
     assert so_c[2] == pytest.approx(-0.275, abs=1e-12)  # third agent balks
-    so_n = [so_n_value(pol, env, i) for i in range(3)]
+    so_n = report.so_n
     assert so_n[0] == pytest.approx(-0.18, abs=1e-12)
     assert so_n[1] == pytest.approx(-0.27, abs=1e-12)
     assert so_n[2] == 0.0
-    report = check_policy(pol, env)
     assert not report.passed
     assert report.feasible
 
@@ -118,13 +122,9 @@ def test_uniform_full_closed_form_matches_expansion(case1):
         expanded = expand_uniform_full(pol)
         assert not expanded.uniform_full
         assert len(expanded.entries) == 2 + 2 * 6
-        for i in range(3):
-            assert so_c_value(pol, env, i) == pytest.approx(
-                so_c_value(expanded, env, i), abs=1e-12
-            )
-            assert so_n_value(pol, env, i) == pytest.approx(
-                so_n_value(expanded, env, i), abs=1e-12
-            )
+        closed, explicit = check_policy(pol, env), check_policy(expanded, env)
+        assert closed.so_c == pytest.approx(explicit.so_c, abs=1e-12)
+        assert closed.so_n == pytest.approx(explicit.so_n, abs=1e-12)
 
 
 def test_uniform_full_so_c_is_potential_average(case1):
@@ -132,8 +132,7 @@ def test_uniform_full_so_c_is_potential_average(case1):
     pol = SequentialPolicy(3, 2, {}, {0: 1.0, 1: 1.0})
     # every agent pools ranks uniformly, so the gain telescopes to F(N)/N
     want = 0.5 * (-2.85) / 3 + 0.5 * 1.9499999999999997 / 3
-    for i in range(3):
-        assert so_c_value(pol, env, i) == pytest.approx(want, abs=1e-12)
+    assert check_policy(pol, env).so_c == pytest.approx((want,) * 3, abs=1e-12)
 
 
 def test_expected_welfare(case1):
@@ -142,18 +141,22 @@ def test_expected_welfare(case1):
     assert expected_welfare(pol, env, wf) == pytest.approx(6.0, abs=1e-12)
 
 
-def test_expand_guard():
-    pol = SequentialPolicy(10, 1, {}, {0: 1.0})
-    with pytest.raises(CapacityError):
-        expand_uniform_full(pol)
-
-
 def test_report_to_dict_keys(case1):
     env, _ = case1
     pol = SequentialPolicy(3, 2, {(0, ()): 1.0, (1, ()): 1.0}, {})
     d = check_policy(pol, env).to_dict()
     assert set(d) == {"so_c", "so_n", "state_mass", "feasible", "pass", "tol"}
     assert d["pass"] is True  # silence is always obedient
+    for tol in (0.0, 1e-18):
+        assert check_policy(pol, env, tol=tol).passed
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_check_policy_rejects_bad_tolerance(case1, tol):
+    env, _ = case1
+    pol = SequentialPolicy(3, 2, {(0, ()): 1.0, (1, ()): 1.0}, {})
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        check_policy(pol, env, tol=tol)
 
 
 def test_serialization_round_trip():
@@ -165,10 +168,10 @@ def test_serialization_round_trip():
     assert again.uniform_full == pol.uniform_full
     assert again.n_agents == 4 and again.n_states == 2
 
-    text = policy_to_json(pol)
-    assert policy_from_json(text).entries == pol.entries
+    text = json.dumps(policy_to_dict(pol))
+    assert policy_from_dict(json.loads(text)).entries == pol.entries
     assert '"states"' not in text  # labels only when provided
-    assert '"states"' in policy_to_json(pol, labels=("lo", "hi"))
+    assert "states" in policy_to_dict(pol, labels=("lo", "hi"))
 
 
 def test_canonical_items_sorted():
@@ -184,10 +187,9 @@ def test_sequence_orderings_matter(case1):
     env, _ = case1
     fwd = SequentialPolicy(3, 2, {(1, (0, 1, 2)): 1.0, (0, ()): 1.0}, {})
     rev = SequentialPolicy(3, 2, {(1, (2, 1, 0)): 1.0, (0, ()): 1.0}, {})
-    vals_fwd = sorted(so_c_value(fwd, env, i) for i in range(3))
-    vals_rev = sorted(so_c_value(rev, env, i) for i in range(3))
-    assert vals_fwd == pytest.approx(vals_rev, abs=1e-12)
-    assert so_c_value(fwd, env, 0) != so_c_value(rev, env, 0)
+    so_c_fwd, so_c_rev = check_policy(fwd, env).so_c, check_policy(rev, env).so_c
+    assert sorted(so_c_fwd) == pytest.approx(sorted(so_c_rev), abs=1e-12)
+    assert so_c_fwd[0] != so_c_rev[0]
 
 
 def test_all_permutation_mixture_equivalent_to_uniform_block(case1):
@@ -203,7 +205,6 @@ def test_all_permutation_mixture_equivalent_to_uniform_block(case1):
     blocked = SequentialPolicy(
         3, 2, {(0, ()): 0.5, (1, ()): 0.5}, {0: 0.5, 1: 0.5}
     )
-    for i in range(3):
-        assert so_c_value(expl, env, i) == pytest.approx(
-            so_c_value(blocked, env, i), abs=1e-12
-        )
+    assert check_policy(expl, env).so_c == pytest.approx(
+        check_policy(blocked, env).so_c, abs=1e-12
+    )

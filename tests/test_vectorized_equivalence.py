@@ -27,7 +27,6 @@ from robustcoord import (
     evaluate_bce_realized,
     evaluate_policy_realized,
     expected_welfare,
-    full_coop_value,
     marginal_gain,
     posterior_from_event,
     potential,
@@ -79,7 +78,7 @@ def _loop_design(env, welfare):
     scores = np.empty(env.n_states)
     for s in range(env.n_states):
         f_vals[s] = potential(env, s, env.n_agents)
-        v = full_coop_value(welfare, s)
+        v = welfare_value(welfare, s, welfare.n_agents)
         if v > 0.0:
             scores[s] = f_vals[s] / v
         else:
@@ -96,7 +95,7 @@ def _loop_design(env, welfare):
             continue
         counter.tick()
         if q[s] > 0.0:
-            wel += q[s] * env.prior[s] * full_coop_value(welfare, s)
+            wel += q[s] * env.prior[s] * welfare_value(welfare, s, welfare.n_agents)
     return scores, order, q, t_state, mix, float(wel), degenerate, counter.ops
 
 
@@ -105,7 +104,9 @@ def _loop_bce(env, welfare):
     g_full = np.array(
         [marginal_gain(env, s, env.n_agents - 1) for s in range(n_states)]
     )
-    v_full = np.array([full_coop_value(welfare, s) for s in range(n_states)])
+    v_full = np.array(
+        [welfare_value(welfare, s, welfare.n_agents) for s in range(n_states)]
+    )
     scores = np.where(
         v_full > 0,
         np.divide(g_full, v_full, out=np.zeros_like(g_full), where=v_full > 0),
