@@ -16,7 +16,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .designer import InfeasibleDesignError, design, ratio_scores, threshold_scan
-from .env import Environment, WelfareSpec, gain_column, ordered_sum, welfare_column
+from .env import (
+    Environment,
+    WelfareSpec,
+    check_tol,
+    gain_column,
+    ordered_sum,
+    owned,
+    welfare_column,
+)
 from .equilibrium import (
     PUBLIC,
     RealizedEvaluation,
@@ -70,7 +78,7 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
     scores = ratio_scores(g_full, v_full)
     if not np.any(g_full > 0.0):
         return BaselinePolicy(
-            invite_probs=np.zeros(env.n_states),
+            invite_probs=owned(np.zeros(env.n_states)),
             mixing_state=None,
             mixing_label=None,
             mixing_weight=0.0,
@@ -83,6 +91,7 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
 
     scan = threshold_scan(env.prior, g_full, scores)
     q = scan.invite_probs
+    q.flags.writeable = False  # the policy is read-only
     predicted = float(ordered_sum(env.prior * q * v_full))
     # the lowest-scored fully invited state; order is stable, so ties go to
     # the lower index
@@ -169,6 +178,7 @@ def sweep_boundaries(records: Sequence[ComparisonRecord], tol: float = 1e-9) -> 
     resolution: last cost where the robust design still invites every state,
     last cost where all three welfare readings coincide, and the first costs
     where each curve hits zero."""
+    check_tol(tol)
     recs = sorted(records, key=lambda r: r.cost)
 
     def last_cost(pred) -> float | None:

@@ -213,6 +213,7 @@ def design(
 
     scan = threshold_scan(env.prior, f_vals, scores, counter)
     q = scan.invite_probs
+    scores.flags.writeable = q.flags.writeable = False  # the design is read-only
     counter.tick(int(np.count_nonzero(scores > -math.inf)))
     invited = scan.order[q[scan.order] > 0.0]  # -inf states are never invited
     wel = ordered_sum(q[invited] * env.prior[invited] * stakes[invited])

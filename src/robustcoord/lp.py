@@ -192,15 +192,13 @@ def build_symmetric_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
     )
 
 
-def solve(lp: LinearProgram, maxiter: int | None = None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Maximize the program with the two-phase simplex."""
     # simplex minimizes over <= rows: negate the objective and the >= rows
     sense_sign = np.array([1.0 if s == LE else -1.0 for s in lp.ineq_senses])
     A_ub = lp.ineq_matrix * sense_sign[:, None]
     b_ub = lp.ineq_rhs * sense_sign
-    res: SimplexResult = solve_min(
-        -lp.objective, lp.eq_matrix, lp.eq_rhs, A_ub, b_ub, maxiter=maxiter
-    )
+    res: SimplexResult = solve_min(-lp.objective, lp.eq_matrix, lp.eq_rhs, A_ub, b_ub)
     check = res.check
     eq_residuals = lp.eq_matrix @ check.x - lp.eq_rhs
     ineq_values = lp.ineq_matrix @ check.x

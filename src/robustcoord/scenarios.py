@@ -13,7 +13,6 @@ never "0.5600000000000001") and reruns reproduce byte-identical artifacts.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections import Counter
@@ -70,7 +69,6 @@ class Scenario(NamedTuple):
     welfare: WelfareSpec
     modes: tuple[str, ...]
     sweep_costs: tuple[float, ...] | None
-    config: dict
 
 
 def _reject_unknown(block, allowed: set[str], where: str) -> None:
@@ -230,14 +228,13 @@ def build_scenario(config: dict) -> Scenario:
         welfare=welfare,
         modes=tuple(modes),
         sweep_costs=sweep_costs,
-        config=copy.deepcopy(config),
     )
 
 
 def load_scenario(source: str) -> Scenario:
     """Accepts a preset name or a path to a scenario JSON file."""
     if source in PRESETS:
-        return build_scenario(copy.deepcopy(PRESETS[source]))
+        return build_scenario(PRESETS[source])
     path = Path(source)
     if not path.exists():
         raise ValueError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -116,12 +117,16 @@ class SequentialPolicy(Frozen):
                 raise ValueError(f"uniform-full mass {p} for state {s} is invalid")
             if p > 0.0:
                 uf[s] = p
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "uniform_full", uf)
+        object.__setattr__(self, "entries", MappingProxyType(clean))
+        object.__setattr__(self, "uniform_full", MappingProxyType(uf))
         _, mass = check_feasibility(self)
         over = np.flatnonzero(mass > 1.0 + 1e-9)
         if over.size:
             raise ValueError(f"state {over[0]} carries probability mass above 1")
+
+    def __reduce__(self):  # a mappingproxy neither pickles nor deep-copies
+        args = (self.n_agents, self.n_states, dict(self.entries), dict(self.uniform_full))
+        return type(self), args
 
     def canonical_items(self) -> list[tuple[tuple[int, Sequence_], float]]:
         # length-prefixed sequence ordering gives a stable, canonical listing

@@ -1,11 +1,15 @@
 """Dense two-phase primal simplex: Dantzig pricing, Bland's rule on stalls.
 
 Solves  min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0  on an explicit
-tableau. Small and deterministic by construction: fixed pivot rules, no
-scaling, no presolve. Intended for the moderate, mostly-degenerate programs
-this package builds (RHS of the obedience rows is zero, so ties in the ratio
-test are exact and degenerate pivots are common, which is why the kernel
-falls back to Bland's rule while pivots stall).
+tableau, for nonnegative right-hand sides b_eq and b_ub only (a negative one
+is a ValueError). Every program this package builds qualifies: its mass rows
+have RHS 1 and its obedience rows RHS 0. The start basis is then the slacks
+plus one artificial per equality row. Small and deterministic by
+construction: fixed pivot rules, no scaling, no presolve. Intended for the
+moderate, mostly-degenerate programs this package builds (the zero RHS of
+the obedience rows makes ties in the ratio test exact and degenerate pivots
+common, which is why the kernel falls back to Bland's rule while pivots
+stall).
 
 The tableau is updated in place, pivot after pivot, so its numbers drift
 away from the data. Answers are therefore never read off the final tableau:
@@ -73,13 +77,10 @@ class SimplexResult(NamedTuple):
 
 class _Form(NamedTuple):
     """The rows in tableau form. Columns are the n variables, then one slack
-    per ub row, then one artificial per row in ``art_rows``."""
+    per ub row, then one artificial per eq row."""
 
-    rows: np.ndarray  # every row signed so that its rhs is >= 0
-    rhs: np.ndarray
-    slack_coeff: np.ndarray  # per row: 0 on eq rows, +-1 on ub rows
-    flip: np.ndarray  # rows negated to make the rhs nonnegative
-    art_rows: np.ndarray
+    rows: np.ndarray  # the eq rows, then the ub rows
+    rhs: np.ndarray  # nonnegative
     m_eq: int
 
 
@@ -93,19 +94,10 @@ def _standard_form(c, A_eq, b_eq, A_ub, b_ub) -> tuple[np.ndarray, _Form]:
     m_eq = A_eq.shape[0]
     if m_eq + A_ub.shape[0] == 0:
         raise ValueError("need at least one constraint row")
-
-    # rows normalized to nonnegative RHS; ub rows keep a slack (+-1), eq rows
-    # and flipped ub rows get an artificial
-    rows = np.vstack([A_eq, A_ub])
     rhs = np.concatenate([b_eq, b_ub])
-    slack_coeff = np.zeros(rows.shape[0])
-    slack_coeff[m_eq:] = 1.0
-    flip = rhs < 0
-    rows[flip] *= -1.0
-    rhs[flip] *= -1.0
-    slack_coeff[flip] *= -1.0
-    needs_art = slack_coeff <= 0.0  # eq rows, and ub rows whose slack turned negative
-    return c, _Form(rows, rhs, slack_coeff, flip, np.nonzero(needs_art)[0], m_eq)
+    if (rhs < 0).any():
+        raise ValueError("every right-hand side must be nonnegative")
+    return c, _Form(np.vstack([A_eq, A_ub]), rhs, m_eq)
 
 
 def check_basis(c, A_eq, b_eq, A_ub, b_ub, basis) -> BasisCheck:
@@ -126,9 +118,9 @@ def _check(form: _Form, c: np.ndarray, basis: np.ndarray) -> BasisCheck:
     slack_row = m_eq + basis[is_slack] - n
     B = np.zeros((m, m))
     B[:, is_var] = form.rows[:, basis[is_var]]
-    B[slack_row, np.nonzero(is_slack)[0]] = form.slack_coeff[slack_row]
+    B[slack_row, np.nonzero(is_slack)[0]] = 1.0
     art = ~(is_var | is_slack)
-    B[form.art_rows[basis[art] - art_start], np.nonzero(art)[0]] = 1.0
+    B[basis[art] - art_start, np.nonzero(art)[0]] = 1.0  # artificial k sits on eq row k
     c_B = np.zeros(m)  # slacks and artificials cost nothing in phase 2
     c_B[is_var] = c[basis[is_var]]
     try:
@@ -144,19 +136,19 @@ def _check(form: _Form, c: np.ndarray, basis: np.ndarray) -> BasisCheck:
     x[basis[is_var]] = x_B[is_var]
     slack = np.zeros(m)  # slack value per row; zero on eq rows
     slack[slack_row] = x_B[is_slack]
-    residual = form.rows @ x + form.slack_coeff * slack - form.rhs
+    residual = form.rows @ x + slack - form.rhs
     real = is_var | is_slack
     bound = float(max(0.0, -x_B[real].min())) if real.any() else 0.0
 
     # reduced costs of the variables, then of the slacks (cost 0)
-    d = np.concatenate([c - form.rows.T @ y, -form.slack_coeff[m_eq:] * y[m_eq:]])
+    d = np.concatenate([c - form.rows.T @ y, -y[m_eq:]])
     on_basis = np.zeros(art_start, dtype=bool)
     on_basis[basis[real]] = True
     dual = np.where(on_basis, np.abs(d), np.maximum(-d, 0.0))
     return BasisCheck(
         x=x,
-        duals_eq=np.where(form.flip[:m_eq], -1.0, 1.0) * y[:m_eq],
-        duals_ub=form.slack_coeff[m_eq:] * y[m_eq:],
+        duals_eq=y[:m_eq],
+        duals_ub=y[m_eq:],
         reduced_costs=d[:n],
         primal_residual=float(np.abs(residual).max()),
         bound_violation=bound,
@@ -170,37 +162,28 @@ def solve_min(
     b_eq: np.ndarray | None,
     A_ub: np.ndarray | None,
     b_ub: np.ndarray | None,
-    maxiter: int | None = None,
 ) -> SimplexResult:
     c, form = _standard_form(c, A_eq, b_eq, A_ub, b_ub)
     m, n = form.rows.shape
     m_eq = form.m_eq
-    m_ub = m - m_eq
-    art_rows = form.art_rows
-    n_art = len(art_rows)
-    art_start = n + m_ub
-    total_cols = art_start + n_art
+    art_start = n + m - m_eq
+    total_cols = art_start + m_eq
 
     T = np.zeros((m + 1, total_cols + 1))
     T[:m, :n] = form.rows
     T[:m, total_cols] = form.rhs
-    slacks = n + np.arange(m_ub)
-    T[np.arange(m_eq, m), slacks] = form.slack_coeff[m_eq:]
-    arts = art_start + np.arange(n_art)
-    T[art_rows, arts] = 1.0
-    basis = np.empty(m, dtype=np.int64)
-    basis[m_eq:] = slacks
-    basis[art_rows] = arts  # flipped ub rows start on their artificial
+    # start basis: an artificial on each eq row, a slack on each ub row
+    basis = np.concatenate([np.arange(art_start, total_cols), np.arange(n, art_start)])
+    T[np.arange(m), basis] = 1.0
 
-    if maxiter is None:
-        maxiter = 100 * (m + total_cols)
+    maxiter = 100 * (m + total_cols)
     used = 0
 
     # phase 1: minimize the artificial mass
-    if n_art:
+    if m_eq:
         T[m] = 0.0
-        T[m, arts] = 1.0
-        for i in art_rows:
+        T[m, art_start:total_cols] = 1.0
+        for i in range(m_eq):
             T[m] -= T[i]
         code, it = pivot_loop(T, basis, total_cols, maxiter)
         used += it

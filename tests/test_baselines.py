@@ -153,6 +153,21 @@ def test_sweep_boundaries_case2(case2):
     assert all(a >= b - 1e-12 for a, b in zip(robust, robust[1:]))
 
 
+def test_sweep_boundaries_case1(case1):
+    env, wf = case1
+    recs = sweep(env, wf, [1.0, 2.0, 3.0])
+    assert sweep_boundaries(recs) == {
+        "robust_all_invite_max_cost": 1.0,
+        "coincide_max_cost": 1.0,
+        "robust_zero_min_cost": 3.0,
+        "optimistic_zero_min_cost": 3.0,
+        "realized_zero_min_cost": 2.0,
+    }
+    for tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            sweep_boundaries(recs, tol=tol)
+
+
 def test_dimension_mismatch(case1):
     env, _ = case1
     wf = WelfareSpec.power(3, np.array([6.0]), 1.5)

@@ -249,6 +249,49 @@ def test_degenerate_cycle_terminates():
     assert float(c @ res.check.x) == pytest.approx(-1 / 20, abs=1e-12)
 
 
+def test_solve_min_infeasible_program():
+    # min x  s.t.  x = 1,  x <= 0
+    res = simplex.solve_min([1.0], [[1.0]], [1.0], [[1.0]], [0.0])
+    assert res.status == "INFEASIBLE"
+    assert not res.check.passed
+
+
+def test_solve_min_unbounded_program_raises():
+    # min -x  s.t.  -x <= 0
+    with pytest.raises(RuntimeError, match="unbounded"):
+        simplex.solve_min([-1.0], None, None, [[-1.0]], [0.0])
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_iteration_limit_is_reported(monkeypatch, case1, phase):
+    env, wf = case1
+    real = simplex.pivot_loop
+
+    def run_out(T, basis, active_cols, maxiter):
+        in_phase2 = active_cols < T.shape[1] - 1  # artificials shut out
+        if in_phase2 == (phase == 2):
+            return simplex.ITER_LIMIT, maxiter
+        return real(T, basis, active_cols, maxiter)
+
+    monkeypatch.setattr(simplex, "pivot_loop", run_out)
+    sol = solve(build_symmetric_lp(env, wf))
+    assert sol.status == "ITERATION_LIMIT"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (None, None, [[-1.0]], [-1.0]),  # x >= 1 written as -x <= -1
+        ([[1.0]], [-1.0], None, None),
+    ],
+)
+def test_negative_right_hand_side_rejected(rows):
+    with pytest.raises(ValueError, match="nonnegative"):
+        simplex.solve_min([1.0], *rows)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_basis([1.0], *rows, [0])
+
+
 def test_check_basis_passes_only_the_optimal_basis(case1):
     env, wf = case1
     prog = build_symmetric_lp(env, wf)

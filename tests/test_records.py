@@ -130,7 +130,6 @@ SIGNATURES = {
         ("welfare", E),
         ("modes", E),
         ("sweep_costs", E),
-        ("config", E),
     ],
     "SequentialPolicy": [
         ("n_agents", E),
@@ -264,6 +263,31 @@ def test_validating_records_own_read_only_arrays():
     for arr in held:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 7.0
+
+
+def test_design_arrays_are_read_only(case1):
+    env, wf = case1
+    tp = design(env, wf)
+    held = [tp.invite_probs, tp.scores, design_bce_optimistic(env, wf).invite_probs]
+    held.append(design_bce_optimistic(env.with_cost(10.0), wf).invite_probs)  # no gain
+    for arr in held:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.9
+    q = tp.invite_probabilities()
+    q[0] = 0.9  # a writable copy
+    assert tp.invite_probs[0] != 0.9
+
+
+def test_sequential_policy_mappings_are_read_only(case1):
+    env, wf = case1
+    pol = to_sequential_policy(design(env, wf), env)
+    for twin in (pol, copy.deepcopy(pol), pickle.loads(pickle.dumps(pol))):
+        assert twin.canonical_items() == pol.canonical_items()
+        assert twin.uniform_full == pol.uniform_full
+        with pytest.raises(TypeError):
+            twin.uniform_full[0] = 5.0
+        with pytest.raises(TypeError):
+            twin.entries[(0, ())] = 1.0
 
 
 def test_op_counter_starts_at_zero_and_counts():
