@@ -17,6 +17,7 @@ import numpy as np
 
 from .designer import InfeasibleDesignError, design, ratio_scores, threshold_scan
 from .env import (
+    DEFAULT_TOL,
     Environment,
     WelfareSpec,
     check_tol,
@@ -27,6 +28,7 @@ from .env import (
 )
 from .equilibrium import (
     PUBLIC,
+    STRICT_TOL,
     RealizedEvaluation,
     event_outcome,
     posterior_from_event,
@@ -113,7 +115,7 @@ def evaluate_bce_realized(
     policy: BaselinePolicy,
     env: Environment,
     welfare: WelfareSpec,
-    tol: float = 1e-12,
+    tol: float = STRICT_TOL,
 ) -> RealizedEvaluation:
     """Same recommendations under smallest-equilibrium play: two public
     events (recommend-all, recommend-none), each with its Bayes posterior."""
@@ -173,7 +175,7 @@ def sweep(
     return [compare(env.with_cost(float(c)), welfare) for c in costs]
 
 
-def sweep_boundaries(records: Sequence[ComparisonRecord], tol: float = 1e-9) -> dict:
+def sweep_boundaries(records: Sequence[ComparisonRecord], tol: float = DEFAULT_TOL) -> dict:
     """Regime boundaries read off a sweep, reported with the sweep's own
     resolution: last cost where the robust design still invites every state,
     last cost where all three welfare readings coincide, and the first costs

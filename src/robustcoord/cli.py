@@ -22,7 +22,7 @@ from importlib import import_module
 from pathlib import Path
 
 from .designer import InfeasibleDesignError, StrictModeError, design, to_sequential_policy
-from .env import check_tol
+from .env import DEFAULT_TOL, check_tol
 from .lp import build_lp, solve
 from .scenarios import Scenario, load_scenario
 from .seqpolicy import CapacityError, check_policy, policy_to_dict
@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", default="artifacts", help="output directory (created if missing)"
     )
     common.add_argument(
-        "--tol", type=float, default=1e-9, help="obedience check tolerance"
+        "--tol", type=float, default=DEFAULT_TOL, help="obedience check tolerance"
     )
     common.add_argument(
         "--strict",

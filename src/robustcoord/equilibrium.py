@@ -17,6 +17,7 @@ import numpy as np
 
 from .designer import ThresholdPolicy, to_sequential_policy
 from .env import (
+    DEFAULT_TOL,
     Environment,
     Frozen,
     WelfareSpec,
@@ -26,7 +27,7 @@ from .env import (
     owned,
     welfare_column,
 )
-from .seqpolicy import DEFAULT_TOL, SequentialPolicy, check_policy, expected_welfare
+from .seqpolicy import SequentialPolicy, check_policy, expected_welfare
 
 PUBLIC = "public"
 PRIVATE_SEQUENTIAL = "private_sequential"

@@ -12,6 +12,10 @@ leaves one variable per (state, size k), one mass row per state, one
 invited row and one stay-out row. Both are solved with the in-package
 simplex, so results are bit-reproducible; they are the ground truth the
 threshold designer is checked against.
+
+Both builders store the rows as the simplex takes them, and maximize
+objective @ x subject to eq_matrix @ x = 1, ineq_matrix @ x <= 0, x >= 0.
+So the invited rows are stored negated: -prior * p * potential / N <= 0.
 """
 
 from __future__ import annotations
@@ -37,24 +41,19 @@ from .seqpolicy import (
     enumerate_sequences,
     predecessors,
 )
-from .simplex import BasisCheck, SimplexResult, solve_min
-
-GE = ">="
-LE = "<="
+from .simplex import BasisCheck, solve_min
 
 # cap on the dense tableau of the symmetric LP, in float64 cells (8 bytes each)
 MAX_TABLEAU_CELLS = 4_000_000
 
 
 class LinearProgram(NamedTuple):
-    """max objective @ x subject to eq rows and signed inequality rows."""
+    """max objective @ x s.t. eq_matrix @ x = 1, ineq_matrix @ x <= 0, x >= 0;
+    the arrays are read-only."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    ineq_matrix: np.ndarray
-    ineq_rhs: np.ndarray
-    ineq_senses: tuple[str, ...]
+    ineq_matrix: np.ndarray  # invited rows first, negated; then stay-out rows
     row_labels: tuple[str, ...]  # eq rows first, then inequality rows
     var_names: tuple[str, ...]  # columns, state-major
     n_agents: int
@@ -69,15 +68,13 @@ class LpSolution(NamedTuple):
     status: str  # OPTIMAL | NUMERICAL | INFEASIBLE | ITERATION_LIMIT
     value: float
     x: np.ndarray
-    eq_residuals: np.ndarray
-    ineq_slacks: np.ndarray
-    duals_eq: np.ndarray
-    duals_ineq: np.ndarray
-    reduced_costs: np.ndarray
+    eq_residuals: np.ndarray  # eq_matrix @ x - 1
+    ineq_slacks: np.ndarray  # -(ineq_matrix @ x), >= 0 when satisfied
     iterations: int
     basis: tuple[int, ...]
     # the final basis re-solved against the original rows, in solve_min's
-    # minimization form; its residuals are what OPTIMAL was checked on
+    # minimization form (negate its duals and reduced costs for the
+    # maximization reading); its residuals are what OPTIMAL was checked on
     check: BasisCheck
 
     def support(self, tol: float = 1e-12) -> list[tuple[int, float]]:
@@ -120,20 +117,18 @@ def build_lp(
             for i in range(n_agents):
                 if i not in seq:
                     ineq_matrix[n_agents + i, j] = g_out
+    ineq_matrix[:n_agents] *= -1.0  # invited rows: gain >= 0 as -gain <= 0
 
     row_labels = tuple(
         [f"mass[{env.labels[s]}]" for s in range(n_states)]
         + [f"obey_invited[{i}]" for i in range(n_agents)]
         + [f"stay_out[{i}]" for i in range(n_agents)]
     )
-    senses = tuple([GE] * n_agents + [LE] * n_agents)
+    objective.flags.writeable = eq_matrix.flags.writeable = ineq_matrix.flags.writeable = False
     return LinearProgram(
         objective=objective,
         eq_matrix=eq_matrix,
-        eq_rhs=np.ones(n_states),
         ineq_matrix=ineq_matrix,
-        ineq_rhs=np.zeros(2 * n_agents),
-        ineq_senses=senses,
         row_labels=row_labels,
         var_names=tuple(
             f"pi[{s}|{','.join(map(str, seq)) or '-'}]" for s, seq in columns
@@ -173,17 +168,16 @@ def build_symmetric_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
         + [np.zeros(n_states)]
     )
     prior = env.prior[:, None]
+    objective = (prior * value).ravel()
     eq_matrix = np.kron(np.eye(n_states), np.ones(n_agents + 1))
     ineq_matrix = np.vstack(
-        [(prior * invited / n_agents).ravel(), (prior * stay_out).ravel()]
+        [-(prior * invited / n_agents).ravel(), (prior * stay_out).ravel()]
     )
+    objective.flags.writeable = eq_matrix.flags.writeable = ineq_matrix.flags.writeable = False
     return LinearProgram(
-        objective=(prior * value).ravel(),
+        objective=objective,
         eq_matrix=eq_matrix,
-        eq_rhs=np.ones(n_states),
         ineq_matrix=ineq_matrix,
-        ineq_rhs=np.zeros(2),
-        ineq_senses=(GE, LE),
         row_labels=tuple(f"mass[{label}]" for label in env.labels)
         + ("obey_invited", "stay_out"),
         var_names=tuple(f"p[{s}|{k}]" for s in range(n_states) for k in sizes),
@@ -194,24 +188,18 @@ def build_symmetric_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Maximize the program with the two-phase simplex."""
-    # simplex minimizes over <= rows: negate the objective and the >= rows
-    sense_sign = np.array([1.0 if s == LE else -1.0 for s in lp.ineq_senses])
-    A_ub = lp.ineq_matrix * sense_sign[:, None]
-    b_ub = lp.ineq_rhs * sense_sign
-    res: SimplexResult = solve_min(-lp.objective, lp.eq_matrix, lp.eq_rhs, A_ub, b_ub)
+    ones, zeros = np.ones(len(lp.eq_matrix)), np.zeros(len(lp.ineq_matrix))
+    res = solve_min(-lp.objective, lp.eq_matrix, ones, lp.ineq_matrix, zeros)
     check = res.check
-    eq_residuals = lp.eq_matrix @ check.x - lp.eq_rhs
-    ineq_values = lp.ineq_matrix @ check.x
-    ineq_slacks = (lp.ineq_rhs - ineq_values) * sense_sign  # >= 0 when satisfied
+    eq_residuals = lp.eq_matrix @ check.x - 1.0
+    ineq_slacks = -(lp.ineq_matrix @ check.x)
+    eq_residuals.flags.writeable = ineq_slacks.flags.writeable = False
     return LpSolution(
         status=res.status,
         value=float(lp.objective @ check.x),
         x=check.x,
         eq_residuals=eq_residuals,
         ineq_slacks=ineq_slacks,
-        duals_eq=-check.duals_eq,  # back to the maximization reading
-        duals_ineq=-check.duals_ub * sense_sign,
-        reduced_costs=-check.reduced_costs,
         iterations=res.iterations,
         basis=tuple(int(b) for b in res.basis),
         check=check,

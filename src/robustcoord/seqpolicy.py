@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .env import (
+    DEFAULT_TOL,
     Environment,
     Frozen,
     WelfareSpec,
@@ -32,8 +33,6 @@ from .env import (
 
 # hard cap on explicit sequence enumeration (and on LP columns)
 MAX_SEQUENCES = 2_000_000
-
-DEFAULT_TOL = 1e-9
 
 Sequence_ = tuple[int, ...]
 

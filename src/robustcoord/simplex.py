@@ -41,7 +41,7 @@ CERT_TOL = 1e-9  # largest recomputed residual an OPTIMAL answer may carry
 
 class BasisCheck(NamedTuple):
     """A basis re-solved against the original rows: the point and duals it
-    defines, and by how much they miss optimality."""
+    defines (read-only), and by how much they miss optimality."""
 
     x: np.ndarray
     duals_eq: np.ndarray
@@ -127,10 +127,10 @@ def _check(form: _Form, c: np.ndarray, basis: np.ndarray) -> BasisCheck:
         x_B = np.linalg.solve(B, form.rhs)
         y = np.linalg.solve(B.T, c_B)
     except np.linalg.LinAlgError:  # singular basis: nothing to certify
+        zero = np.zeros(max(n, m))
+        zero.flags.writeable = False
         inf = float("inf")
-        return BasisCheck(
-            np.zeros(n), np.zeros(m_eq), np.zeros(m - m_eq), np.zeros(n), inf, inf, inf
-        )
+        return BasisCheck(zero[:n], zero[:m_eq], zero[m_eq:m], zero[:n], inf, inf, inf)
 
     x = np.zeros(n)
     x[basis[is_var]] = x_B[is_var]
@@ -145,6 +145,7 @@ def _check(form: _Form, c: np.ndarray, basis: np.ndarray) -> BasisCheck:
     on_basis = np.zeros(art_start, dtype=bool)
     on_basis[basis[real]] = True
     dual = np.where(on_basis, np.abs(d), np.maximum(-d, 0.0))
+    x.flags.writeable = y.flags.writeable = d.flags.writeable = False
     return BasisCheck(
         x=x,
         duals_eq=y[:m_eq],
@@ -225,4 +226,6 @@ def _finish(status, form, c, basis, iterations) -> SimplexResult:
     check = _check(form, c, basis)
     if status == "OPTIMAL" and not check.passed:
         status = "NUMERICAL"
-    return SimplexResult(status, iterations, basis.copy(), check)
+    basis = basis.copy()
+    basis.flags.writeable = False
+    return SimplexResult(status, iterations, basis, check)

@@ -18,6 +18,8 @@ from robustcoord.cli import main
 from robustcoord.scenarios import load_scenario
 from robustcoord.seqpolicy import check_policy, policy_from_dict
 
+from test_lp import LP_N6
+
 
 def run_cli(command, scenario, out, *extra):
     return main([command, "--scenario", scenario, "--out", str(out), *extra])
@@ -400,6 +402,25 @@ def _digests(out: Path) -> dict:
 def test_run_artifacts_match_golden_digests(tmp_path, scenario):
     assert run_cli("run", scenario, tmp_path) == 0
     assert _digests(tmp_path) == GOLDEN_DIGESTS[scenario]
+
+
+# SHA-256 of the lp.json that `lp` writes at the benchmark's sizes: case2's
+# symmetric LP (1,100 columns, 145 pivots, value 4.734782608695652) and the
+# six-agent instance LP_N6 of test_lp.py, run from a scenario file.
+LP_DIGESTS = {
+    "case2": "96f7e4f025b65847a5d38b90552e850d0d06d2d380e85b1676866f595202f679",
+    "lp-n6": "a3458aaf4e5303f8645d9b344d19117426c15f4b2568e3dc06bf6908d05eebc2",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(LP_DIGESTS))
+def test_lp_artifact_matches_golden_digest(tmp_path, scenario):
+    source = scenario
+    if scenario == "lp-n6":
+        source = tmp_path / "lp-n6.json"
+        source.write_text(json.dumps(LP_N6))
+    assert run_cli("lp", str(source), tmp_path / "out") == 0
+    assert _digests(tmp_path / "out") == {"lp.json": LP_DIGESTS[scenario]}
 
 
 def _child_env(**extra):

@@ -13,6 +13,7 @@ from robustcoord import (
     check_policy,
     design,
     extract_policy,
+    marginal_gain,
     solve,
 )
 from robustcoord import simplex
@@ -42,25 +43,18 @@ def _residuals(sol):
     return (sol.check.primal_residual, sol.check.bound_violation, sol.check.dual_violation)
 
 
-def _min_form(prog):
-    """``prog`` in solve_min's form: minimize, every inequality as <=."""
-    sign = np.array([1.0 if s == "<=" else -1.0 for s in prog.ineq_senses])
-    return (
-        -prog.objective,
-        prog.eq_matrix,
-        prog.eq_rhs,
-        prog.ineq_matrix * sign[:, None],
-        prog.ineq_rhs * sign,
-    )
-
-
 def test_case1_lp_shape(case1):
     env, wf = case1
     prog = build_lp(env, wf)
     assert prog.n_vars == 32  # 16 ordered sequences per state
     assert prog.eq_matrix.shape == (2, 32)
     assert prog.ineq_matrix.shape == (6, 32)
-    assert prog.ineq_senses == (">=", ">=", ">=", "<=", "<=", "<=")
+    # pi[1|0]: in state H agent 0 alone is invited, agents 1 and 2 stay out;
+    # the invited row is stored negated, as solve_min takes it
+    j = prog.var_names.index("pi[1|0]")
+    invited, stay_out = (env.prior[1] * marginal_gain(env, 1, k) for k in (0, 1))
+    want = [-invited, 0.0, 0.0, 0.0, stay_out, stay_out]
+    assert prog.ineq_matrix[:, j] == pytest.approx(want, abs=1e-15)
     assert prog.row_labels[0] == "mass[L]"
     assert prog.row_labels[2] == "obey_invited[0]"
     assert prog.row_labels[5] == "stay_out[0]"
@@ -83,6 +77,24 @@ def test_case1_lp_solution_is_feasible_policy(case1):
     report = check_policy(pol, env)
     assert report.passed, report.to_dict()
     assert np.abs(sol.eq_residuals).max() <= 1e-9
+
+
+@pytest.mark.parametrize("which", ["case1", "lp-n6"])
+def test_lp_rows_are_the_obedience_values(case1, which):
+    """At the explicit LP's optimum, the invited rows (stored negated) are
+    check_policy's SO-C values and the stay-out rows its SO-N values."""
+    if which == "case1":
+        env, wf = case1
+    else:
+        scn = build_scenario(LP_N6)
+        env, wf = scn.env, scn.welfare
+    prog = build_lp(env, wf)
+    sol = solve(prog)
+    assert sol.status == "OPTIMAL"
+    report = check_policy(extract_policy(prog, sol), env)
+    n = env.n_agents
+    assert -(prog.ineq_matrix[:n] @ sol.x) == pytest.approx(report.so_c, abs=1e-12)
+    assert prog.ineq_matrix[n:] @ sol.x == pytest.approx(report.so_n, abs=1e-12)
 
 
 def test_example3_lp_value_zero(example3):
@@ -112,17 +124,15 @@ def test_duality_certificates(case1):
     env, wf = case1
     prog = build_lp(env, wf)
     sol = solve(prog)
+    check = sol.check  # solve_min's reading: minimize -objective
     # strong duality: mass rows carry rhs 1, obedience rows rhs 0
-    assert float(sol.duals_eq.sum()) == pytest.approx(sol.value, abs=1e-7)
+    assert float(check.duals_eq.sum()) == pytest.approx(-sol.value, abs=1e-7)
     # complementary slackness on both sides
-    assert float(np.abs(sol.ineq_slacks * sol.duals_ineq).max()) <= 1e-7
-    assert float(np.abs(sol.x * sol.reduced_costs).max()) <= 1e-7
-    # maximization reading: >= rows price nonpositive, <= rows nonnegative...
-    # here all obedience duals push welfare down, so just check signs pair up
-    ge = sol.duals_ineq[:3]
-    le = sol.duals_ineq[3:]
-    assert (ge <= 1e-9).all()
-    assert (le >= -1e-9).all()
+    assert float(np.abs(sol.ineq_slacks * check.duals_ub).max()) <= 1e-7
+    assert float(np.abs(sol.x * check.reduced_costs).max()) <= 1e-7
+    # every obedience row is stored as <= 0, and a minimization prices each
+    # such row nonpositive (its slack's reduced cost is -dual >= 0)
+    assert (check.duals_ub <= 1e-9).all()
 
 
 def test_solve_is_deterministic(case1):
@@ -152,7 +162,7 @@ def test_random_instances_match_greedy():
     assert worst <= 1e-6
 
 
-def test_lp_to_text(case1):
+def test_lp_row_and_column_names(case1):
     """The program names its rows and variables: a reader of the LP needs no text dump."""
     env, wf = case1
     prog = build_lp(env, wf)
@@ -295,7 +305,13 @@ def test_negative_right_hand_side_rejected(rows):
 def test_check_basis_passes_only_the_optimal_basis(case1):
     env, wf = case1
     prog = build_symmetric_lp(env, wf)
-    form = _min_form(prog)
+    form = (
+        -prog.objective,
+        prog.eq_matrix,
+        np.ones(len(prog.eq_matrix)),
+        prog.ineq_matrix,
+        np.zeros(len(prog.ineq_matrix)),
+    )
     good = check_basis(*form, solve(prog).basis)
     assert good.passed
     assert float(prog.objective @ good.x) == pytest.approx(8.052631578947368, abs=1e-12)
@@ -356,13 +372,12 @@ def test_symmetric_lp_shape(case1):
     assert prog.var_names[:5] == ("p[0|0]", "p[0|1]", "p[0|2]", "p[0|3]", "p[1|0]")
     assert build_lp(env, wf, symmetric=True).var_names == prog.var_names
     assert prog.eq_matrix.shape == (2, 8) and prog.ineq_matrix.shape == (2, 8)
-    assert prog.ineq_senses == (">=", "<=")
     assert prog.row_labels == ("mass[L]", "mass[H]", "obey_invited", "stay_out")
     # state L: prior 0.5, b - c = -1, lambda = 0.1, N = 3
     gains = [-1.0, -0.95, -0.9]
     invited = [0.5 * sum(gains[:k]) / 3 for k in range(4)]
     stay_out = [0.5 * (3 - k) / 3 * gains[k] for k in range(3)] + [0.0]
-    assert prog.ineq_matrix[0, :4] == pytest.approx(invited, abs=1e-15)
+    assert -prog.ineq_matrix[0, :4] == pytest.approx(invited, abs=1e-15)
     assert prog.ineq_matrix[1, :4] == pytest.approx(stay_out, abs=1e-15)
     assert prog.objective[:4] == pytest.approx(
         [0.5 * 6.0 * (k / 3) ** 1.5 for k in range(4)], abs=1e-15

@@ -87,10 +87,7 @@ SIGNATURES = {
     "LinearProgram": [
         ("objective", E),
         ("eq_matrix", E),
-        ("eq_rhs", E),
         ("ineq_matrix", E),
-        ("ineq_rhs", E),
-        ("ineq_senses", E),
         ("row_labels", E),
         ("var_names", E),
         ("n_agents", E),
@@ -102,9 +99,6 @@ SIGNATURES = {
         ("x", E),
         ("eq_residuals", E),
         ("ineq_slacks", E),
-        ("duals_eq", E),
-        ("duals_ineq", E),
-        ("reduced_costs", E),
         ("iterations", E),
         ("basis", E),
         ("check", E),
@@ -276,6 +270,25 @@ def test_design_arrays_are_read_only(case1):
     q = tp.invite_probabilities()
     q[0] = 0.9  # a writable copy
     assert tp.invite_probs[0] != 0.9
+
+
+def test_lp_arrays_are_read_only(case1):
+    env, wf = case1
+    held = []
+    for symmetric in (False, True):
+        prog = build_lp(env, wf, symmetric=symmetric)
+        sol = solve(prog)
+        held += [prog.objective, prog.eq_matrix, prog.ineq_matrix]
+        held += [sol.x, sol.eq_residuals, sol.ineq_slacks]
+        held += [sol.check.x, sol.check.duals_eq, sol.check.duals_ub, sol.check.reduced_costs]
+    res = simplex.solve_min([1.0], None, None, [[1.0]], [1.0])
+    held.append(res.basis)
+    singular = simplex.check_basis([1.0, 1.0], [[1.0, 1.0]], [1.0], [[1.0, 1.0]], [1.0], [0, 0])
+    assert singular.primal_residual == np.inf
+    held += [singular.x, singular.duals_eq, singular.duals_ub, singular.reduced_costs]
+    for arr in held:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
 
 
 def test_sequential_policy_mappings_are_read_only(case1):
