@@ -17,10 +17,11 @@ import numpy as np
 
 from .designer import InfeasibleDesignError, design, ratio_scores, threshold_scan
 from .env import (
-    DEFAULT_TOL,
+    PROB_TOL,
+    WELFARE_TOL,
     Environment,
     WelfareSpec,
-    check_tol,
+    check_dimensions,
     gain_column,
     ordered_sum,
     owned,
@@ -28,7 +29,6 @@ from .env import (
 )
 from .equilibrium import (
     PUBLIC,
-    STRICT_TOL,
     RealizedEvaluation,
     event_outcome,
     posterior_from_event,
@@ -73,8 +73,7 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
     by gain-to-welfare score, invite from the top, mix at the boundary so the
     pooled constraint binds exactly.
     """
-    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
-        raise ValueError("welfare spec does not match the environment's dimensions")
+    check_dimensions(env, welfare)
     g_full = gain_column(env, env.n_agents - 1)
     v_full = welfare_column(welfare, welfare.n_agents)
     scores = ratio_scores(g_full, v_full)
@@ -112,10 +111,7 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
 
 
 def evaluate_bce_realized(
-    policy: BaselinePolicy,
-    env: Environment,
-    welfare: WelfareSpec,
-    tol: float = STRICT_TOL,
+    policy: BaselinePolicy, env: Environment, welfare: WelfareSpec
 ) -> RealizedEvaluation:
     """Same recommendations under smallest-equilibrium play: two public
     events (recommend-all, recommend-none), each with its Bayes posterior."""
@@ -124,11 +120,11 @@ def evaluate_bce_realized(
     events = []
     for label, probs in (("recommend-all", q), ("recommend-none", 1.0 - q)):
         mass = float((env.prior * probs).sum())
-        # below tol the event is float dust from q near 0 or 1
-        if mass <= tol:
+        # up to PROB_TOL the event is float dust from q near 0 or 1
+        if mass <= PROB_TOL:
             continue
         belief = posterior_from_event(env, probs)
-        out = smallest_equilibrium(env, belief, tol=tol)
+        out = smallest_equilibrium(env, belief)
         event = event_outcome(env, welfare, label, probs, belief, out.coop_count)
         total += event.welfare_contribution
         events.append(event)
@@ -175,12 +171,11 @@ def sweep(
     return [compare(env.with_cost(float(c)), welfare) for c in costs]
 
 
-def sweep_boundaries(records: Sequence[ComparisonRecord], tol: float = DEFAULT_TOL) -> dict:
+def sweep_boundaries(records: Sequence[ComparisonRecord]) -> dict:
     """Regime boundaries read off a sweep, reported with the sweep's own
     resolution: last cost where the robust design still invites every state,
     last cost where all three welfare readings coincide, and the first costs
-    where each curve hits zero."""
-    check_tol(tol)
+    where each curve hits zero, all to WELFARE_TOL."""
     recs = sorted(records, key=lambda r: r.cost)
 
     def last_cost(pred) -> float | None:
@@ -201,10 +196,10 @@ def sweep_boundaries(records: Sequence[ComparisonRecord], tol: float = DEFAULT_T
     return {
         "robust_all_invite_max_cost": last_cost(lambda r: r.robust_degenerate),
         "coincide_max_cost": last_cost(
-            lambda r: abs(r.robust_welfare - r.bce_predicted) <= tol
-            and abs(r.robust_welfare - r.bce_realized) <= tol
+            lambda r: abs(r.robust_welfare - r.bce_predicted) <= WELFARE_TOL
+            and abs(r.robust_welfare - r.bce_realized) <= WELFARE_TOL
         ),
-        "robust_zero_min_cost": first_cost(lambda r: r.robust_welfare <= tol),
-        "optimistic_zero_min_cost": first_cost(lambda r: r.bce_predicted <= tol),
-        "realized_zero_min_cost": first_cost(lambda r: r.bce_realized <= tol),
+        "robust_zero_min_cost": first_cost(lambda r: r.robust_welfare <= WELFARE_TOL),
+        "optimistic_zero_min_cost": first_cost(lambda r: r.bce_predicted <= WELFARE_TOL),
+        "realized_zero_min_cost": first_cost(lambda r: r.bce_realized <= WELFARE_TOL),
     }

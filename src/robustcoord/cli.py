@@ -63,7 +63,11 @@ def _fmt(value) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise ValueError(f"{path.name}: {exc}") from exc
+    path.write_text(text)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -161,15 +165,7 @@ _COMPARE_HEADER = [
 
 
 def _compare_row(rec) -> list:
-    return [
-        rec.cost,
-        rec.robust_welfare,
-        rec.bce_predicted,
-        rec.bce_realized,
-        rec.theta_star,
-        rec.p_star,
-        rec.bce_threshold,
-    ]
+    return [getattr(rec, field) for field in _COMPARE_HEADER]
 
 
 def _run_compare(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
@@ -285,10 +281,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InfeasibleDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InfeasibleDesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

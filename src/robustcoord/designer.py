@@ -189,8 +189,6 @@ def design(
     per state scored, per ``threshold_scan``'s steps and once per eligible
     state summed, so its total does not depend on N.
     """
-    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
-        raise ValueError("welfare spec does not match the environment's dimensions")
     report = check_assumptions(env, welfare)
     warnings = report.findings()
 

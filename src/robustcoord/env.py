@@ -16,8 +16,22 @@ import numpy as np
 POWER = "power"
 TABULATED = "tabulated"
 
-# default tolerance for payoff comparisons
+# The package's tolerances, one per decision; README's "Tolerances" table
+# lists these with the solver's PIVOT_TOL, PHASE1_TOL and CERT_TOL.
+# obedience slack, the default of check_policy and --tol: an invited value
+# must be >= -tol, an uninvited one <= tol, a state's mass within tol of 1
 DEFAULT_TOL = 1e-9
+# an agent joins only on an expected gain above this, and stays on one >= -it
+STRICT_TOL = 1e-12
+# two welfare values this close are equal (convexity, sweep boundaries)
+WELFARE_TOL = 1e-9
+# rounding slack of one probability: how far it may stray outside [0, 1],
+# and the mass at or below which an LP variable or baseline event is zero
+PROB_TOL = 1e-12
+# how far an Environment's prior may sum away from 1
+PRIOR_SUM_TOL = 1e-12
+# how far a Belief may sum away from 1, and a policy's state mass exceed 1
+MASS_SUM_TOL = 1e-9
 
 
 def check_tol(tol: float) -> None:
@@ -25,6 +39,11 @@ def check_tol(tol: float) -> None:
     fail every comparison, and an infinite one would pass them all."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def check_dimensions(env: Environment, welfare: WelfareSpec) -> None:
+    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
+        raise ValueError("welfare spec does not match the environment's dimensions")
 
 
 def _check_cost(cost: float) -> float:
@@ -115,7 +134,7 @@ class Environment(Frozen):
         if np.any(self.prior < 0):
             s = int(np.argmax(self.prior < 0))
             raise ValueError(f"prior must be nonnegative, state {s} is {self.prior[s]}")
-        if abs(float(self.prior.sum()) - 1.0) > 1e-12:
+        if abs(float(self.prior.sum()) - 1.0) > PRIOR_SUM_TOL:
             raise ValueError(f"prior must sum to 1, got {float(self.prior.sum())!r}")
         if np.any(self.complementarity < 0):
             s = int(np.argmax(self.complementarity < 0))
@@ -295,8 +314,7 @@ def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionRepor
     convexity for POWER reduces to beta >= 1. Both keep this O(1) per state
     so the designer's operation count stays independent of N.
     """
-    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
-        raise ValueError("welfare spec does not match the environment's dimensions")
+    check_dimensions(env, welfare)
     dominant = env.benefit - env.cost > 0
     dom_witness = int(np.argmax(dominant)) if dominant.any() else None
 
@@ -304,7 +322,7 @@ def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionRepor
     if welfare.kind == TABULATED:
         n_vals = np.arange(welfare.n_agents + 1)
         hull = np.outer(welfare.table[:, -1], n_vals / welfare.n_agents)
-        bad = welfare.table > hull + DEFAULT_TOL
+        bad = welfare.table > hull + WELFARE_TOL
         if bad.any():
             s, n = np.argwhere(bad)[0]
             cw_ok, cw_witness = False, (int(s), int(n))

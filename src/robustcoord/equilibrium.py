@@ -11,16 +11,20 @@ about how many others cooperate, never which ones.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .designer import ThresholdPolicy, to_sequential_policy
 from .env import (
     DEFAULT_TOL,
+    MASS_SUM_TOL,
+    PROB_TOL,
+    STRICT_TOL,
     Environment,
     Frozen,
     WelfareSpec,
+    check_dimensions,
     check_tol,
     gain_column,
     ordered_sum,
@@ -31,8 +35,6 @@ from .seqpolicy import SequentialPolicy, check_policy, expected_welfare
 
 PUBLIC = "public"
 PRIVATE_SEQUENTIAL = "private_sequential"
-
-STRICT_TOL = 1e-12
 
 
 class Belief(Frozen):
@@ -45,7 +47,7 @@ class Belief(Frozen):
         probs = owned(probs)
         if np.any(~np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("belief must be finite and nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
+        if abs(float(probs.sum()) - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"belief must sum to 1, got {float(probs.sum())!r}")
         object.__setattr__(self, "probs", probs)
 
@@ -53,7 +55,6 @@ class Belief(Frozen):
 class EquilibriumOutcome(NamedTuple):
     coop_count: int
     all_equilibria: tuple[int, ...]
-    selected: str  # always SMALLEST
     rounds: tuple[int, ...]  # cooperation count after each best-response round
     expected_welfare: float | None = None
 
@@ -92,21 +93,12 @@ class RealizedEvaluation(NamedTuple):
         }
 
 
-def posterior_from_event(
-    env: Environment, event_probs: Mapping[int, float] | Sequence[float]
-) -> Belief:
+def posterior_from_event(env: Environment, event_probs: Sequence[float]) -> Belief:
     """Bayes posterior given per-state probabilities of an observed event."""
-    probs = np.zeros(env.n_states)
-    if isinstance(event_probs, Mapping):
-        for s, p in event_probs.items():
-            if not 0 <= int(s) < env.n_states:
-                raise ValueError(f"state {s} out of range")
-            probs[int(s)] = float(p)
-    else:
-        probs = np.asarray(event_probs, dtype=np.float64)
-        if probs.shape != (env.n_states,):
-            raise ValueError("event probabilities do not match the state count")
-    if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
+    probs = np.asarray(event_probs, dtype=np.float64)
+    if probs.shape != (env.n_states,):
+        raise ValueError("event probabilities do not match the state count")
+    if np.any(probs < -PROB_TOL) or np.any(probs > 1 + PROB_TOL):
         raise ValueError("event probabilities must lie in [0, 1]")
     weighted = env.prior * np.clip(probs, 0.0, 1.0)
     total = float(weighted.sum())
@@ -126,32 +118,30 @@ def smallest_equilibrium(
     env: Environment,
     belief: Belief,
     welfare: WelfareSpec | None = None,
-    tol: float = STRICT_TOL,
 ) -> EquilibriumOutcome:
     """Iterated best response from zero cooperators, read off one gain table.
 
-    A defector joins only when the gain is strictly above tol; cooperation
-    therefore never starts unless the zero-cooperator gain is itself positive.
-    Count k is an equilibrium when cooperators hold (gain at k - 1 >= -tol)
-    and defectors stay out (gain at k <= tol). Best response from zero climbs
-    while the gain is above tol and halts at the first k where it is not:
-    that k is an equilibrium (with tol >= 0 the gain before it is above
-    -tol), and every smaller count fails the stay-out test. So the smallest
-    equilibrium is where best response stops, and ``rounds`` is the climb
-    0, 1, ..., coop_count.
+    A defector joins only when the gain is strictly above STRICT_TOL;
+    cooperation therefore never starts unless the zero-cooperator gain is
+    itself positive. Count k is an equilibrium when cooperators hold (gain
+    at k - 1 >= -STRICT_TOL) and defectors stay out (gain at k <=
+    STRICT_TOL). Best response from zero climbs while the gain is above
+    STRICT_TOL and halts at the first k where it is not: that k is an
+    equilibrium (the gain before it is above -STRICT_TOL), and every smaller
+    count fails the stay-out test. So the smallest equilibrium is where best
+    response stops, and ``rounds`` is the climb 0, 1, ..., coop_count.
 
     The gain is affine in the count, E[b - c] + E[lambda] * k / (N - 1), so
     two belief means give all N gains.
     """
-    check_tol(tol)
     if belief.probs.shape != (env.n_states,):
         raise ValueError("belief does not match the state count")
     n = env.n_agents
     mean_net = ordered_sum(belief.probs * (env.benefit - env.cost))
     mean_comp = ordered_sum(belief.probs * env.complementarity)
     gains = mean_net + mean_comp * np.arange(n) / (n - 1)
-    hold = np.concatenate(([True], gains >= -tol))
-    stay_out = np.concatenate((gains <= tol, [True]))
+    hold = np.concatenate(([True], gains >= -STRICT_TOL))
+    stay_out = np.concatenate((gains <= STRICT_TOL, [True]))
     equilibria = np.flatnonzero(hold & stay_out).tolist()
     count = equilibria[0]
 
@@ -161,7 +151,6 @@ def smallest_equilibrium(
     return EquilibriumOutcome(
         coop_count=count,
         all_equilibria=tuple(equilibria),
-        selected="SMALLEST",
         rounds=tuple(range(count + 1)),
         expected_welfare=wel,
     )
@@ -213,7 +202,6 @@ def evaluate_policy_realized(
     env: Environment,
     welfare: WelfareSpec,
     mode: str = PRIVATE_SEQUENTIAL,
-    tol: float = STRICT_TOL,
     obedience_tol: float = DEFAULT_TOL,
 ) -> RealizedEvaluation:
     """Welfare under adversarial (smallest-equilibrium) play, one event per
@@ -222,21 +210,20 @@ def evaluate_policy_realized(
     PUBLIC: every signal realization is commonly observed; each event's
     posterior feeds the smallest equilibrium of the full simultaneous game.
 
-    PRIVATE_SEQUENTIAL: if the policy passes the obedience checks, following
-    the invitations is the unique rationalizable play and the objective value
-    is realized, with no events. Otherwise the cooperation chain of each
-    explicit sequence breaks at the first invitee with a non-positive interim
-    gain and play is recomputed by iterated best response from that point
-    (diagnostic extrapolation; see README). Every rank of a uniform ordering
-    holds the event posterior, so the uniform-full block plays as it would in
-    public: its chain stops at the smallest equilibrium of that posterior.
+    PRIVATE_SEQUENTIAL: if the policy passes the obedience checks at
+    ``obedience_tol``, following the invitations is the unique rationalizable
+    play and the objective value is realized, with no events. Otherwise the
+    cooperation chain of each explicit sequence breaks at the first invitee
+    whose interim gain is not above STRICT_TOL and play is recomputed by
+    iterated best response from that point (diagnostic extrapolation; see
+    README). Every rank of a uniform ordering holds the event posterior, so
+    the uniform-full block plays as it would in public: its chain stops at
+    the smallest equilibrium of that posterior.
     """
     if mode not in (PUBLIC, PRIVATE_SEQUENTIAL):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    check_tol(tol)
     check_tol(obedience_tol)
-    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
-        raise ValueError("welfare spec does not match the environment's dimensions")
+    check_dimensions(env, welfare)
     if isinstance(policy, ThresholdPolicy):
         if len(policy.invite_probs) != env.n_states:
             raise ValueError("policy does not match the environment's dimensions")
@@ -261,9 +248,9 @@ def evaluate_policy_realized(
             continue
         belief = posterior_from_event(env, probs)
         if private and seq is not None:
-            count = _chain_walk(env, seq, invited, left_out, tol)
+            count = _chain_walk(env, seq, invited, left_out)
         else:
-            count = smallest_equilibrium(env, belief, tol=tol).coop_count
+            count = smallest_equilibrium(env, belief).coop_count
         event = event_outcome(env, welfare, label, probs, belief, count)
         total += event.welfare_contribution
         outcomes.append(event)
@@ -304,13 +291,13 @@ def _interim_gain(env, sums: np.ndarray, count: int) -> float:
     return float((net + comp * count / (env.n_agents - 1)) / mass)
 
 
-def _chain_walk(env, seq: tuple[int, ...], invited, left_out, tol) -> int:
+def _chain_walk(env, seq: tuple[int, ...], invited, left_out) -> int:
     """Invitees accept in order while their interim gain at the believed rank
-    stays strictly positive; the first refusal breaks the chain and the rest
+    stays above STRICT_TOL; the first refusal breaks the chain and the rest
     is iterated best response at actual counts."""
     accepted = 0
     for pos, i in enumerate(seq):
-        if _interim_gain(env, invited[i, pos], pos) > tol:
+        if _interim_gain(env, invited[i, pos], pos) > STRICT_TOL:
             accepted += 1
         else:
             break
@@ -327,7 +314,7 @@ def _chain_walk(env, seq: tuple[int, ...], invited, left_out, tol) -> int:
         changed = False
         still = []
         for sums in candidates:
-            if _interim_gain(env, sums, count) > tol:
+            if _interim_gain(env, sums, count) > STRICT_TOL:
                 count += 1
                 changed = True
             else:

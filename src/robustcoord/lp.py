@@ -25,8 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .env import (
+    PROB_TOL,
     Environment,
     WelfareSpec,
+    check_dimensions,
     gain_column,
     marginal_gain,
     potential_column,
@@ -39,7 +41,6 @@ from .seqpolicy import (
     SequentialPolicy,
     count_sequences,
     enumerate_sequences,
-    predecessors,
 )
 from .simplex import BasisCheck, solve_min
 
@@ -77,9 +78,9 @@ class LpSolution(NamedTuple):
     # maximization reading); its residuals are what OPTIMAL was checked on
     check: BasisCheck
 
-    def support(self, tol: float = 1e-12) -> list[tuple[int, float]]:
-        """(column, value) of every variable above ``tol``."""
-        return [(int(j), float(self.x[j])) for j in np.flatnonzero(self.x > tol)]
+    def support(self) -> list[tuple[int, float]]:
+        """(column, value) of every variable above PROB_TOL."""
+        return [(int(j), float(self.x[j])) for j in np.flatnonzero(self.x > PROB_TOL)]
 
 
 def build_lp(
@@ -89,8 +90,7 @@ def build_lp(
     or with ``symmetric`` its agent-symmetric reduction."""
     if symmetric:
         return build_symmetric_lp(env, welfare)
-    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
-        raise ValueError("welfare spec does not match the environment's dimensions")
+    check_dimensions(env, welfare)
     n_seq = count_sequences(env.n_agents)
     if n_seq * env.n_states > MAX_SEQUENCES:
         raise CapacityError(
@@ -108,10 +108,8 @@ def build_lp(
     for j, (s, seq) in enumerate(columns):
         objective[j] = env.prior[s] * welfare_value(welfare, s, len(seq))
         eq_matrix[s, j] = 1.0
-        for i in seq:
-            ineq_matrix[i, j] = env.prior[s] * marginal_gain(
-                env, s, predecessors(seq, i)
-            )
+        for rank, i in enumerate(seq):
+            ineq_matrix[i, j] = env.prior[s] * marginal_gain(env, s, rank)
         if len(seq) < n_agents:
             g_out = env.prior[s] * marginal_gain(env, s, len(seq))
             for i in range(n_agents):
@@ -147,8 +145,7 @@ def build_symmetric_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
     gain is potential(s, k)/N; it is left out with probability (N - k)/N
     and then sees all k invitees cooperate.
     """
-    if welfare.n_agents != env.n_agents or welfare.n_states != env.n_states:
-        raise ValueError("welfare spec does not match the environment's dimensions")
+    check_dimensions(env, welfare)
     n_states, n_agents = env.n_states, env.n_agents
     nv = n_states * (n_agents + 1)
     # tableau of solve_min: mass rows, two obedience rows and the objective,

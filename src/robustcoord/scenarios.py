@@ -1,8 +1,9 @@
 """Scenario configs: named presets plus a strict JSON loader.
 
 A scenario bundles an environment, a power welfare spec, the analyses to run,
-and an optional cost sweep. Configs are strict: any unknown key is an error,
-so typos fail loudly instead of silently running defaults.
+and an optional cost sweep. Configs are strict: any unknown key, or a key
+given twice, is an error, so typos fail loudly instead of silently running
+defaults.
 
 Grid scenarios place states at theta = theta_start + k * theta_step and derive
 the primitives as ramps linear in theta itself, value = lo + (hi - lo) * theta,
@@ -105,6 +106,12 @@ def _reject_duplicates(items, where: str, what: str) -> None:
     dups = sorted(k for k, n in Counter(items).items() if n > 1)
     if dups:
         raise ValueError(f"{where}: duplicate {what} {dups}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a key it gives twice (``json`` keeps the last)."""
+    _reject_duplicates([key for key, _ in pairs], "scenario file", "key(s)")
+    return dict(pairs)
 
 
 def _field(block: dict, key: str, where: str, kind=float):
@@ -242,7 +249,7 @@ def load_scenario(source: str) -> Scenario:
             f"({', '.join(sorted(PRESETS))}) and no such file"
         )
     try:
-        config = json.loads(path.read_text())
+        config = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     return build_scenario(config)

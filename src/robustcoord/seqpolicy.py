@@ -21,6 +21,8 @@ import numpy as np
 
 from .env import (
     DEFAULT_TOL,
+    MASS_SUM_TOL,
+    PROB_TOL,
     Environment,
     Frozen,
     WelfareSpec,
@@ -67,14 +69,6 @@ def enumerate_sequences(n_agents: int) -> list[Sequence_]:
     return out
 
 
-def predecessors(seq: Sequence_, agent: int) -> int:
-    """Agents strictly before ``agent`` in ``seq``; |seq| if not invited."""
-    for pos, a in enumerate(seq):
-        if a == agent:
-            return pos
-    return len(seq)
-
-
 class SequentialPolicy(Frozen):
     """Sparse (state, sequence) -> probability map, plus the implicit uniform
     mixture over full orderings per state."""
@@ -102,7 +96,7 @@ class SequentialPolicy(Frozen):
             if len(set(seq)) != len(seq):
                 raise ValueError(f"sequence {seq} repeats an agent")
             p = float(p)
-            if not math.isfinite(p) or p < -1e-12:
+            if not math.isfinite(p) or p < -PROB_TOL:
                 raise ValueError(f"probability {p} for {key} is invalid")
             if p > 0.0:
                 clean[key] = clean.get(key, 0.0) + p
@@ -112,14 +106,14 @@ class SequentialPolicy(Frozen):
             if not 0 <= s < self.n_states:
                 raise ValueError(f"state {s} out of range")
             p = float(p)
-            if not math.isfinite(p) or p < -1e-12:
+            if not math.isfinite(p) or p < -PROB_TOL:
                 raise ValueError(f"uniform-full mass {p} for state {s} is invalid")
             if p > 0.0:
                 uf[s] = p
         object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "uniform_full", MappingProxyType(uf))
         _, mass = check_feasibility(self)
-        over = np.flatnonzero(mass > 1.0 + 1e-9)
+        over = np.flatnonzero(mass > 1.0 + MASS_SUM_TOL)
         if over.size:
             raise ValueError(f"state {over[0]} carries probability mass above 1")
 

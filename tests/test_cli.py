@@ -258,6 +258,43 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert run_cli("design", str(path), tmp_path / "o2") == 2
     assert "surprise" in capsys.readouterr().err
 
+    # potential(N) = 2 * (b - c) + lambda / 2 < 0: the robust design is infeasible
+    del cfg["surprise"]
+    cfg["cost"] = 3.0
+    path.write_text(json.dumps(cfg))
+    assert run_cli("design", str(path), tmp_path / "o3") == 2
+    assert "error: no state has a positive full-cooperation potential" in capsys.readouterr().err
+
+
+def test_non_finite_artifact_exits_2_and_leaves_strict_json(tmp_path, capsys):
+    # b = 1e308 overflows the potential: obedience.json would carry Infinity
+    # and lp.json NaN, which no strict JSON reader accepts
+    cfg = {
+        "schema": 1,
+        "name": "huge",
+        "n_agents": 3,
+        "states": [
+            {"label": "L", "prob": 0.5, "b": 1e308, "lambda": 0.1, "alpha": 6.0},
+            {"label": "H", "prob": 0.5, "b": 1e308, "lambda": 0.5, "alpha": 12.0},
+        ],
+        "cost": 2.0,
+        "beta": 1.5,
+        "modes": ["design", "check", "lp", "baselines", "public-counterfactual"],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("run", str(path), out) == 2
+    assert "obedience.json: Out of range float values" in capsys.readouterr().err
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    written = sorted(out.glob("*.json"))
+    assert written
+    for artifact in written:
+        json.loads(artifact.read_text(), parse_constant=reject)
+
 
 def _to_grid(cfg, count, theta_step=0.1):
     del cfg["states"]

@@ -1,8 +1,14 @@
-"""Environment primitives: utilities, gains, potentials, welfare, assumptions."""
+"""Environment primitives: utilities, gains, potentials, welfare, assumptions,
+and the package's named tolerances."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustcoord
 from robustcoord import (
     AssumptionReport,
     Environment,
@@ -176,3 +182,36 @@ def test_power_welfare_second_difference_nonnegative():
         vals = [welfare_value(wf, 0, k) for k in range(n + 1)]
         for k in range(1, n):
             assert vals[k + 1] - 2 * vals[k] + vals[k - 1] >= -1e-12
+
+
+def test_tolerances_are_named_constants_listed_in_readme():
+    # a float literal below 1e-3 is a tolerance: it may appear only as the
+    # value of an upper-case module constant, and README's table lists every
+    # such constant with its module and value
+    constants, stray = {}, []
+    for path in sorted(Path(robustcoord.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = set()
+        for node in tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and [type(t) for t in node.targets] == [ast.Name]
+                and node.targets[0].id.isupper()
+                and isinstance(node.value, ast.Constant)
+            ):
+                named.add(node.value)
+                if isinstance(node.value.value, float) and 0 < node.value.value < 1e-3:
+                    constants[node.targets[0].id] = (path.stem, node.value.value)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0 < abs(node.value) < 1e-3
+                and node not in named
+            ):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|", section, re.M)
+    assert {name: (module, float(value)) for name, module, value in rows} == constants

@@ -42,7 +42,6 @@ def test_prior_equilibria(case1):
     out = smallest_equilibrium(env, Belief(env.prior), welfare=wf)
     assert out.coop_count == 0
     assert out.all_equilibria == (0, 3)
-    assert out.selected == "SMALLEST"
     assert out.expected_welfare == 0.0
     assert out.rounds[0] == 0  # starts from universal inaction
 
@@ -60,21 +59,18 @@ def test_posterior_from_event(case1):
     bel = posterior_from_event(env, (p_star, 1.0))
     assert bel.probs[1] == pytest.approx(19 / 32, abs=1e-12)
     assert bel.probs[1] == 0.59375
-    # mapping form selects states by index; omitted states get zero
-    assert tuple(posterior_from_event(env, {1: 1.0}).probs) == (0.0, 1.0)
     with pytest.raises(ValueError, match="zero prior"):
         posterior_from_event(env, (0.0, 0.0))
     with pytest.raises(ValueError, match="lie in"):
         posterior_from_event(env, (1.2, 0.5))
 
 
-def test_posterior_rejects_states_out_of_range(case1):
-    # a negative key must not wrap around to the last state
+def test_posterior_rejects_state_count_mismatch(case1):
+    # one probability per state, no more and no fewer
     env, _ = case1
-    with pytest.raises(ValueError, match="state -1 out of range"):
-        posterior_from_event(env, {-1: 1.0})
-    with pytest.raises(ValueError, match="state 5 out of range"):
-        posterior_from_event(env, {5: 1.0})
+    for probs in ((1.0,), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="do not match the state count"):
+            posterior_from_event(env, probs)
 
 
 def test_posterior_zero_coop_gain(case1):
@@ -195,23 +191,21 @@ def test_one_pass_matches_climb_then_scan(case1):
 
 
 def test_negative_tolerance_rejected(case1):
-    env, _ = case1
+    env, wf = case1
+    pol = to_sequential_policy(design(env, wf), env)
     with pytest.raises(ValueError, match="nonnegative"):
-        smallest_equilibrium(env, Belief(env.prior), tol=-1e-12)
+        evaluate_policy_realized(pol, env, wf, obedience_tol=-1e-12)
     for tol in (0.0, 1e-18):
-        assert smallest_equilibrium(env, Belief(env.prior), tol=tol).coop_count == 0
+        ev = evaluate_policy_realized(pol, env, wf, obedience_tol=tol)
+        assert ev.obedient is True
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
 def test_bad_tolerance_rejected(case1, tol):
     env, wf = case1
     pol = to_sequential_policy(design(env, wf), env)
-    match = "tol must be finite and nonnegative"
-    with pytest.raises(ValueError, match=match):
-        smallest_equilibrium(env, Belief(env.prior), tol=tol)
-    for kwargs in ({"tol": tol}, {"obedience_tol": tol}):
-        with pytest.raises(ValueError, match=match):
-            evaluate_policy_realized(pol, env, wf, **kwargs)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        evaluate_policy_realized(pol, env, wf, obedience_tol=tol)
 
 
 def test_private_evaluation_of_optimal_policy(case1):

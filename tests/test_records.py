@@ -20,6 +20,7 @@ from robustcoord import (
     compare,
     design,
     design_bce_optimistic,
+    equilibrium,
     evaluate_policy_realized,
     load_scenario,
     simplex,
@@ -73,7 +74,6 @@ SIGNATURES = {
     "EquilibriumOutcome": [
         ("coop_count", E),
         ("all_equilibria", E),
-        ("selected", E),
         ("rounds", E),
         ("expected_welfare", None),
     ],
@@ -173,6 +173,23 @@ def test_constructor_signature(name):
     params = inspect.signature(cls).parameters.values()
     assert [(p.name, p.default) for p in params] == SIGNATURES[name]
     assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_only_the_obedience_tolerance_is_a_parameter():
+    # every other tolerance is a named constant in env; the obedience one
+    # stays settable because --tol sets it
+    settable = {
+        robustcoord.check_policy: {"tol"},
+        robustcoord.evaluate_policy_realized: {"obedience_tol"},
+        robustcoord.smallest_equilibrium: set(),
+        robustcoord.evaluate_bce_realized: set(),
+        robustcoord.sweep_boundaries: set(),
+        robustcoord.LpSolution.support: set(),
+        equilibrium._chain_walk: set(),
+    }
+    for fn, names in settable.items():
+        params = inspect.signature(fn).parameters
+        assert {p for p in params if "tol" in p} == names, fn.__qualname__
 
 
 def _case1_records():

@@ -199,6 +199,22 @@ def test_load_from_file(tmp_path):
     assert scn.env.cost == 1.0
 
 
+@pytest.mark.parametrize(
+    "field, twice, key",
+    [
+        # json keeps the last value, so this file would run at cost 1
+        ('"cost": 1.0', '"cost": 9.0, "cost": 1.0', "cost"),
+        ('"prob": 0.4', '"prob": 0.9, "prob": 0.4', "prob"),
+    ],
+    ids=["top-level", "in-a-state"],
+)
+def test_duplicate_json_keys_rejected(tmp_path, field, twice, key):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(_base_config()).replace(field, twice))
+    with pytest.raises(ValueError, match=rf"duplicate key\(s\) \['{key}'\]"):
+        load_scenario(str(path))
+
+
 def test_load_errors(tmp_path):
     with pytest.raises(ValueError, match="no such file"):
         load_scenario(str(tmp_path / "missing.json"))

@@ -17,7 +17,7 @@ from robustcoord import (
     policy_from_dict,
     policy_to_dict,
 )
-from robustcoord.seqpolicy import check_feasibility, predecessors
+from robustcoord.seqpolicy import check_feasibility
 
 
 def expand_uniform_full(policy):
@@ -50,13 +50,6 @@ def test_enumerate_sequences_canonical_order():
 def test_enumeration_guard():
     with pytest.raises(CapacityError, match="sequences"):
         enumerate_sequences(10)
-
-
-def test_predecessors():
-    assert predecessors((2, 0, 1), 0) == 1
-    assert predecessors((2, 0, 1), 2) == 0
-    # agents outside the sequence would join after everyone listed
-    assert predecessors((2, 0), 1) == 2
 
 
 class TestPolicyConstruction:
