@@ -4,7 +4,8 @@ Each subcommand loads a scenario (preset name or JSON path), runs one
 analysis, and writes artifacts into --out. `run` executes every mode the
 scenario enables plus the cost sweep when one is configured. Artifacts are
 deterministic: rerunning a scenario reproduces byte-identical files except
-for the manifest timestamp.
+for the manifest timestamp. Each JSON artifact is built here, from its
+record's `_asdict()`; where one departs from those fields, its writer says why.
 
 Exit codes: 0 success, 1 assumption failure under --strict, 2 input or I/O
 error, 3 problem too large for the exact LP (tableau-size guard).
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from functools import cached_property
@@ -94,7 +96,15 @@ class _Designed:
 
 def _run_design(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     tp, pol = dsn.tp, dsn.policy
-    _write_json(out / "design.json", tp.to_dict(labels=scn.env.labels))
+    fields = tp._asdict()
+    # the artifact's established key for the field
+    fields["invite_probabilities"] = fields.pop("invite_probs").tolist()
+    # JSON has no infinities, and a tiny alpha can still make a score infinite
+    fields["scores"] = [
+        ("inf" if x > 0 else "-inf") if math.isinf(x) else x for x in tp.scores.tolist()
+    ]
+    fields["states"] = scn.env.labels  # the record numbers the states; add their labels
+    _write_json(out / "design.json", fields)
     _write_json(out / "policy.json", policy_to_dict(pol, labels=scn.env.labels))
     q = tp.invite_probabilities()
     rows = [
@@ -106,8 +116,9 @@ def _run_design(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
 
 
 def _run_check(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
-    report = check_policy(dsn.policy, scn.env, tol=args.tol)
-    _write_json(out / "obedience.json", report.to_dict())
+    fields = check_policy(dsn.policy, scn.env, tol=args.tol)._asdict()
+    fields["pass"] = fields.pop("passed")  # the artifact's established key
+    _write_json(out / "obedience.json", fields)
     return ["obedience.json"]
 
 
@@ -116,6 +127,13 @@ def _run_lp(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     sol = solve(prog)
     tp = dsn.tp
     sizes = scn.env.n_agents + 1  # columns p[s, k], state-major over k = 0..N
+    # the check's float figures, not its arrays; a singular basis leaves them
+    # infinite, which JSON cannot hold
+    figures = {
+        k: v if math.isfinite(v) else None
+        for k, v in sol.check._asdict().items()
+        if isinstance(v, float)
+    }
     payload = {
         "status": sol.status,
         "value": sol.value,
@@ -125,7 +143,7 @@ def _run_lp(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
             {"state": scn.env.labels[j // sizes], "size": j % sizes, "prob": p}
             for j, p in sol.support()
         ],
-        **sol.check.residuals(),
+        **figures,
         "greedy_welfare": tp.expected_welfare,
         "agreement_gap": abs(sol.value - tp.expected_welfare)
         if sol.status == "OPTIMAL"
@@ -133,6 +151,10 @@ def _run_lp(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     }
     _write_json(out / "lp.json", payload)
     return ["lp.json"]
+
+
+def _realized(ev) -> dict:  # each event as its own fields, not a bare list
+    return {**ev._asdict(), "events": [e._asdict() for e in ev.events]}
 
 
 def _run_public(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
@@ -145,8 +167,8 @@ def _run_public(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     _write_json(
         out / "public.json",
         {
-            "private_sequential": priv.to_dict(),
-            "public_counterfactual": pub.to_dict(),
+            "private_sequential": _realized(priv),
+            "public_counterfactual": _realized(pub),
             "welfare_shortfall": priv.welfare - pub.welfare,
         },
     )
@@ -235,12 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail (exit 1) on modeling-assumption violations instead of warning",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="recorded in the manifest; core results never depend on it",
-    )
     parser = argparse.ArgumentParser(
         prog="robustcoord",
         description="Robust information design for binary-action coordination games.",
@@ -271,7 +287,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "modes": list(scn.modes),
                 "artifacts": sorted(written),
-                "flags": {"tol": args.tol, "strict": args.strict, "seed": args.seed},
+                "flags": {"tol": args.tol, "strict": args.strict},
                 "timestamp": datetime.now(timezone.utc).isoformat(),
             },
         )

@@ -66,24 +66,6 @@ class ThresholdPolicy(NamedTuple):
         """Per-state invitation probability set by the threshold scan."""
         return self.invite_probs.copy()
 
-    def to_dict(self, labels: tuple[str, ...] | None = None) -> dict:
-        # JSON has no infinities; encode the sentinel scores as strings
-        return {
-            "scores": [
-                ("inf" if x > 0 else "-inf") if math.isinf(x) else x
-                for x in self.scores.tolist()
-            ],
-            "order": list(self.order),
-            "threshold_state": self.threshold_state,
-            "threshold_label": self.threshold_label,
-            "mixing_weight": self.mixing_weight,
-            "expected_welfare": self.expected_welfare,
-            "degenerate": self.degenerate,
-            "warnings": list(self.warnings),
-            "invite_probabilities": self.invite_probabilities().tolist(),
-            "states": list(labels) if labels is not None else None,
-        }
-
 
 class ThresholdScan(NamedTuple):
     """Result of ``threshold_scan``."""

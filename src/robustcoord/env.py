@@ -46,10 +46,37 @@ def check_dimensions(env: Environment, welfare: WelfareSpec) -> None:
         raise ValueError("welfare spec does not match the environment's dimensions")
 
 
-def _check_cost(cost: float) -> float:
-    if not math.isfinite(cost):
+def as_number(value, where: str, kind=float):
+    """``kind(value)`` for a real number, or a ValueError naming ``where``
+    and the value if it is anything else (a string, a bool, None, ...) or,
+    for ``kind=int``, a number with a fractional part: nothing is truncated."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if real and not isinstance(value, bool):
+        try:
+            number = kind(value)
+        except (ValueError, OverflowError):  # int() of nan or inf
+            pass
+        else:
+            if kind is int and number != value:
+                raise ValueError(f"{where}: expected an integer, got {value!r}")
+            return number
+    raise ValueError(f"{where}: expected a number, got {value!r}")
+
+
+def _check_at_cost(env: Environment) -> Environment:
+    """Reject a non-finite cost, and primitives whose potential at N
+    overflows. That column bounds every value derived from them: each term
+    of a potential or a gain, (b - c) * n and lambda * n * (n - 1), is
+    largest at n = N, so once it is finite nothing downstream overflows."""
+    if not math.isfinite(env.cost):
         raise ValueError("cost must be finite")
-    return cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        potential = potential_column(env, env.n_agents)
+    if not np.all(np.isfinite(potential)):
+        s = int(np.argmax(~np.isfinite(potential)))
+        value = potential[s]
+        raise ValueError(f"state {s} ({env.labels[s]}): the potential at N overflows to {value}")
+    return env
 
 
 def owned(values) -> np.ndarray:
@@ -142,7 +169,7 @@ class Environment(Frozen):
                 f"complementarity must be nonnegative, state {s} is "
                 f"{self.complementarity[s]}"
             )
-        _check_cost(self.cost)
+        _check_at_cost(self)
 
     @property
     def n_states(self) -> int:
@@ -151,12 +178,12 @@ class Environment(Frozen):
     def with_cost(self, cost: float) -> "Environment":
         """Same environment at a different action cost (used by cost sweeps).
         It shares this one's validated, read-only arrays and labels, so only
-        the new cost is checked."""
+        the new cost, and the potentials it moves, are checked."""
         env = object.__new__(Environment)
         for name in self.__slots__:
             object.__setattr__(env, name, getattr(self, name))
-        object.__setattr__(env, "cost", _check_cost(float(cost)))
-        return env
+        object.__setattr__(env, "cost", float(cost))
+        return _check_at_cost(env)
 
 
 class WelfareSpec(Frozen):

@@ -10,7 +10,6 @@ about how many others cooperate, never which ones.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -75,23 +74,6 @@ class RealizedEvaluation(NamedTuple):
     obedient: bool | None  # None in PUBLIC mode, where obedience plays no role
     events: tuple[EventOutcome, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "welfare": self.welfare,
-            "mode": self.mode,
-            "obedient": self.obedient,
-            "events": [
-                {
-                    "label": e.label,
-                    "probs": list(e.probs),
-                    "posterior": list(e.posterior),
-                    "coop_count": e.coop_count,
-                    "welfare_contribution": e.welfare_contribution,
-                }
-                for e in self.events
-            ],
-        }
-
 
 def posterior_from_event(env: Environment, event_probs: Sequence[float]) -> Belief:
     """Bayes posterior given per-state probabilities of an observed event."""
@@ -132,14 +114,13 @@ def smallest_equilibrium(
     response stops, and ``rounds`` is the climb 0, 1, ..., coop_count.
 
     The gain is affine in the count, E[b - c] + E[lambda] * k / (N - 1), so
-    two belief means give all N gains.
+    two belief means give all N gains (``_gain_table`` at mass 1).
     """
     if belief.probs.shape != (env.n_states,):
         raise ValueError("belief does not match the state count")
-    n = env.n_agents
     mean_net = ordered_sum(belief.probs * (env.benefit - env.cost))
     mean_comp = ordered_sum(belief.probs * env.complementarity)
-    gains = mean_net + mean_comp * np.arange(n) / (n - 1)
+    gains = _gain_table(env, np.array([1.0, mean_net, mean_comp]))
     hold = np.concatenate(([True], gains >= -STRICT_TOL))
     stay_out = np.concatenate((gains <= STRICT_TOL, [True]))
     equilibria = np.flatnonzero(hold & stay_out).tolist()
@@ -258,12 +239,24 @@ def evaluate_policy_realized(
     return RealizedEvaluation(total, mode, obedient, tuple(outcomes))
 
 
+def _gain_table(env, sums: np.ndarray) -> np.ndarray:
+    """Gains at k = 0..N-1 other cooperators, along a new last axis, of each
+    interim event in ``sums`` (last axis: mass, sum of w * (b - c), sum of
+    w * lambda): (net + comp * k / (N - 1)) / mass, and -inf where the mass
+    is 0 (the event never happens, so no one in it ever joins)."""
+    mass, net, comp = np.moveaxis(sums, -1, 0)[..., None]
+    n = env.n_agents
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = (net + comp * np.arange(n) / (n - 1)) / mass
+    return np.where(mass > 0.0, gains, -np.inf)
+
+
 def _interim_sums(policy, env) -> tuple[np.ndarray, np.ndarray]:
     """The private information of each interim event as three prior-weighted
     sums over the states that send it: mass, sum of w * (b - c) and sum of
     w * lambda. ``invited[i, k]`` is "agent i invited after k others" and
     ``left_out[i]`` is "agent i not invited". The gain is affine in the
-    count, so these sums give it at every count (see ``_interim_gain``)."""
+    count, so these sums give it at every count (``_gain_table``)."""
     n = env.n_agents
     per_state = np.stack(
         (np.ones(env.n_states), env.benefit - env.cost, env.complementarity), axis=1
@@ -284,40 +277,21 @@ def _interim_sums(policy, env) -> tuple[np.ndarray, np.ndarray]:
     return invited, left_out
 
 
-def _interim_gain(env, sums: np.ndarray, count: int) -> float:
-    mass, net, comp = sums
-    if mass <= 0.0:
-        return -math.inf  # event never happens; treat as never joining
-    return float((net + comp * count / (env.n_agents - 1)) / mass)
-
-
 def _chain_walk(env, seq: tuple[int, ...], invited, left_out) -> int:
     """Invitees accept in order while their interim gain at the believed rank
-    stays above STRICT_TOL; the first refusal breaks the chain and the rest
-    is iterated best response at actual counts."""
-    accepted = 0
-    for pos, i in enumerate(seq):
-        if _interim_gain(env, invited[i, pos], pos) > STRICT_TOL:
-            accepted += 1
-        else:
-            break
-    # committed invitees stay in; everyone else re-evaluates at the count
-    # actually reached, under their own interim information
-    candidates = [
-        invited[i, seq.index(i)] if i in seq else left_out[i]
-        for i in range(env.n_agents)
-        if i not in seq or seq.index(i) >= accepted
-    ]
-    count = accepted
-    changed = True
-    while changed and count < env.n_agents:
-        changed = False
-        still = []
-        for sums in candidates:
-            if _interim_gain(env, sums, count) > STRICT_TOL:
-                count += 1
-                changed = True
-            else:
-                still.append(sums)
-        candidates = still
-    return count
+    stays above STRICT_TOL; the first refusal breaks the chain, and everyone
+    not committed (the refuser, later invitees, the uninvited) then plays
+    iterated best response at actual counts, each under their own interim
+    information. Every gain rises with the count (slope sum of w * lambda
+    >= 0), so that climb stops at the least count c >= accepted that is
+    accepted plus the number of the others whose gain at c is above
+    STRICT_TOL."""
+    n = env.n_agents
+    ranked = _gain_table(env, invited[list(seq), range(len(seq))])
+    accepted = int(np.argmin(np.append(ranked.diagonal() > STRICT_TOL, False)))
+    outside = np.ones(n, dtype=bool)
+    outside[list(seq)] = False
+    others = np.concatenate((ranked[accepted:], _gain_table(env, left_out[outside])))
+    reached = accepted + np.count_nonzero(others[:, accepted:] > STRICT_TOL, axis=0)
+    fixed = np.flatnonzero(reached == np.arange(accepted, n))
+    return accepted + int(fixed[0]) if fixed.size else n

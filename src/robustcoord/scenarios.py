@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import Environment, WelfareSpec
+from .env import Environment, WelfareSpec, as_number
 
 SCHEMA_VERSION = 1
 
@@ -86,22 +86,6 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
-def _number(value, where: str, kind=float):
-    """``kind(value)`` for a JSON number, or a ValueError naming the field if
-    it is anything else (a string, a bool, null, ...) or, for ``kind=int``, a
-    number with a fractional part."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = kind(value)
-        except (ValueError, OverflowError):  # int() of nan or inf
-            pass
-        else:
-            if kind is int and isinstance(value, float) and number != value:
-                raise ValueError(f"{where}: expected an integer, got {value!r}")
-            return number
-    raise ValueError(f"{where}: expected a number, got {value!r}")
-
-
 def _reject_duplicates(items, where: str, what: str) -> None:
     dups = sorted(k for k, n in Counter(items).items() if n > 1)
     if dups:
@@ -115,7 +99,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _field(block: dict, key: str, where: str, kind=float):
-    return _number(_require(block, key, where), f"{where}.{key}", kind)
+    return as_number(_require(block, key, where), f"{where}.{key}", kind)
 
 
 def _decimal(block: dict, key: str, where: str) -> Decimal:
@@ -128,7 +112,7 @@ def _decimal(block: dict, key: str, where: str) -> Decimal:
 def _ramp_endpoints(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{where}: expected [lo, hi]")
-    return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
+    return as_number(value[0], f"{where}[0]"), as_number(value[1], f"{where}[1]")
 
 
 def _build_explicit(config: dict, n_agents: int, cost: float, beta: float):

@@ -26,6 +26,7 @@ from .env import (
     Environment,
     Frozen,
     WelfareSpec,
+    as_number,
     check_tol,
     gain_column,
     ordered_sum,
@@ -82,13 +83,13 @@ class SequentialPolicy(Frozen):
         entries: Mapping[tuple[int, Iterable[int]], float] | None = None,
         uniform_full: Mapping[int, float] | None = None,
     ):
-        object.__setattr__(self, "n_agents", int(n_agents))
-        object.__setattr__(self, "n_states", int(n_states))
+        object.__setattr__(self, "n_agents", as_number(n_agents, "n_agents", int))
+        object.__setattr__(self, "n_states", as_number(n_states, "n_states", int))
         clean: dict[tuple[int, Sequence_], float] = {}
         items = entries.items() if hasattr(entries, "items") else (entries or [])
         for (s, seq), p in items:
-            seq = tuple(int(a) for a in seq)
-            key = (int(s), seq)
+            seq = tuple(as_number(a, "sequence agent", int) for a in seq)
+            key = (as_number(s, "state", int), seq)
             if not 0 <= key[0] < self.n_states:
                 raise ValueError(f"state {key[0]} out of range")
             if any(not 0 <= a < self.n_agents for a in seq):
@@ -102,7 +103,7 @@ class SequentialPolicy(Frozen):
                 clean[key] = clean.get(key, 0.0) + p
         uf: dict[int, float] = {}
         for s, p in (uniform_full or {}).items():
-            s = int(s)
+            s = as_number(s, "uniform-full state", int)
             if not 0 <= s < self.n_states:
                 raise ValueError(f"state {s} out of range")
             p = float(p)
@@ -135,16 +136,6 @@ class ObedienceReport(NamedTuple):
     feasible: bool
     passed: bool
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "so_c": list(self.so_c),
-            "so_n": list(self.so_n),
-            "state_mass": list(self.state_mass),
-            "feasible": self.feasible,
-            "pass": self.passed,
-            "tol": self.tol,
-        }
 
 
 def check_feasibility(

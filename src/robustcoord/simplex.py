@@ -21,7 +21,6 @@ satisfy the program to CERT_TOL; otherwise the status is NUMERICAL.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -54,16 +53,6 @@ class BasisCheck(NamedTuple):
     @property
     def passed(self) -> bool:
         return max(self.primal_residual, self.bound_violation, self.dual_violation) <= CERT_TOL
-
-    def residuals(self) -> dict:
-        """The three figures, JSON-ready: a singular basis's infinite
-        figures become null."""
-        figures = {
-            "primal_residual": self.primal_residual,
-            "bound_violation": self.bound_violation,
-            "dual_violation": self.dual_violation,
-        }
-        return {k: v if math.isfinite(v) else None for k, v in figures.items()}
 
 
 class SimplexResult(NamedTuple):

@@ -9,14 +9,23 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 import robustcoord
-from robustcoord import cli
+from robustcoord import (
+    EventOutcome,
+    ObedienceReport,
+    RealizedEvaluation,
+    ThresholdPolicy,
+    WelfareSpec,
+    cli,
+)
 from robustcoord.cli import main
-from robustcoord.scenarios import load_scenario
+from robustcoord.scenarios import Scenario, load_scenario
 from robustcoord.seqpolicy import check_policy, policy_from_dict
+from robustcoord.simplex import BasisCheck
 
 from test_lp import LP_N6
 
@@ -52,6 +61,7 @@ def test_policy_json_round_trips(tmp_path):
 def test_check_artifacts(tmp_path):
     assert run_cli("check", "case1", tmp_path) == 0
     rep = json.loads((tmp_path / "obedience.json").read_text())
+    assert set(rep) == {"so_c", "so_n", "state_mass", "feasible", "pass", "tol"}
     assert rep["pass"] is True
     assert rep["feasible"] is True
     assert rep["tol"] == 1e-9
@@ -82,6 +92,12 @@ def test_evaluate_artifacts(tmp_path):
     )
     assert pub["public_counterfactual"]["welfare"] == 0.0
     assert pub["welfare_shortfall"] == pytest.approx(8.052631578947368, abs=1e-12)
+    assert pub["public_counterfactual"]["mode"] == "public"
+    events = pub["public_counterfactual"]["events"]
+    assert events and all(
+        set(e) == {"label", "probs", "posterior", "coop_count", "welfare_contribution"}
+        for e in events
+    )
 
 
 def test_compare_artifacts(tmp_path):
@@ -138,7 +154,7 @@ def test_run_executes_all_modes(tmp_path):
     assert man["command"] == "run"
     assert man["modes"] == ["design", "check", "lp", "baselines", "public-counterfactual"]
     assert man["artifacts"] == sorted(names - {"manifest.json"})
-    assert man["flags"] == {"tol": 1e-9, "strict": False, "seed": 0}
+    assert man["flags"] == {"tol": 1e-9, "strict": False}
     assert "timestamp" in man
 
 
@@ -266,9 +282,9 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "error: no state has a positive full-cooperation potential" in capsys.readouterr().err
 
 
-def test_non_finite_artifact_exits_2_and_leaves_strict_json(tmp_path, capsys):
-    # b = 1e308 overflows the potential: obedience.json would carry Infinity
-    # and lp.json NaN, which no strict JSON reader accepts
+def test_non_finite_artifact_exits_2_and_leaves_strict_json(tmp_path, capsys, recwarn):
+    # b = 1e308 overflows the potential at N: the scenario is refused when it
+    # loads, before anything is computed or written and without a warning
     cfg = {
         "schema": 1,
         "name": "huge",
@@ -285,15 +301,74 @@ def test_non_finite_artifact_exits_2_and_leaves_strict_json(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert run_cli("run", str(path), out) == 2
-    assert "obedience.json: Out of range float values" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: state 0 (L): the potential at N overflows to inf" in err
+    assert not out.exists()
+    assert not recwarn.list
 
-    def reject(constant):
-        raise ValueError(f"not strict JSON: {constant}")
 
-    written = sorted(out.glob("*.json"))
-    assert written
-    for artifact in written:
-        json.loads(artifact.read_text(), parse_constant=reject)
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_refuses_non_finite_values(tmp_path, value):
+    # the backstop behind the overflow check: no artifact holds Infinity or NaN
+    with pytest.raises(ValueError, match="^x.json: Out of range float values"):
+        cli._write_json(tmp_path / "x.json", {"figure": [1.0, value]})
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_design_json_writes_infinite_scores_as_strings(tmp_path):
+    # a zero stake in H scores +inf, which JSON cannot hold as a number
+    env = load_scenario("case1").env
+    wf = WelfareSpec.tabulated([[0.0, 1.0, 2.0, 6.0], [0.0, 0.0, 0.0, 0.0]])
+    scn = Scenario("stakes", env, wf, ("design",), None)
+    cli._run_design(scn, tmp_path, None, cli._Designed(scn, strict=False))
+    text = (tmp_path / "design.json").read_text()
+    dsn = json.loads(text, parse_constant=pytest.fail)
+    assert dsn["scores"][1] == "inf"
+    assert isinstance(dsn["scores"][0], float)
+    assert dsn["states"] == ["L", "H"]
+
+
+def test_json_artifacts_are_their_records_fields(tmp_path):
+    # each JSON artifact is its record's fields, with only the departures
+    # its writer names: a renamed field, the state labels, the event records
+    assert run_cli("run", "case1", tmp_path) == 0
+
+    def read(name):
+        return json.loads((tmp_path / name).read_text())
+
+    fields = set(ThresholdPolicy._fields) - {"invite_probs"}
+    assert set(read("design.json")) == fields | {"invite_probabilities", "states"}
+    fields = set(ObedienceReport._fields) - {"passed"}
+    assert set(read("obedience.json")) == fields | {"pass"}
+    public = read("public.json")
+    assert set(public) == {"private_sequential", "public_counterfactual", "welfare_shortfall"}
+    for mode in ("private_sequential", "public_counterfactual"):
+        assert set(public[mode]) == set(RealizedEvaluation._fields)
+        for event in public[mode]["events"]:
+            assert set(event) == set(EventOutcome._fields)
+    figures = {k for k, t in get_type_hints(BasisCheck).items() if t is float}
+    assert figures == {"primal_residual", "bound_violation", "dual_violation"}
+    assert set(read("lp.json")) & set(BasisCheck._fields) == figures
+
+
+def test_lp_json_writes_a_singular_basis_figures_as_null(tmp_path, monkeypatch):
+    solve = cli.solve
+
+    def singular(prog):  # the answer a singular final basis gives
+        sol = solve(prog)
+        inf = float("inf")
+        check = sol.check._replace(
+            primal_residual=inf, bound_violation=inf, dual_violation=inf
+        )
+        return sol._replace(status="NUMERICAL", check=check)
+
+    monkeypatch.setattr(cli, "solve", singular)
+    assert run_cli("lp", "case1", tmp_path) == 0
+    lp = json.loads((tmp_path / "lp.json").read_text())
+    assert lp["status"] == "NUMERICAL"
+    for key in ("primal_residual", "bound_violation", "dual_violation"):
+        assert lp[key] is None
+    assert lp["agreement_gap"] is None
 
 
 def _to_grid(cfg, count, theta_step=0.1):

@@ -65,7 +65,7 @@ def test_designed_policy_is_obedient(case1, case2):
     for env, wf in (case1, case2):
         pol = to_sequential_policy(design(env, wf), env)
         report = check_policy(pol, env)
-        assert report.passed, report.to_dict()
+        assert report.passed, report
 
 
 def test_degenerate_all_invite(example3):
@@ -177,17 +177,6 @@ def test_op_count_independent_of_n_agents():
         design(env, wf, counter=counter)
         counts[n] = counter.ops
     assert counts[3] == counts[10] == counts[1000]
-
-
-def test_threshold_policy_to_dict_handles_infinities(case1):
-    env, _ = case1
-    wf = WelfareSpec.tabulated(np.array([[0.0, 1.0, 2.0, 6.0], [0.0, 0.0, 0.0, 0.0]]))
-    d = design(env, wf).to_dict(labels=env.labels)
-    assert d["scores"][1] == "inf"
-    assert d["states"] == ["L", "H"]
-    import json
-
-    json.dumps(d)  # must stay JSON-clean despite the infinities
 
 
 def test_dimension_mismatch(case1):

@@ -132,6 +132,31 @@ def test_environment_validation():
         Environment(n_agents=3, **bad)
 
 
+@pytest.mark.parametrize(
+    "benefit, comp, message",
+    [
+        ([1.0, 1e308], [0.1, 0.5], "state 1 (b): the potential at N overflows to inf"),
+        ([1.0, 2.0], [1e308, 0.5], "state 0 (a): the potential at N overflows to inf"),
+        # the gain at N - 1 overflows too, and the potential at N always with it
+        ([1.0, 1e308], [0.1, 1e308], "state 1 (b): the potential at N overflows to inf"),
+        ([-1e308, 1.0], [0.1, 0.5], "state 0 (a): the potential at N overflows to -inf"),
+        ([-1e308, 1.0], [1e308, 0.5], "state 0 (a): the potential at N overflows to nan"),
+    ],
+)
+def test_overflowing_primitives_rejected(benefit, comp, message, recwarn):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Environment(3, ("a", "b"), [0.5, 0.5], benefit, comp, cost=2.0)
+    assert not recwarn.list  # the overflow is computed silently, then named
+
+
+def test_with_cost_rejects_a_cost_that_overflows(recwarn):
+    huge = Environment(3, ("a", "b"), [0.5, 0.5], [1.0, 1e307], [0.1, 0.5], cost=2.0)
+    assert huge.with_cost(1e307).cost == 1e307
+    with pytest.raises(ValueError, match=re.escape("state 0 (a): the potential at N")):
+        huge.with_cost(-1e308)
+    assert not recwarn.list
+
+
 def test_with_cost_returns_new_environment(case1):
     env, _ = case1
     cheap = env.with_cost(0.5)

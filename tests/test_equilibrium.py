@@ -279,8 +279,6 @@ def test_private_events_include_uniform_block(case1):
     ]
     assert [e.welfare_contribution for e in ev.events] == [6.0, 0.0]
     assert ev.welfare == 6.0
-    d = ev.to_dict()
-    assert [e["coop_count"] for e in d["events"]] == [3, 0]
 
 
 def test_unknown_mode_rejected(case1):
@@ -324,12 +322,3 @@ def test_welfare_with_fewer_states_rejected(case1, mode):
     one_state = WelfareSpec.power(3, [6.0], 1.5)
     with pytest.raises(ValueError, match="welfare spec does not match the environment"):
         evaluate_policy_realized(pol, env, one_state, mode=mode)
-
-
-def test_outcome_serialization(case1):
-    env, wf = case1
-    pol = to_sequential_policy(design(env, wf), env)
-    ev = evaluate_policy_realized(pol, env, wf, mode=PUBLIC)
-    d = ev.to_dict()
-    assert d["mode"] == "public"
-    assert len(d["events"]) >= 1

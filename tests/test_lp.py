@@ -75,7 +75,7 @@ def test_case1_lp_solution_is_feasible_policy(case1):
     sol = solve(prog)
     pol = extract_policy(prog, sol)
     report = check_policy(pol, env)
-    assert report.passed, report.to_dict()
+    assert report.passed, report
     assert np.abs(sol.eq_residuals).max() <= 1e-9
 
 

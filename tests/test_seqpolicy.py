@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,13 +135,10 @@ def test_expected_welfare(case1):
     assert expected_welfare(pol, env, wf) == pytest.approx(6.0, abs=1e-12)
 
 
-def test_report_to_dict_keys(case1):
+def test_silence_is_obedient_at_any_tolerance(case1):
     env, _ = case1
     pol = SequentialPolicy(3, 2, {(0, ()): 1.0, (1, ()): 1.0}, {})
-    d = check_policy(pol, env).to_dict()
-    assert set(d) == {"so_c", "so_n", "state_mass", "feasible", "pass", "tol"}
-    assert d["pass"] is True  # silence is always obedient
-    for tol in (0.0, 1e-18):
+    for tol in (1e-9, 0.0, 1e-18):
         assert check_policy(pol, env, tol=tol).passed
 
 
@@ -150,6 +148,48 @@ def test_check_policy_rejects_bad_tolerance(case1, tol):
     pol = SequentialPolicy(3, 2, {(0, ()): 1.0, (1, ()): 1.0}, {})
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
         check_policy(pol, env, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, 2, {(0.5, ()): 0.4, (0, ()): 0.6}, {}), "state: expected an integer, got 0.5"),
+        ((3, 2, {(1, (1.7, 0)): 1.0}, {}), "sequence agent: expected an integer, got 1.7"),
+        ((3, 2, {}, {1.5: 1.0}), "uniform-full state: expected an integer, got 1.5"),
+        ((3.7, 2, {}, {}), "n_agents: expected an integer, got 3.7"),
+        ((3, "2", {}, {}), "n_states: expected a number, got '2'"),
+        ((3, 2, {(True, ()): 1.0}, {}), "state: expected a number, got True"),
+    ],
+)
+def test_policy_indices_are_whole_numbers(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SequentialPolicy(*args)
+
+
+def test_whole_float_and_numpy_indices_are_read_as_ints():
+    pol = SequentialPolicy(3.0, np.int64(2), {(1.0, (np.int64(1), 0.0)): 1.0}, {0.0: 1.0})
+    assert (pol.n_agents, pol.n_states) == (3, 2)
+    assert pol.entries == {(1, (1, 0)): 1.0} and pol.uniform_full == {0: 1.0}
+    assert all(type(i) is int for (s, seq) in pol.entries for i in (s, *seq))
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("n_agents", 3.7, "n_agents: expected an integer, got 3.7"),
+        ("sequence", [2.9], "sequence agent: expected an integer, got 2.9"),
+        ("state", True, "state: expected a number, got True"),
+        ("sequence", ["1"], "sequence agent: expected a number, got '1'"),
+    ],
+)
+def test_policy_from_dict_rejects_non_integral_indices(where, value, message):
+    data = {"n_agents": 3, "n_states": 2, "entries": [{"state": 1, "sequence": [1], "prob": 1.0}]}
+    if where == "n_agents":
+        data[where] = value
+    else:
+        data["entries"][0][where] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        policy_from_dict(data)
 
 
 def test_serialization_round_trip():
