@@ -1,6 +1,7 @@
 """Smallest-equilibrium selection and realized-welfare evaluation."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from robustcoord import (
     smallest_equilibrium,
     to_sequential_policy,
 )
+from robustcoord import cli
 from conftest import random_convex_instance
 
 
@@ -322,3 +324,16 @@ def test_welfare_with_fewer_states_rejected(case1, mode):
     one_state = WelfareSpec.power(3, [6.0], 1.5)
     with pytest.raises(ValueError, match="welfare spec does not match the environment"):
         evaluate_policy_realized(pol, env, one_state, mode=mode)
+
+
+def test_outcome_serialization(case1):
+    # public.json writes each evaluation as its record's fields, every
+    # event as an EventOutcome's fields
+    env, wf = case1
+    pol = to_sequential_policy(design(env, wf), env)
+    ev = evaluate_policy_realized(pol, env, wf, mode=PUBLIC)
+    d = json.loads(json.dumps(cli._realized(ev)))
+    assert d["mode"] == "public"
+    assert set(d) == set(ev._fields)
+    assert len(d["events"]) == len(ev.events) >= 1
+    assert [set(e) for e in d["events"]] == [set(e._fields) for e in ev.events]
