@@ -10,10 +10,12 @@ presume the best equilibrium.
 import os
 from importlib import import_module
 
-# numpy's OpenBLAS starts one worker thread per extra CPU when it loads, and
-# each worker busy-waits before it sleeps; no BLAS call here is large enough
-# to use one, so the spin only burns CPU. One thread unless the user chose
-# otherwise; this must run before the first numpy import to take effect.
+# Only the LP (lp, simplex, _kernels) uses numpy, so this matters only in a
+# process that solves one. numpy's OpenBLAS starts one worker thread per
+# extra CPU when it loads, and each worker busy-waits before it sleeps; no
+# BLAS call here is large enough to use one, so the spin only burns CPU. One
+# thread unless the user chose otherwise; this must run before the first
+# numpy import to take effect.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

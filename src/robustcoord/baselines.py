@@ -11,9 +11,8 @@ one-shot analogue of the threshold rule is exact.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .designer import InfeasibleDesignError, design, ratio_scores, threshold_scan
 from .env import (
@@ -24,14 +23,13 @@ from .env import (
     check_dimensions,
     gain_column,
     ordered_sum,
-    owned,
     welfare_column,
 )
 from .equilibrium import (
     PUBLIC,
     RealizedEvaluation,
     event_outcome,
-    posterior_from_event,
+    event_posterior,
     smallest_equilibrium,
 )
 
@@ -39,7 +37,7 @@ from .equilibrium import (
 class BaselinePolicy(NamedTuple):
     """All-or-none recommendation policy with one fractional boundary state."""
 
-    invite_probs: np.ndarray
+    invite_probs: tuple[float, ...]
     mixing_state: int | None
     mixing_label: str | None
     mixing_weight: float
@@ -77,9 +75,9 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
     g_full = gain_column(env, env.n_agents - 1)
     v_full = welfare_column(welfare, welfare.n_agents)
     scores = ratio_scores(g_full, v_full)
-    if not np.any(g_full > 0.0):
+    if not max(g_full) > 0.0:
         return BaselinePolicy(
-            invite_probs=owned(np.zeros(env.n_states)),
+            invite_probs=(0.0,) * env.n_states,
             mixing_state=None,
             mixing_label=None,
             mixing_weight=0.0,
@@ -92,12 +90,10 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
 
     scan = threshold_scan(env.prior, g_full, scores)
     q = scan.invite_probs
-    q.flags.writeable = False  # the policy is read-only
-    predicted = float(ordered_sum(env.prior * q * v_full))
+    predicted = ordered_sum(map(mul, map(mul, env.prior, q), v_full))
     # the lowest-scored fully invited state; order is stable, so ties go to
     # the lower index
-    full = scan.order[q[scan.order] == 1.0]
-    first_full = int(full[0]) if len(full) else None
+    first_full = next((s for s in scan.order if q[s] == 1.0), None)
     return BaselinePolicy(
         invite_probs=q,
         mixing_state=scan.threshold_state,
@@ -118,12 +114,11 @@ def evaluate_bce_realized(
     q = policy.invite_probs
     total = 0.0
     events = []
-    for label, probs in (("recommend-all", q), ("recommend-none", 1.0 - q)):
-        mass = float((env.prior * probs).sum())
+    for label, probs in (("recommend-all", q), ("recommend-none", [1.0 - x for x in q])):
         # up to PROB_TOL the event is float dust from q near 0 or 1
-        if mass <= PROB_TOL:
+        belief = event_posterior(env, probs, PROB_TOL)
+        if belief is None:
             continue
-        belief = posterior_from_event(env, probs)
         out = smallest_equilibrium(env, belief)
         event = event_outcome(env, welfare, label, probs, belief, out.coop_count)
         total += event.welfare_contribution

@@ -25,31 +25,35 @@ from pathlib import Path
 
 from .designer import InfeasibleDesignError, StrictModeError, design, to_sequential_policy
 from .env import DEFAULT_TOL, check_tol
-from .lp import build_lp, solve
 from .scenarios import Scenario, load_scenario
 from .seqpolicy import CapacityError, check_policy, policy_to_dict
 
 # Only the baselines, sweep and public-counterfactual modes run baselines
-# and equilibrium, so these names of theirs are taken from the package on
-# first use (PEP 562): a `design`, `check` or `lp` process never loads those
-# modules. The runners look the names up on this module when they call them,
-# so whatever is bound here at that moment (a tracing wrapper, say) is what
-# runs.
+# and equilibrium, and only the lp mode runs lp (and with it numpy), so
+# these names of theirs are taken from their module on first use (PEP 562):
+# a `design` or `check` process loads none of them. The runners look the
+# names up on this module when they call them, so whatever is bound here at
+# that moment (a tracing wrapper, say) is what runs.
 _LAZY = {
-    "compare",
-    "sweep",
-    "sweep_boundaries",
-    "evaluate_policy_realized",
-    "PRIVATE_SEQUENTIAL",
-    "PUBLIC",
+    "compare": "baselines",
+    "sweep": "baselines",
+    "sweep_boundaries": "baselines",
+    "evaluate_policy_realized": "equilibrium",
+    "PRIVATE_SEQUENTIAL": "equilibrium",
+    "PUBLIC": "equilibrium",
+    "build_lp": "lp",
+    "solve": "lp",
+    "check_capacity": "lp",
 }
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(__package__), name)
+    value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
     globals()[name] = value
+    if gc.get_freeze_count():  # main froze the import heap: this import joins it
+        gc.freeze()
     return value
 
 
@@ -98,19 +102,15 @@ def _run_design(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     tp, pol = dsn.tp, dsn.policy
     fields = tp._asdict()
     # the artifact's established key for the field
-    fields["invite_probabilities"] = fields.pop("invite_probs").tolist()
+    fields["invite_probabilities"] = fields.pop("invite_probs")
     # JSON has no infinities, and a tiny alpha can still make a score infinite
     fields["scores"] = [
-        ("inf" if x > 0 else "-inf") if math.isinf(x) else x for x in tp.scores.tolist()
+        ("inf" if x > 0 else "-inf") if math.isinf(x) else x for x in tp.scores
     ]
     fields["states"] = scn.env.labels  # the record numbers the states; add their labels
     _write_json(out / "design.json", fields)
     _write_json(out / "policy.json", policy_to_dict(pol, labels=scn.env.labels))
-    q = tp.invite_probabilities()
-    rows = [
-        [scn.env.labels[s], float(tp.scores[s]), float(q[s])]
-        for s in range(scn.env.n_states)
-    ]
+    rows = [list(row) for row in zip(scn.env.labels, tp.scores, tp.invite_probs)]
     _write_csv(out / "figdata_scores.csv", ["state", "score", "invite_prob"], rows)
     return ["design.json", "policy.json", "figdata_scores.csv"]
 
@@ -123,8 +123,8 @@ def _run_check(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
 
 
 def _run_lp(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
-    prog = build_lp(scn.env, scn.welfare, symmetric=True)
-    sol = solve(prog)
+    prog = _cli.build_lp(scn.env, scn.welfare, symmetric=True)
+    sol = _cli.solve(prog)
     tp = dsn.tp
     sizes = scn.env.n_agents + 1  # columns p[s, k], state-major over k = 0..N
     # the check's float figures, not its arrays; a singular basis leaves them
@@ -220,6 +220,8 @@ _MODE_RUNNERS = {
 
 
 def _run_all(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
+    if "lp" in scn.modes:  # an LP past its size cap fails before any write
+        _cli.check_capacity(scn.env, symmetric=True)
     written: list[str] = []
     for mode in scn.modes:
         written.extend(_MODE_RUNNERS[mode](scn, out, args, dsn))

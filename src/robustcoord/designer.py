@@ -13,9 +13,8 @@ independent of the number of agents.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from operator import truediv
+from typing import NamedTuple, Sequence
 
 from .env import (
     Environment,
@@ -52,9 +51,9 @@ class OpCounter:
 class ThresholdPolicy(NamedTuple):
     """Designer output: ranked scores plus the boundary state and its mass."""
 
-    scores: np.ndarray
+    scores: tuple[float, ...]
     order: tuple[int, ...]  # state indices, nondecreasing score, stable on ties
-    invite_probs: np.ndarray
+    invite_probs: tuple[float, ...]
     threshold_state: int
     threshold_label: str
     mixing_weight: float  # invitation probability at the threshold state
@@ -62,25 +61,25 @@ class ThresholdPolicy(NamedTuple):
     degenerate: bool  # True when every state is invited outright
     warnings: tuple[str, ...] = ()
 
-    def invite_probabilities(self) -> np.ndarray:
+    def invite_probabilities(self) -> list[float]:
         """Per-state invitation probability set by the threshold scan."""
-        return self.invite_probs.copy()
+        return list(self.invite_probs)
 
 
 class ThresholdScan(NamedTuple):
     """Result of ``threshold_scan``."""
 
-    order: np.ndarray  # state indices, nondecreasing score, stable on ties
-    invite_probs: np.ndarray
+    order: tuple[int, ...]  # state indices, nondecreasing score, stable on ties
+    invite_probs: tuple[float, ...]
     threshold_state: int
     mixing_weight: float
     degenerate: bool
 
 
 def threshold_scan(
-    prior: np.ndarray,
-    gains: np.ndarray,
-    scores: np.ndarray,
+    prior: Sequence[float],
+    gains: Sequence[float],
+    scores: Sequence[float],
     counter: OpCounter | None = None,
 ) -> ThresholdScan:
     """Greedy invitation scan shared by the robust designer and the optimistic
@@ -100,49 +99,51 @@ def threshold_scan(
     """
     counter = counter if counter is not None else OpCounter()
     n_states = len(scores)
-    order = np.argsort(scores, kind="stable")
+    order = tuple(sorted(range(n_states), key=scores.__getitem__))
     counter.tick(n_states)
 
-    # -inf states are never invited and never enter the budget
-    eligible = order[scores[order] > -math.inf]
-    steps = prior[eligible] * gains[eligible]
-    q = np.zeros(n_states)
+    # -inf states come first in the order; they are never invited and
+    # never enter the budget
+    eligible = order[scores.count(-math.inf) :]
+    steps = [prior[s] * gains[s] for s in eligible]
+    q = [0.0] * n_states
     if ordered_sum(steps) >= 0.0:
-        q[eligible] = 1.0
-        return ThresholdScan(order, q, int(eligible[0]), 1.0, True)
+        for s in eligible:
+            q[s] = 1.0
+        return ThresholdScan(order, tuple(q), eligible[0], 1.0, True)
 
-    # from the top, cum[i] is the budget before the i-th state; the scan
-    # stops at the first negative-gain state that would leave it <= 0
-    top = eligible[::-1]
-    top_steps = steps[::-1]
-    cum = np.cumsum(np.concatenate(([0.0], top_steps)))
-    stop = (gains[top] < 0.0) & (cum[1:] <= 0.0)
-    if not stop.any():
-        # total < 0 stops the scan at some negative-gain state; were rounding
-        # to carry it past every state, all of them end up invited outright
-        counter.tick(len(top))
-        q[top] = 1.0
-        return ThresholdScan(order, q, int(eligible[0]), 1.0, False)
-    i = int(np.argmax(stop))
-    counter.tick(i + 1)
-    step = top_steps[i]
-    mix = cum[i] / (-step) if step != 0.0 else 1.0
-    q[top[:i]] = 1.0
-    q[top[i]] = mix
-    return ThresholdScan(order, q, int(top[i]), float(mix), False)
+    # from the top, cum is the budget before each state; the scan stops at
+    # the first negative-gain state that would leave it <= 0
+    cum = 0.0
+    for i, s in enumerate(reversed(eligible)):
+        step = steps[-1 - i]
+        if gains[s] < 0.0 and cum + step <= 0.0:
+            counter.tick(i + 1)
+            mix = cum / (-step) if step != 0.0 else 1.0
+            q[s] = mix
+            return ThresholdScan(order, tuple(q), s, mix, False)
+        q[s] = 1.0
+        cum += step
+    # total < 0 stops the scan at some negative-gain state; were rounding to
+    # carry it past every state, all of them end up invited outright
+    counter.tick(len(eligible))
+    return ThresholdScan(order, tuple(q), eligible[0], 1.0, False)
 
 
-def ratio_scores(gains: np.ndarray, stakes: np.ndarray) -> np.ndarray:
+def ratio_scores(gains: Sequence[float], stakes: Sequence[float]) -> list[float]:
     """Gain per unit of stake, state by state; where the stake is 0 the
     score is +inf for a positive gain and -inf otherwise."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = gains / stakes
-    return np.where(stakes > 0.0, ratio, np.where(gains > 0.0, math.inf, -math.inf))
+    if min(stakes) > 0.0:
+        return list(map(truediv, gains, stakes))
+    return [
+        g / v if v > 0.0 else (math.inf if g > 0.0 else -math.inf)
+        for g, v in zip(gains, stakes)
+    ]
 
 
 def _potential_scores(
     env: Environment, welfare: WelfareSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float], list[float]]:
     """Full-cooperation potential, stake V(N) and score of every state."""
     f_vals = potential_column(env, env.n_agents)
     stakes = welfare_column(welfare, welfare.n_agents)
@@ -153,7 +154,7 @@ def score(env: Environment, welfare: WelfareSpec, state: int) -> float:
     """Potential-to-welfare score of one state; +/-inf when the stake is 0."""
     if not 0 <= state < env.n_states:
         raise ValueError(f"state {state} out of range")
-    return float(_potential_scores(env, welfare)[2][state])
+    return _potential_scores(env, welfare)[2][state]
 
 
 def design(
@@ -176,36 +177,37 @@ def design(
 
     counter = counter if counter is not None else OpCounter()
     f_vals, stakes, scores = _potential_scores(env, welfare)
-    if strict and not np.all(stakes > 0.0):
-        s = int(np.argmax(stakes <= 0.0))
-        raise StrictModeError(
-            f"state {s} has zero full-cooperation welfare (strict mode)"
-        )
+    if strict:
+        s = next((s for s, v in enumerate(stakes) if not v > 0.0), None)
+        if s is not None:
+            raise StrictModeError(
+                f"state {s} has zero full-cooperation welfare (strict mode)"
+            )
     counter.tick(env.n_states)
 
     if strict and not report.passed:
         raise StrictModeError("; ".join(warnings))
 
-    if not np.any(f_vals > 0.0):
+    if not max(f_vals) > 0.0:
         raise InfeasibleDesignError(
             "no state has a positive full-cooperation potential"
         )
 
     scan = threshold_scan(env.prior, f_vals, scores, counter)
-    q = scan.invite_probs
-    scores.flags.writeable = q.flags.writeable = False  # the design is read-only
-    counter.tick(int(np.count_nonzero(scores > -math.inf)))
-    invited = scan.order[q[scan.order] > 0.0]  # -inf states are never invited
-    wel = ordered_sum(q[invited] * env.prior[invited] * stakes[invited])
+    q, prior = scan.invite_probs, env.prior
+    counter.tick(len(scores) - scores.count(-math.inf))
+    # in score order; -inf states are never invited
+    invited = [s for s in scan.order if q[s] > 0.0]
+    wel = ordered_sum(q[s] * prior[s] * stakes[s] for s in invited)
 
     return ThresholdPolicy(
-        scores=scores,
-        order=tuple(scan.order.tolist()),
+        scores=tuple(scores),
+        order=scan.order,
         invite_probs=q,
         threshold_state=scan.threshold_state,
         threshold_label=env.labels[scan.threshold_state],
         mixing_weight=scan.mixing_weight,
-        expected_welfare=float(wel),
+        expected_welfare=wel,
         degenerate=scan.degenerate,
         warnings=warnings,
     )
@@ -214,16 +216,16 @@ def design(
 def to_sequential_policy(tp: ThresholdPolicy, env: Environment) -> SequentialPolicy:
     """Materialize the threshold policy: invited mass rides the uniform mixture
     over full orderings, the rest sits on the empty sequence."""
-    q = tp.invite_probabilities()
+    q = tp.invite_probs
     if len(q) != env.n_states:
         raise ValueError(
             f"design covers {len(q)} states, environment has {env.n_states}"
         )
     entries: dict[tuple[int, tuple[int, ...]], float] = {}
     uniform_full: dict[int, float] = {}
-    for s in range(env.n_states):
-        if q[s] > 0.0:
-            uniform_full[s] = float(q[s])
-        if q[s] < 1.0:
-            entries[(s, ())] = float(1.0 - q[s])
+    for s, p in enumerate(q):
+        if p > 0.0:
+            uniform_full[s] = p
+        if p < 1.0:
+            entries[(s, ())] = 1.0 - p
     return SequentialPolicy(env.n_agents, env.n_states, entries, uniform_full)

@@ -8,9 +8,10 @@ plus a complementarity term that scales with the fraction of other cooperators.
 from __future__ import annotations
 
 import math
+import numbers
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 # welfare kinds
 POWER = "power"
@@ -49,9 +50,11 @@ def check_dimensions(env: Environment, welfare: WelfareSpec) -> None:
 def as_number(value, where: str, kind=float):
     """``kind(value)`` for a real number, or a ValueError naming ``where``
     and the value if it is anything else (a string, a bool, None, ...) or,
-    for ``kind=int``, a number with a fractional part: nothing is truncated."""
-    real = isinstance(value, (int, float, np.integer, np.floating))
-    if real and not isinstance(value, bool):
+    for ``kind=int``, a number with a fractional part: nothing is truncated.
+    numpy registers its scalar types as ``numbers.Real``, so they pass too."""
+    if type(value) is kind:  # the common case, and the cheapest test
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = kind(value)
         except (ValueError, OverflowError):  # int() of nan or inf
@@ -67,24 +70,29 @@ def _check_at_cost(env: Environment) -> Environment:
     """Reject a non-finite cost, and primitives whose potential at N
     overflows. That column bounds every value derived from them: each term
     of a potential or a gain, (b - c) * n and lambda * n * (n - 1), is
-    largest at n = N, so once it is finite nothing downstream overflows."""
+    largest at n = N, so once it is finite nothing downstream overflows.
+
+    Every rounding step of the potential keeps its order in b and in
+    lambda, so it is finite in every state once it is finite at the lowest
+    and at the highest pair of them; only then is the column left unbuilt."""
     if not math.isfinite(env.cost):
         raise ValueError("cost must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        potential = potential_column(env, env.n_agents)
-    if not np.all(np.isfinite(potential)):
-        s = int(np.argmax(~np.isfinite(potential)))
-        value = potential[s]
-        raise ValueError(f"state {s} ({env.labels[s]}): the potential at N overflows to {value}")
+    b, lam, n = env.benefit, env.complementarity, env.n_agents
+    corners = _potentials((min(b), max(b)), (min(lam), max(lam)), env.cost, n, n)
+    if all(map(math.isfinite, corners)):
+        return env
+    for s, value in enumerate(potential_column(env, n)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"state {s} ({env.labels[s]}): the potential at N overflows to {value}"
+            )
     return env
 
 
-def owned(values) -> np.ndarray:
-    """Read-only float64 copy of ``values``: a record shares no array with
-    its caller and hands out none that can be written."""
-    arr = np.array(values, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+def owned(values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats: a record shares no list with its
+    caller and hands out none that can be written."""
+    return tuple(map(float, values))
 
 
 class Frozen:
@@ -102,8 +110,6 @@ class Frozen:
 
     def __setstate__(self, state):  # copy and pickle restore the slots here
         for name, value in state[1].items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
@@ -115,7 +121,8 @@ class Environment(Frozen):
     """Primitives of the coordination game.
 
     States are indexed 0..n_states-1 in input order; outputs elsewhere refer to
-    states by index plus label. The arrays are read-only copies of the input.
+    states by index plus label. The per-state columns are tuples of floats,
+    copied from the input.
     """
 
     __slots__ = (
@@ -136,7 +143,7 @@ class Environment(Frozen):
         complementarity: Sequence[float],
         cost: float,
     ):
-        object.__setattr__(self, "n_agents", int(n_agents))
+        object.__setattr__(self, "n_agents", as_number(n_agents, "n_agents", int))
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
         object.__setattr__(self, "prior", owned(prior))
         object.__setattr__(self, "benefit", owned(benefit))
@@ -151,24 +158,20 @@ class Environment(Frozen):
         if k < 1:
             raise ValueError("need at least one state")
         for name in ("prior", "benefit", "complementarity"):
-            arr = getattr(self, name)
-            if arr.shape != (k,):
+            column = getattr(self, name)
+            if len(column) != k:
                 raise ValueError(
-                    f"{name} has shape {arr.shape}, expected ({k},) to match labels"
+                    f"{name} has shape ({len(column)},), expected ({k},) to match labels"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not all(map(math.isfinite, column)):
                 raise ValueError(f"{name} contains non-finite entries")
-        if np.any(self.prior < 0):
-            s = int(np.argmax(self.prior < 0))
-            raise ValueError(f"prior must be nonnegative, state {s} is {self.prior[s]}")
-        if abs(float(self.prior.sum()) - 1.0) > PRIOR_SUM_TOL:
-            raise ValueError(f"prior must sum to 1, got {float(self.prior.sum())!r}")
-        if np.any(self.complementarity < 0):
-            s = int(np.argmax(self.complementarity < 0))
-            raise ValueError(
-                f"complementarity must be nonnegative, state {s} is "
-                f"{self.complementarity[s]}"
-            )
+        for name in ("prior", "complementarity"):
+            column = getattr(self, name)
+            for s, value in enumerate(column):
+                if value < 0:
+                    raise ValueError(f"{name} must be nonnegative, state {s} is {value}")
+            if name == "prior" and abs(pairwise_sum(column) - 1.0) > PRIOR_SUM_TOL:
+                raise ValueError(f"prior must sum to 1, got {pairwise_sum(column)!r}")
         _check_at_cost(self)
 
     @property
@@ -194,7 +197,7 @@ class WelfareSpec(Frozen):
     weakly increasing in n. Convexity (V(n, s) <= (n/N) V(N, s)) is an
     assumption to be *checked*, not enforced at construction. Build one with
     ``power`` or ``tabulated``, which validate; the constructor only keeps
-    read-only copies of the arrays.
+    tuple copies of ``alpha`` and of the table's rows.
     """
 
     __slots__ = ("kind", "n_agents", "alpha", "beta", "table")
@@ -203,48 +206,50 @@ class WelfareSpec(Frozen):
         self,
         kind: str,
         n_agents: int,
-        alpha: np.ndarray | None = None,
+        alpha: Sequence[float] | None = None,
         beta: float = 1.0,
-        table: np.ndarray | None = None,
+        table: Sequence[Sequence[float]] | None = None,
     ):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n_agents", n_agents)
         object.__setattr__(self, "alpha", None if alpha is None else owned(alpha))
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "table", None if table is None else owned(table))
+        table = None if table is None else tuple(map(owned, table))
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def power(cls, n_agents: int, alpha: Sequence[float], beta: float) -> "WelfareSpec":
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if np.any(~np.isfinite(alpha)) or np.any(alpha <= 0):
+        n_agents = as_number(n_agents, "n_agents", int)
+        alpha = owned(alpha)
+        if not all(math.isfinite(a) and a > 0 for a in alpha):
             raise ValueError("power welfare requires finite alpha > 0 for every state")
         if not (math.isfinite(beta) and beta >= 1.0):
             raise ValueError(f"power welfare requires beta >= 1, got {beta}")
-        return cls(POWER, int(n_agents), alpha, float(beta))
+        return cls(POWER, n_agents, alpha, float(beta))
 
     @classmethod
     def tabulated(cls, table: Sequence[Sequence[float]]) -> "WelfareSpec":
-        table = np.asarray(table, dtype=np.float64)
-        if table.ndim != 2 or table.shape[1] < 3:
+        table = tuple(map(owned, table))
+        width = len(table[0]) if table else 0
+        if width < 3 or any(len(row) != width for row in table):
             raise ValueError("welfare table must be (n_states, n_agents + 1)")
-        if not np.all(np.isfinite(table)):
+        if not all(math.isfinite(v) for row in table for v in row):
             raise ValueError("welfare table contains non-finite entries")
-        if np.any(table[:, 0] != 0.0):
-            s = int(np.argmax(table[:, 0] != 0.0))
-            raise ValueError(f"welfare at zero cooperators must be 0, state {s} is not")
-        if np.any(np.diff(table, axis=1) < 0):
-            s, n = np.argwhere(np.diff(table, axis=1) < 0)[0]
-            raise ValueError(
-                f"welfare must be weakly increasing in cooperators, "
-                f"state {s} decreases at n={n + 1}"
-            )
-        return cls(TABULATED, int(table.shape[1]) - 1, table=table)
+        for s, row in enumerate(table):
+            if row[0] != 0.0:
+                raise ValueError(f"welfare at zero cooperators must be 0, state {s} is not")
+        for s, row in enumerate(table):
+            for n in range(1, width):
+                if row[n] < row[n - 1]:
+                    raise ValueError(
+                        f"welfare must be weakly increasing in cooperators, "
+                        f"state {s} decreases at n={n}"
+                    )
+        return cls(TABULATED, width - 1, table=table)
 
     @property
     def n_states(self) -> int:
-        if self.kind == POWER:
-            return len(self.alpha)
-        return self.table.shape[0]
+        return len(self.alpha if self.kind == POWER else self.table)
 
 
 class AssumptionReport(NamedTuple):
@@ -298,39 +303,65 @@ def welfare_value(welfare: WelfareSpec, state: int, n: int) -> float:
         raise ValueError(f"state {state} out of range")
     if welfare.kind == POWER:
         return float(welfare.alpha[state] * (n / welfare.n_agents) ** welfare.beta)
-    return float(welfare.table[state, n])
+    return float(welfare.table[state][n])
 
 
-def gain_column(env: Environment, count: int) -> np.ndarray:
-    """``marginal_gain`` of every state at one count, as one array."""
+def gain_column(env: Environment, count: int) -> list[float]:
+    """``marginal_gain`` of every state at one count, as one list."""
     if not 0 <= count <= env.n_agents - 1:
         raise ValueError(f"count must be in 0..{env.n_agents - 1}, got {count}")
-    return env.benefit - env.cost + env.complementarity * count / (env.n_agents - 1)
+    # the whole numbers as floats up front: float * int converts every time
+    c, k, others = env.cost, float(count), float(env.n_agents - 1)
+    return [b - c + lam * k / others for b, lam in zip(env.benefit, env.complementarity)]
 
 
-def potential_column(env: Environment, n: int) -> np.ndarray:
-    """``potential`` of every state at n cooperators, as one array."""
+def _potentials(benefit, complementarity, cost: float, n: int, n_agents: int) -> list[float]:
+    n, less, pairs = float(n), float(n - 1), float(2 * (n_agents - 1))
+    return [(b - cost) * n + lam * n * less / pairs for b, lam in zip(benefit, complementarity)]
+
+
+def potential_column(env: Environment, n: int) -> list[float]:
+    """``potential`` of every state at n cooperators, as one list."""
     if not 0 <= n <= env.n_agents:
         raise ValueError(f"n must be in 0..{env.n_agents}, got {n}")
-    b = env.benefit - env.cost
-    return b * n + env.complementarity * n * (n - 1) / (2 * (env.n_agents - 1))
+    return _potentials(env.benefit, env.complementarity, env.cost, n, env.n_agents)
 
 
-def welfare_column(welfare: WelfareSpec, n: int) -> np.ndarray:
-    """V(n, s) of every state s, as one array."""
+def welfare_column(welfare: WelfareSpec, n: int) -> list[float]:
+    """V(n, s) of every state s, as one list."""
     if not 0 <= n <= welfare.n_agents:
         raise ValueError(f"n must be in 0..{welfare.n_agents}, got {n}")
     if welfare.kind == POWER:
-        return welfare.alpha * (n / welfare.n_agents) ** welfare.beta
-    return welfare.table[:, n].copy()
+        frac = (n / welfare.n_agents) ** welfare.beta
+        return [a * frac for a in welfare.alpha]
+    return [row[n] for row in welfare.table]
 
 
-def ordered_sum(terms: np.ndarray) -> np.float64:
-    """Sum of a 1-d array added one term at a time, first to last, from
-    +0.0: what Python's ``sum`` gives for numpy floats. ``np.sum`` adds
-    pairwise and rounds differently, and a running sum started from the
-    first term would keep a leading -0.0 that Python's turns into 0.0."""
-    return np.cumsum(np.concatenate(([0.0], terms)))[-1]
+def ordered_sum(terms) -> float:
+    """Sum of the terms added one at a time, first to last, from +0.0.
+    Python's ``sum`` compensates float rounding from Python 3.12 on, and a
+    running sum started from the first term would keep a leading -0.0."""
+    return reduce(add, terms, 0.0)
+
+
+def pairwise_sum(terms: Sequence[float]) -> float:
+    """What ``np.sum`` gives for a 1-d float64 array of ``terms``: +0.0 plus
+    numpy's pairwise sum. That adds fewer than 8 terms in order; up to 128
+    in eight strided running sums, combined as a tree, then the leftovers in
+    order; past 128 it halves at a multiple of 8 and adds the halves' sums."""
+
+    def part(lo: int, n: int) -> float:
+        if n < 8:
+            return ordered_sum(terms[lo : lo + n])
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return part(lo, half) + part(lo + half, n - half)
+        end = lo + n - n % 8
+        r = [reduce(add, terms[j + 8 : end : 8], terms[j]) for j in range(lo, lo + 8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, terms[end : lo + n], res)
+
+    return 0.0 + part(0, len(terms))
 
 
 def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionReport:
@@ -342,22 +373,29 @@ def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionRepor
     so the designer's operation count stays independent of N.
     """
     check_dimensions(env, welfare)
-    dominant = env.benefit - env.cost > 0
-    dom_witness = int(np.argmax(dominant)) if dominant.any() else None
+    # b - c > 0 exactly when b > c: finite floats that differ never
+    # subtract to 0
+    dom_witness = None
+    if max(env.benefit) > env.cost:
+        dom_witness = next(s for s, b in enumerate(env.benefit) if b > env.cost)
 
-    cw_ok, cw_witness = True, None
+    cw_witness = None
     if welfare.kind == TABULATED:
-        n_vals = np.arange(welfare.n_agents + 1)
-        hull = np.outer(welfare.table[:, -1], n_vals / welfare.n_agents)
-        bad = welfare.table > hull + WELFARE_TOL
-        if bad.any():
-            s, n = np.argwhere(bad)[0]
-            cw_ok, cw_witness = False, (int(s), int(n))
+        n_agents = welfare.n_agents
+        cw_witness = next(
+            (
+                (s, n)
+                for s, row in enumerate(welfare.table)
+                for n, value in enumerate(row)
+                if value > row[-1] * (n / n_agents) + WELFARE_TOL
+            ),
+            None,
+        )
     # POWER: (n/N)^beta <= n/N holds for every n once beta >= 1
 
     return AssumptionReport(
         dominance=dom_witness is not None,
         dominance_witness=dom_witness,
-        convex_welfare=cw_ok,
+        convex_welfare=cw_witness is None,
         convex_welfare_witness=cw_witness,
     )

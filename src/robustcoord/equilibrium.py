@@ -10,9 +10,9 @@ about how many others cooperate, never which ones.
 
 from __future__ import annotations
 
+import math
+from operator import add, mul
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .designer import ThresholdPolicy, to_sequential_policy
 from .env import (
@@ -28,6 +28,7 @@ from .env import (
     gain_column,
     ordered_sum,
     owned,
+    pairwise_sum,
     welfare_column,
 )
 from .seqpolicy import SequentialPolicy, check_policy, expected_welfare
@@ -37,17 +38,18 @@ PRIVATE_SEQUENTIAL = "private_sequential"
 
 
 class Belief(Frozen):
-    """Posterior over states; a read-only copy, validated to be a
-    probability vector."""
+    """Posterior over states; a tuple copy, validated to be a probability
+    vector."""
 
     __slots__ = ("probs",)
 
     def __init__(self, probs: Sequence[float]):
         probs = owned(probs)
-        if np.any(~np.isfinite(probs)) or np.any(probs < 0):
+        if not (all(map(math.isfinite, probs)) and min(probs, default=0.0) >= 0):
             raise ValueError("belief must be finite and nonnegative")
-        if abs(float(probs.sum()) - 1.0) > MASS_SUM_TOL:
-            raise ValueError(f"belief must sum to 1, got {float(probs.sum())!r}")
+        total = pairwise_sum(probs)
+        if abs(total - 1.0) > MASS_SUM_TOL:
+            raise ValueError(f"belief must sum to 1, got {total!r}")
         object.__setattr__(self, "probs", probs)
 
 
@@ -77,23 +79,41 @@ class RealizedEvaluation(NamedTuple):
 
 def posterior_from_event(env: Environment, event_probs: Sequence[float]) -> Belief:
     """Bayes posterior given per-state probabilities of an observed event."""
-    probs = np.asarray(event_probs, dtype=np.float64)
-    if probs.shape != (env.n_states,):
+    probs = owned(event_probs)
+    if len(probs) != env.n_states:
         raise ValueError("event probabilities do not match the state count")
-    if np.any(probs < -PROB_TOL) or np.any(probs > 1 + PROB_TOL):
+    if any(map((-PROB_TOL).__gt__, probs)) or any(map((1 + PROB_TOL).__lt__, probs)):
         raise ValueError("event probabilities must lie in [0, 1]")
-    weighted = env.prior * np.clip(probs, 0.0, 1.0)
-    total = float(weighted.sum())
+    # clipped to [0, 1]; a -0.0 or a NaN passes through, as in np.clip
+    weighted = [w * (0.0 if p < 0.0 else 1.0 if p > 1.0 else p) for w, p in zip(env.prior, probs)]
+    total = pairwise_sum(weighted)
     if total <= 0.0:
         raise ValueError("event has zero prior probability; posterior undefined")
-    return Belief(weighted / total)
+    return Belief([w / total for w in weighted])
+
+
+def event_posterior(env: Environment, probs: Sequence[float], skip_at: float) -> Belief | None:
+    """``posterior_from_event``, or None when the event's prior mass is at
+    most ``skip_at``. While every probability lies in [0, 1], that mass is
+    the posterior's normalising total, so it is summed only once, and if it
+    is finite the posterior is finite, nonnegative and sums to 1 up to
+    rounding far below MASS_SUM_TOL: Belief's checks would always pass."""
+    weighted = list(map(mul, env.prior, probs))
+    mass = pairwise_sum(weighted)
+    if mass <= skip_at:
+        return None
+    if not (math.isfinite(mass) and min(probs) >= 0.0 and max(probs) <= 1.0):
+        return posterior_from_event(env, probs)
+    belief = object.__new__(Belief)
+    object.__setattr__(belief, "probs", tuple([w / mass for w in weighted]))
+    return belief
 
 
 def expected_gain(env: Environment, belief: Belief, others_cooperating: int) -> float:
     """Belief-weighted gain from cooperating against a fixed count of others."""
-    if belief.probs.shape != (env.n_states,):
+    if len(belief.probs) != env.n_states:
         raise ValueError("belief does not match the state count")
-    return float(ordered_sum(belief.probs * gain_column(env, others_cooperating)))
+    return ordered_sum(map(mul, belief.probs, gain_column(env, others_cooperating)))
 
 
 def smallest_equilibrium(
@@ -114,21 +134,24 @@ def smallest_equilibrium(
     response stops, and ``rounds`` is the climb 0, 1, ..., coop_count.
 
     The gain is affine in the count, E[b - c] + E[lambda] * k / (N - 1), so
-    two belief means give all N gains (``_gain_table`` at mass 1).
+    two belief means give all N gains (``_gain`` at mass 1).
     """
-    if belief.probs.shape != (env.n_states,):
+    probs, n = belief.probs, env.n_agents
+    if len(probs) != env.n_states:
         raise ValueError("belief does not match the state count")
-    mean_net = ordered_sum(belief.probs * (env.benefit - env.cost))
-    mean_comp = ordered_sum(belief.probs * env.complementarity)
-    gains = _gain_table(env, np.array([1.0, mean_net, mean_comp]))
-    hold = np.concatenate(([True], gains >= -STRICT_TOL))
-    stay_out = np.concatenate((gains <= STRICT_TOL, [True]))
-    equilibria = np.flatnonzero(hold & stay_out).tolist()
+    mean_net = ordered_sum(map(mul, probs, [b - env.cost for b in env.benefit]))
+    mean_comp = ordered_sum(map(mul, probs, env.complementarity))
+    gains = [_gain(env, (1.0, mean_net, mean_comp), k) for k in range(n)]
+    equilibria = [
+        k
+        for k in range(n + 1)
+        if (k == 0 or gains[k - 1] >= -STRICT_TOL) and (k == n or gains[k] <= STRICT_TOL)
+    ]
     count = equilibria[0]
 
     wel = None
     if welfare is not None:
-        wel = float(ordered_sum(belief.probs * welfare_column(welfare, count)))
+        wel = ordered_sum(map(mul, probs, welfare_column(welfare, count)))
     return EquilibriumOutcome(
         coop_count=count,
         all_equilibria=tuple(equilibria),
@@ -141,37 +164,42 @@ def event_outcome(
     env: Environment,
     welfare: WelfareSpec,
     label: str,
-    probs: np.ndarray,
+    probs: Sequence[float],
     belief: Belief,
     coop_count: int,
 ) -> EventOutcome:
     """One event's record; its welfare contribution is the prior-weighted
     value of ``coop_count`` cooperators over the states that send it."""
-    contrib = ordered_sum(env.prior * probs * welfare_column(welfare, coop_count))
+    contrib = 0.0  # V(0, s) = 0 in every state
+    if coop_count:
+        weights = map(mul, env.prior, probs)
+        contrib = ordered_sum(map(mul, weights, welfare_column(welfare, coop_count)))
     return EventOutcome(
         label=label,
-        probs=tuple(probs.tolist()),
-        posterior=tuple(belief.probs.tolist()),
+        probs=tuple(probs),
+        posterior=belief.probs,
         coop_count=coop_count,
-        welfare_contribution=float(contrib),
+        welfare_contribution=contrib,
     )
 
 
 def _signal_events(
     policy: SequentialPolicy, n_states: int
-) -> list[tuple[str, np.ndarray, tuple[int, ...] | None]]:
+) -> list[tuple[str, list[float], tuple[int, ...] | None]]:
     """Distinct signal events: each explicit sequence, plus the pooled
     uniform-full block (every full ordering induces the same posterior),
     which carries None in place of a sequence."""
-    events: list[tuple[str, np.ndarray, tuple[int, ...] | None]] = []
-    by_seq: dict[tuple[int, ...], np.ndarray] = {}
+    events: list[tuple[str, list[float], tuple[int, ...] | None]] = []
+    by_seq: dict[tuple[int, ...], list[float]] = {}
     for (s, seq), p in policy.canonical_items():
-        by_seq.setdefault(seq, np.zeros(n_states))[s] += p
+        if seq not in by_seq:
+            by_seq[seq] = [0.0] * n_states
+        by_seq[seq][s] += p
     for seq in sorted(by_seq, key=lambda q: (len(q), q)):
         label = "invite[" + ",".join(map(str, seq)) + "]" if seq else "invite[-]"
         events.append((label, by_seq[seq], seq))
     if policy.uniform_full:
-        probs = np.zeros(n_states)
+        probs = [0.0] * n_states
         for s, p in policy.uniform_full.items():
             probs[s] += p
         events.append(("invite[all,uniform]", probs, None))
@@ -220,16 +248,16 @@ def evaluate_policy_realized(
                 mode=PRIVATE_SEQUENTIAL,
                 obedient=True,
             )
-        invited, left_out = _interim_sums(policy, env)
+        interim = _interim_sums(policy, env)
 
     total = 0.0
     outcomes = []
     for label, probs, seq in _signal_events(policy, env.n_states):
-        if float((env.prior * probs).sum()) <= 0.0:
+        belief = event_posterior(env, probs, 0.0)
+        if belief is None:
             continue
-        belief = posterior_from_event(env, probs)
         if private and seq is not None:
-            count = _chain_walk(env, seq, invited, left_out)
+            count = _chain_walk(env, seq, *interim)
         else:
             count = smallest_equilibrium(env, belief).coop_count
         event = event_outcome(env, welfare, label, probs, belief, count)
@@ -239,45 +267,47 @@ def evaluate_policy_realized(
     return RealizedEvaluation(total, mode, obedient, tuple(outcomes))
 
 
-def _gain_table(env, sums: np.ndarray) -> np.ndarray:
-    """Gains at k = 0..N-1 other cooperators, along a new last axis, of each
-    interim event in ``sums`` (last axis: mass, sum of w * (b - c), sum of
-    w * lambda): (net + comp * k / (N - 1)) / mass, and -inf where the mass
-    is 0 (the event never happens, so no one in it ever joins)."""
-    mass, net, comp = np.moveaxis(sums, -1, 0)[..., None]
-    n = env.n_agents
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = (net + comp * np.arange(n) / (n - 1)) / mass
-    return np.where(mass > 0.0, gains, -np.inf)
+def _gain(env, sums, k: int) -> float:
+    """Gain at k other cooperators of the interim event whose ``sums`` are
+    (mass, sum of w * (b - c), sum of w * lambda): (net + comp * k / (N - 1))
+    / mass, and -inf where the mass is 0 (the event never happens, so no
+    one in it ever joins)."""
+    mass, net, comp = sums
+    if not mass > 0.0:
+        return -math.inf
+    return (net + comp * k / (env.n_agents - 1)) / mass
 
 
-def _interim_sums(policy, env) -> tuple[np.ndarray, np.ndarray]:
+def _interim_sums(policy, env) -> tuple[dict, list, list]:
     """The private information of each interim event as three prior-weighted
     sums over the states that send it: mass, sum of w * (b - c) and sum of
     w * lambda. ``invited[i, k]`` is "agent i invited after k others" and
     ``left_out[i]`` is "agent i not invited". The gain is affine in the
-    count, so these sums give it at every count (``_gain_table``)."""
-    n = env.n_agents
-    per_state = np.stack(
-        (np.ones(env.n_states), env.benefit - env.cost, env.complementarity), axis=1
-    )
-    invited = np.zeros((n, n, 3))
-    left_out = np.zeros((n, 3))
+    count, so these sums give it at every count (``_gain``).
+
+    A uniform ordering puts each agent at each rank with probability 1/N,
+    so its sums, ``uniform``, are the same in every (i, k) cell; ``invited``
+    holds only the cells the explicit entries reach, and ``uniform`` is
+    added to a cell last, when ``_chain_walk`` reads it."""
+    n, zero = env.n_agents, (0.0, 0.0, 0.0)
+    per_state = [(1.0, b - env.cost, lam) for b, lam in zip(env.benefit, env.complementarity)]
+    invited: dict[tuple[int, int], list[float]] = {}
+    left_out = [zero] * n
     for (s, seq), p in policy.entries.items():
-        sums = env.prior[s] * p * per_state[s]
-        invited[list(seq), range(len(seq))] += sums
-        outside = np.ones(n, dtype=bool)
-        outside[list(seq)] = False
-        left_out[outside] += sums
-    # a uniform ordering puts each agent at each rank with probability 1/N
-    uniform = np.zeros(env.n_states)
-    for s, p in policy.uniform_full.items():
-        uniform[s] = p
-    invited += (env.prior * uniform / n) @ per_state
-    return invited, left_out
+        w = env.prior[s] * p
+        sums = [w * x for x in per_state[s]]
+        for rank, agent in enumerate(seq):
+            invited[agent, rank] = list(map(add, invited.get((agent, rank), zero), sums))
+        for agent in set(range(n)).difference(seq):
+            left_out[agent] = list(map(add, left_out[agent], sums))
+    uniform = zero
+    for s, p in sorted(policy.uniform_full.items()):
+        w = env.prior[s] * p / n
+        uniform = list(map(add, uniform, [w * x for x in per_state[s]]))
+    return invited, uniform, left_out
 
 
-def _chain_walk(env, seq: tuple[int, ...], invited, left_out) -> int:
+def _chain_walk(env, seq: tuple[int, ...], invited, uniform, left_out) -> int:
     """Invitees accept in order while their interim gain at the believed rank
     stays above STRICT_TOL; the first refusal breaks the chain, and everyone
     not committed (the refuser, later invitees, the uninvited) then plays
@@ -287,11 +317,17 @@ def _chain_walk(env, seq: tuple[int, ...], invited, left_out) -> int:
     accepted plus the number of the others whose gain at c is above
     STRICT_TOL."""
     n = env.n_agents
-    ranked = _gain_table(env, invited[list(seq), range(len(seq))])
-    accepted = int(np.argmin(np.append(ranked.diagonal() > STRICT_TOL, False)))
-    outside = np.ones(n, dtype=bool)
-    outside[list(seq)] = False
-    others = np.concatenate((ranked[accepted:], _gain_table(env, left_out[outside])))
-    reached = accepted + np.count_nonzero(others[:, accepted:] > STRICT_TOL, axis=0)
-    fixed = np.flatnonzero(reached == np.arange(accepted, n))
-    return accepted + int(fixed[0]) if fixed.size else n
+    zero = (0.0, 0.0, 0.0)
+    ranked = [
+        [a + u for a, u in zip(invited.get((agent, rank), zero), uniform)]
+        for rank, agent in enumerate(seq)
+    ]
+    accepted = next(
+        (r for r, sums in enumerate(ranked) if not _gain(env, sums, r) > STRICT_TOL), len(seq)
+    )
+    members = set(seq)
+    others = ranked[accepted:] + [left_out[i] for i in range(n) if i not in members]
+    for c in range(accepted, n):
+        if accepted + sum(_gain(env, sums, c) > STRICT_TOL for sums in others) == c:
+            return c
+    return n

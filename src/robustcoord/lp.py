@@ -83,6 +83,29 @@ class LpSolution(NamedTuple):
         return [(int(j), float(self.x[j])) for j in np.flatnonzero(self.x > PROB_TOL)]
 
 
+def check_capacity(env: Environment, *, symmetric: bool = False) -> None:
+    """Raise CapacityError if the LP of ``env`` is past its size cap: the
+    explicit LP's MAX_SEQUENCES columns, or the symmetric LP's
+    MAX_TABLEAU_CELLS tableau."""
+    n_states, n_agents = env.n_states, env.n_agents
+    if not symmetric:
+        n_seq = count_sequences(n_agents)
+        if n_seq * n_states > MAX_SEQUENCES:
+            raise CapacityError(
+                f"{n_seq} sequences x {n_states} states exceeds the "
+                f"{MAX_SEQUENCES}-variable cap"
+            )
+        return
+    # tableau of solve_min: mass rows, two obedience rows and the objective,
+    # by the variables, two slacks, one artificial per mass row and the rhs
+    cells = (n_states + 3) * (n_states * (n_agents + 1) + n_states + 3)
+    if cells > MAX_TABLEAU_CELLS:
+        raise CapacityError(
+            f"symmetric LP tableau of {cells} cells ({n_states} states x "
+            f"{n_agents + 1} sizes) exceeds the {MAX_TABLEAU_CELLS}-cell cap"
+        )
+
+
 def build_lp(
     env: Environment, welfare: WelfareSpec, *, symmetric: bool = False
 ) -> LinearProgram:
@@ -91,12 +114,7 @@ def build_lp(
     if symmetric:
         return build_symmetric_lp(env, welfare)
     check_dimensions(env, welfare)
-    n_seq = count_sequences(env.n_agents)
-    if n_seq * env.n_states > MAX_SEQUENCES:
-        raise CapacityError(
-            f"{n_seq} sequences x {env.n_states} states exceeds the "
-            f"{MAX_SEQUENCES}-variable cap"
-        )
+    check_capacity(env)
     seqs = enumerate_sequences(env.n_agents)
     n_states, n_agents = env.n_states, env.n_agents
     columns = [(s, seq) for s in range(n_states) for seq in seqs]
@@ -146,25 +164,17 @@ def build_symmetric_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
     and then sees all k invitees cooperate.
     """
     check_dimensions(env, welfare)
+    check_capacity(env, symmetric=True)
     n_states, n_agents = env.n_states, env.n_agents
-    nv = n_states * (n_agents + 1)
-    # tableau of solve_min: mass rows, two obedience rows and the objective,
-    # by the variables, two slacks, one artificial per mass row and the rhs
-    cells = (n_states + 3) * (nv + n_states + 3)
-    if cells > MAX_TABLEAU_CELLS:
-        raise CapacityError(
-            f"symmetric LP tableau of {cells} cells ({n_states} states x "
-            f"{n_agents + 1} sizes) exceeds the {MAX_TABLEAU_CELLS}-cell cap"
-        )
     sizes = range(n_agents + 1)
     # column blocks indexed [s, k], flattened state-major
     value = np.column_stack([welfare_column(welfare, k) for k in sizes])
     invited = np.column_stack([potential_column(env, k) for k in sizes])
     stay_out = np.column_stack(
-        [gain_column(env, k) * ((n_agents - k) / n_agents) for k in range(n_agents)]
+        [np.multiply(gain_column(env, k), (n_agents - k) / n_agents) for k in range(n_agents)]
         + [np.zeros(n_states)]
     )
-    prior = env.prior[:, None]
+    prior = np.array(env.prior)[:, None]
     objective = (prior * value).ravel()
     eq_matrix = np.kron(np.eye(n_states), np.ones(n_agents + 1))
     ineq_matrix = np.vstack(

@@ -21,8 +21,6 @@ from decimal import Decimal
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .env import Environment, WelfareSpec, as_number
 
 SCHEMA_VERSION = 1
@@ -131,12 +129,12 @@ def _build_explicit(config: dict, n_agents: int, cost: float, beta: float):
     env = Environment(
         n_agents=n_agents,
         labels=tuple(labels),
-        prior=np.array(prior),
-        benefit=np.array(benefit),
-        complementarity=np.array(comp),
+        prior=prior,
+        benefit=benefit,
+        complementarity=comp,
         cost=cost,
     )
-    return env, WelfareSpec.power(n_agents, np.array(alpha), beta)
+    return env, WelfareSpec.power(n_agents, alpha, beta)
 
 
 def _build_grid(config: dict, n_agents: int, cost: float, beta: float):
@@ -149,16 +147,16 @@ def _build_grid(config: dict, n_agents: int, cost: float, beta: float):
         raise ValueError("grid.count: must be at least 1")
     d0, dd = _decimal(grid, "theta_start", "grid"), _decimal(grid, "theta_step", "grid")
     decs = [d0 + k * dd for k in range(count)]
-    theta = np.array([float(d) for d in decs])
+    theta = [float(d) for d in decs]
 
-    def ramp(key: str) -> np.ndarray:
+    def ramp(key: str) -> list[float]:
         lo, hi = _ramp_endpoints(_require(grid, key, "grid"), f"grid.{key}")
-        return lo + (hi - lo) * theta
+        return [lo + (hi - lo) * t for t in theta]
 
     env = Environment(
         n_agents=n_agents,
         labels=tuple(str(d) for d in decs),
-        prior=np.full(count, 1.0 / count),
+        prior=[1.0 / count] * count,
         benefit=ramp("b"),
         complementarity=ramp("lambda"),
         cost=cost,

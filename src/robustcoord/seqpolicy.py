@@ -17,8 +17,6 @@ import math
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-import numpy as np
-
 from .env import (
     DEFAULT_TOL,
     MASS_SUM_TOL,
@@ -30,8 +28,8 @@ from .env import (
     check_tol,
     gain_column,
     ordered_sum,
-    potential_column,
-    welfare_column,
+    potential,
+    welfare_value,
 )
 
 # hard cap on explicit sequence enumeration (and on LP columns)
@@ -96,7 +94,7 @@ class SequentialPolicy(Frozen):
                 raise ValueError(f"sequence {seq} has an agent out of range")
             if len(set(seq)) != len(seq):
                 raise ValueError(f"sequence {seq} repeats an agent")
-            p = float(p)
+            p = as_number(p, f"probability for {key}")
             if not math.isfinite(p) or p < -PROB_TOL:
                 raise ValueError(f"probability {p} for {key} is invalid")
             if p > 0.0:
@@ -106,7 +104,7 @@ class SequentialPolicy(Frozen):
             s = as_number(s, "uniform-full state", int)
             if not 0 <= s < self.n_states:
                 raise ValueError(f"state {s} out of range")
-            p = float(p)
+            p = as_number(p, f"uniform-full mass for state {s}")
             if not math.isfinite(p) or p < -PROB_TOL:
                 raise ValueError(f"uniform-full mass {p} for state {s} is invalid")
             if p > 0.0:
@@ -114,9 +112,9 @@ class SequentialPolicy(Frozen):
         object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "uniform_full", MappingProxyType(uf))
         _, mass = check_feasibility(self)
-        over = np.flatnonzero(mass > 1.0 + MASS_SUM_TOL)
-        if over.size:
-            raise ValueError(f"state {over[0]} carries probability mass above 1")
+        for s, m in enumerate(mass):
+            if m > 1.0 + MASS_SUM_TOL:
+                raise ValueError(f"state {s} carries probability mass above 1")
 
     def __reduce__(self):  # a mappingproxy neither pickles nor deep-copies
         args = (self.n_agents, self.n_states, dict(self.entries), dict(self.uniform_full))
@@ -140,93 +138,52 @@ class ObedienceReport(NamedTuple):
 
 def check_feasibility(
     policy: SequentialPolicy, tol: float = DEFAULT_TOL
-) -> tuple[bool, np.ndarray]:
+) -> tuple[bool, list[float]]:
     """Per-state masses must each sum to 1 within tol."""
-    mass = np.zeros(policy.n_states)
+    mass = [0.0] * policy.n_states
     for (s, _), p in policy.entries.items():
         mass[s] += p
     for s, p in policy.uniform_full.items():
         mass[s] += p
-    ok = bool(np.all(np.abs(mass - 1.0) <= tol))
-    return ok, mass
-
-
-class _Entries(NamedTuple):
-    """The explicit entries as arrays, in the policy's insertion order, and
-    their invitees (entry row, agent, rank) in entry order."""
-
-    states: np.ndarray
-    probs: np.ndarray
-    lengths: np.ndarray
-    member_rows: np.ndarray
-    member_agents: np.ndarray
-    member_ranks: np.ndarray
-
-
-def _entries(policy: SequentialPolicy) -> _Entries:
-    keys = list(policy.entries)
-    n_e = len(keys)
-    members = [(e, a, r) for e, (_, seq) in enumerate(keys) for r, a in enumerate(seq)]
-    rows, agents, ranks = np.array(members, dtype=np.intp).reshape(-1, 3).T
-    return _Entries(
-        states=np.fromiter((s for s, _ in keys), dtype=np.intp, count=n_e),
-        probs=np.fromiter(policy.entries.values(), dtype=np.float64, count=n_e),
-        lengths=np.fromiter((len(seq) for _, seq in keys), dtype=np.intp, count=n_e),
-        member_rows=rows,
-        member_agents=agents,
-        member_ranks=ranks,
-    )
-
-
-def _uniform(policy: SequentialPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """States and masses of the uniform-full block, in insertion order."""
-    n_u = len(policy.uniform_full)
-    states = np.fromiter(policy.uniform_full.keys(), dtype=np.intp, count=n_u)
-    probs = np.fromiter(policy.uniform_full.values(), dtype=np.float64, count=n_u)
-    return states, probs
-
-
-def _lookup(column, states: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``column(k)[s]`` for each pair (s, k), one column per distinct count."""
-    out = np.empty(len(states))
-    for k in np.flatnonzero(np.bincount(counts)).tolist():
-        at_k = counts == k
-        out[at_k] = column(k)[states[at_k]]
-    return out
+    return all(abs(m - 1.0) <= tol for m in mass), mass
 
 
 def _obedience_values(
     policy: SequentialPolicy, env: Environment
-) -> tuple[np.ndarray, np.ndarray]:
-    """SO_c and SO_n of every agent, from one set of entry arrays. Each value
-    adds its terms one at a time over the entries in insertion order (then,
-    for SO_c, over the uniform-full states), the order the per-agent
-    definitions below read."""
+) -> tuple[list[float], list[float]]:
+    """SO_c and SO_n of every agent. Each value adds its terms one at a time
+    over the entries in insertion order (then, for SO_c, over the
+    uniform-full states), the order the per-agent definitions below read."""
     n = env.n_agents
-    ent = _entries(policy)
-    weight = env.prior[ent.states] * ent.probs
-    rows = ent.member_rows
+    columns: dict[int, list[float]] = {}  # gain_column at each count met
 
-    def gain_at(k: int) -> np.ndarray:
-        return gain_column(env, k)
+    def gain(s: int, count: int) -> float:
+        if count not in columns:
+            columns[count] = gain_column(env, count)
+        return columns[count][s]
 
-    invited = weight[rows] * _lookup(gain_at, ent.states[rows], ent.member_ranks)
+    invited: list[list[float]] = [[] for _ in range(n)]
+    outside: list[tuple[float, tuple[int, ...]]] = []
+    for (s, seq), p in policy.entries.items():
+        weight = env.prior[s] * p
+        for rank, agent in enumerate(seq):
+            invited[agent].append(weight * gain(s, rank))
+        # full sequences invite everyone, so no agent is ever outside one
+        if len(seq) < n:
+            outside.append((weight * gain(s, len(seq)), seq))
     # uniform full orderings: position is uniform, so the average gain
     # telescopes to potential(N) / N
-    uf_states, uf_probs = _uniform(policy)
-    uniform = env.prior[uf_states] * uf_probs * potential_column(env, n)[uf_states] / n
-    # full sequences invite everyone, so no agent is ever outside one
-    short = ent.lengths < n
-    outside = np.zeros(len(weight))
-    outside[short] = weight[short] * _lookup(gain_at, ent.states[short], ent.lengths[short])
-
-    so_c, so_n = np.empty(n), np.empty(n)
-    for i in range(n):
-        mine = ent.member_agents == i
-        so_c[i] = ordered_sum(np.concatenate((invited[mine], uniform)))
-        left_out = np.ones(len(weight), dtype=bool)
-        left_out[rows[mine]] = False
-        so_n[i] = ordered_sum(outside[left_out])
+    uniform = [
+        env.prior[s] * p * potential(env, s, n) / n for s, p in policy.uniform_full.items()
+    ]
+    so_c = [ordered_sum(invited[i] + uniform) for i in range(n)]
+    # an agent in no short sequence is outside every one of them
+    listed = {agent for _, seq in outside for agent in seq}
+    everyone = ordered_sum(t for t, _ in outside)
+    so_n = [
+        ordered_sum(t for t, seq in outside if i not in seq) if i in listed else everyone
+        for i in range(n)
+    ]
     return so_c, so_n
 
 
@@ -245,9 +202,7 @@ def check_policy(
     if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
         raise ValueError("policy does not match the environment's dimensions")
     feasible, mass = check_feasibility(policy, tol)
-    so_c_arr, so_n_arr = _obedience_values(policy, env)
-    so_c = tuple(so_c_arr.tolist())
-    so_n = tuple(so_n_arr.tolist())
+    so_c, so_n = map(tuple, _obedience_values(policy, env))
     passed = (
         feasible
         and all(v >= -tol for v in so_c)
@@ -256,7 +211,7 @@ def check_policy(
     return ObedienceReport(
         so_c=so_c,
         so_n=so_n,
-        state_mass=tuple(float(m) for m in mass),
+        state_mass=tuple(mass),
         feasible=feasible,
         passed=passed,
         tol=tol,
@@ -269,14 +224,10 @@ def expected_welfare(
     """Designer value if every invitation is followed (the policy objective),
     summed over the entries and then the uniform-full states in insertion
     order."""
-    n = env.n_agents
-    ent = _entries(policy)
-    uf_states, uf_probs = _uniform(policy)
-    states = np.concatenate((ent.states, uf_states))
-    counts = np.concatenate((ent.lengths, np.full(len(uf_states), n)))
-    probs = np.concatenate((ent.probs, uf_probs))
-    values = _lookup(lambda k: welfare_column(welfare, k), states, counts)
-    return float(ordered_sum(env.prior[states] * probs * values))
+    n, prior = env.n_agents, env.prior
+    blocks = [((s, len(seq)), p) for (s, seq), p in policy.entries.items()]
+    blocks += [((s, n), p) for s, p in policy.uniform_full.items()]
+    return ordered_sum(prior[s] * p * welfare_value(welfare, s, k) for (s, k), p in blocks)
 
 
 def policy_to_dict(policy: SequentialPolicy, labels: Iterable[str] | None = None) -> dict:

@@ -57,7 +57,7 @@ def test_case2_realized_zero_coop_gain(case2):
     ev = evaluate_bce_realized(bce, env, wf)
     rec_all = next(e for e in ev.events if e.label == "recommend-all")
     post = np.array(rec_all.posterior)
-    gain0 = float(post @ (env.benefit - env.cost))
+    gain0 = float(post @ (np.array(env.benefit) - env.cost))
     assert gain0 == pytest.approx(-0.5454545454545454, abs=1e-12)
 
 
@@ -193,7 +193,7 @@ def test_zero_complementarity_optimism_equals_robust_design():
         wf = WelfareSpec.power(
             n_agents, rng.uniform(1.0, 10.0, n_states), float(rng.uniform(1.0, 3.0))
         )
-        if not (env.benefit > env.cost).any():
+        if not (np.array(env.benefit) > env.cost).any():
             continue  # robust design infeasible
         tp = design(env, wf)
         bce = design_bce_optimistic(env, wf)

@@ -242,6 +242,32 @@ def test_capacity_guard_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "lp.json").exists()
 
 
+def test_run_past_the_lp_cap_writes_no_artifact(tmp_path, capsys):
+    # 800 states at N = 5 put the symmetric LP's tableau at ~4.5e6 cells,
+    # past the guard; the design mode, listed first, must not write either
+    cfg = {
+        "schema": 1,
+        "name": "past-cap",
+        "n_agents": 5,
+        "grid": {
+            "count": 800,
+            "theta_start": 0.001,
+            "theta_step": 0.001,
+            "b": [0.5, 2.0],
+            "lambda": [0.1, 0.8],
+            "alpha": [6.0, 12.0],
+        },
+        "cost": 2.0,
+        "beta": 1.5,
+        "modes": ["design", "lp"],
+    }
+    path = tmp_path / "past-cap.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("run", str(path), tmp_path / "out") == 3
+    assert "cell cap" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_lp_case2_within_guard(tmp_path):
     assert run_cli("lp", "case2", tmp_path) == 0
     lp = json.loads((tmp_path / "lp.json").read_text())
@@ -469,8 +495,31 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
         assert not (tmp_path / command).exists()
 
 
+# A 300-state grid with the public counterfactual: its events pool 222 and
+# 79 states, so the posterior's normalising total is a pairwise sum past
+# numpy's 128-term block, which neither preset reaches (case1 has 2 states,
+# case2 has 100 and no public mode).
+GRID_300 = {
+    "schema": 1,
+    "name": "grid",
+    "n_agents": 20,
+    "grid": {
+        "count": 300,
+        "theta_start": 0.003,
+        "theta_step": 0.003,
+        "b": [0.5, 2.0],
+        "lambda": [0.1, 0.8],
+        "alpha": [6.0, 12.0],
+    },
+    "cost": 2.0,
+    "beta": 1.5,
+    "sweep": {"start": 1.8, "stop": 2.2, "step": 0.1},
+    "modes": ["design", "check", "baselines", "public-counterfactual"],
+}
+
 # SHA-256 of every artifact `run` writes except manifest.json, as recorded
-# from commit 2330f8c; case1's lp.json changed on purpose when `lp` moved to
+# from commit 2330f8c (the grid's from commit 3b7ed88, with numpy on the
+# state axis); case1's lp.json changed on purpose when `lp` moved to
 # the agent-symmetric LP and began reporting its basis-check residuals, and
 # again when the simplex moved to most-negative pricing (its `iterations`
 # went from 8 to 4, every other field unchanged). A change that alters any
@@ -499,6 +548,17 @@ GOLDEN_DIGESTS = {
         "sweep.csv": "3d41ab5e54e464c22f62918ce76d3917a293f81029fd10e855bb651bb8d8e4f5",
         "sweep_summary.json": "28ba9f4c01fc8e48bbc117c5d4c461405ad9150c2de1643f9294d4738b979617",
     },
+    "grid": {
+        "comparison.csv": "b7e943da73de280869a42979501cddf7da3e7e9a2028dafdc40f0f31f7142b12",
+        "design.json": "c217f1f4b976cf4671e20f17c6beeed6fe2eb25c1dfd4cd39759a27027039fda",
+        "figdata_scores.csv": "d406ae4f68470898cf90840493b779d10f47bf37d66c2807110b0680ffb2decc",
+        "figdata_welfare.csv": "e13736f6f441af6fdf04939477601cce28b251d125ff304302c1ed3edaecfa64",
+        "obedience.json": "9066a7961d1ea06646528df03ffe78420fefa2f467e79bf8f8b484f54b13d7d9",
+        "policy.json": "8f67bff01e53f708c74f1f21c5aec453ba9c8aa9ad0beb4af720baa82065b49a",
+        "public.json": "eb34e671a54a39be1f46027c9b01235619d528a7f77e7f56cbcbee64d69b173e",
+        "sweep.csv": "acc2cf1ca3246d98e7279aa74f52464544240f2feedc13fc801091215edbac3a",
+        "sweep_summary.json": "4439692b0119a09eec09595382405f64a03df5113fd8c51a7b6b686236847fea",
+    },
 }
 
 
@@ -512,8 +572,12 @@ def _digests(out: Path) -> dict:
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))
 def test_run_artifacts_match_golden_digests(tmp_path, scenario):
-    assert run_cli("run", scenario, tmp_path) == 0
-    assert _digests(tmp_path) == GOLDEN_DIGESTS[scenario]
+    source = scenario
+    if scenario == "grid":
+        source = tmp_path / "grid.json"
+        source.write_text(json.dumps(GRID_300))
+    assert run_cli("run", str(source), tmp_path / "out") == 0
+    assert _digests(tmp_path / "out") == GOLDEN_DIGESTS[scenario]
 
 
 # SHA-256 of the lp.json that `lp` writes at the benchmark's sizes: case2's
@@ -645,11 +709,58 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert [json.loads(line) for line in proc.stdout.splitlines()] == [
         # the package alone: dir() lists every export, nothing is loaded
         [[], [], []],
-        [["numpy"]],  # robustcoord.cli
+        [[]],  # robustcoord.cli: numpy comes with lp
         [0, ["numpy"]],  # after lp
         [0, ["numpy", "robustcoord.baselines", "robustcoord.equilibrium"]],  # after run
     ]
     assert _digests(tmp_path / "run") == GOLDEN_DIGESTS["case1"]
+
+
+def test_only_a_process_that_runs_the_lp_imports_numpy(tmp_path):
+    # the benchmark's setup probe (import cli, load a preset and a grid
+    # file), then each command in turn: numpy comes with the first LP
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(GRID_300))
+    code = (
+        "import json, sys\n"
+        "import robustcoord.cli as cli\n"
+        "out, grid, *commands = sys.argv[1:]\n"
+        "cli.load_scenario('case2'), cli.load_scenario(grid)\n"
+        "print(json.dumps(['probe', 'numpy' in sys.modules]))\n"
+        "for i, command in enumerate(commands):\n"
+        "    name, scenario = command.split()\n"
+        "    code = cli.main([name, '--scenario', scenario, '--out', f'{out}/{i}'])\n"
+        "    print(json.dumps([command, code, 'numpy' in sys.modules]))\n"
+    )
+
+    def watch(out, *commands):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / out), str(grid), *commands],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return [json.loads(line) for line in proc.stdout.splitlines()]
+
+    no_lp = [f"{c} case2" for c in ("design", "check", "compare", "sweep", "evaluate", "run")]
+    assert watch("a", *no_lp, "lp case1") == [
+        ["probe", False],
+        *([command, 0, False] for command in no_lp),
+        ["lp case1", 0, True],
+    ]
+    # case1 enables the lp mode, so its run imports numpy too
+    assert watch("b", "run case1")[-1] == ["run case1", 0, True]
+
+
+def test_only_the_lp_modules_import_numpy():
+    src = Path(robustcoord.__file__).resolve().parent
+    importers = {
+        path.name
+        for path in src.glob("*.py")
+        if re.search(r"^\s*(import numpy|from numpy)", path.read_text(), re.M)
+    }
+    assert importers == {"lp.py", "simplex.py", "_kernels.py"}
 
 
 def test_package_exports_resolve_on_first_use():

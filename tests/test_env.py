@@ -18,6 +18,7 @@ from robustcoord import (
     potential,
     welfare_value,
 )
+from robustcoord.env import as_number, ordered_sum, pairwise_sum
 
 
 def utility(env, agent, profile, state):
@@ -130,6 +131,48 @@ def test_environment_validation():
     bad = dict(base, cost=float("nan"))
     with pytest.raises(ValueError, match="finite"):
         Environment(n_agents=3, **bad)
+
+
+@pytest.mark.parametrize("n_agents", [3.7, "3", True, None])
+def test_agent_count_must_be_a_whole_number(n_agents):
+    # int() would keep 3 of 3.7 and 1 of True; nothing is truncated
+    with pytest.raises(ValueError, match=re.escape("n_agents: expected a")):
+        Environment(n_agents, ("a",), [1.0], [2.0], [0.1], 1.0)
+    with pytest.raises(ValueError, match=re.escape("n_agents: expected a")):
+        WelfareSpec.power(n_agents, [1.0], 1.5)
+
+
+def test_whole_float_and_numpy_agent_counts_are_read_as_ints():
+    for n in (3.0, np.int64(3), np.float64(3.0)):
+        env = Environment(n, ("a",), [1.0], [2.0], [0.1], 1.0)
+        wf = WelfareSpec.power(n, [1.0], 1.5)
+        assert type(env.n_agents) is type(wf.n_agents) is int
+        assert env.n_agents == wf.n_agents == 3
+
+
+def test_as_number_reads_numpy_scalars_as_real_numbers():
+    half, three = as_number(np.float32(0.5), "x"), as_number(np.int64(3), "x", int)
+    assert (half, three) == (0.5, 3) and (type(half), type(three)) == (float, int)
+    with pytest.raises(ValueError, match=re.escape("x: expected a number, got")):
+        as_number(np.bool_(True), "x")
+    with pytest.raises(ValueError, match=re.escape("x: expected an integer, got")):
+        as_number(np.float64(2.5), "x", int)
+
+
+def test_pairwise_sum_is_np_sum_bit_for_bit():
+    # numpy sums fewer than 8 terms in order, up to 128 in eight strided
+    # running sums, and halves longer arrays at a multiple of 8; spread
+    # magnitudes make every one of those orders show in the last bits
+    rng = np.random.default_rng(2026)
+    order_shows = 0
+    for n in [*range(301), 2000]:
+        values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+        for arr in (values, np.abs(values), np.zeros(n), np.full(n, -0.0)):
+            want = float(np.sum(arr)).hex()
+            assert pairwise_sum(arr.tolist()).hex() == want, n
+            assert pairwise_sum(tuple(arr.tolist())).hex() == want, n
+        order_shows += ordered_sum(values.tolist()).hex() != float(np.sum(values)).hex()
+    assert order_shows > 200  # the lengths where an ordered sum would differ
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,26 @@ def test_policy_from_dict_rejects_non_integral_indices(where, value, message):
         policy_from_dict(data)
 
 
+@pytest.mark.parametrize("value", ["1.0", True, None, [1.0]])
+def test_policy_probabilities_must_be_numbers(value):
+    # float() would read "1.0" and True as 1.0
+    base = {"n_agents": 3, "n_states": 1, "entries": []}
+    entry = {**base, "entries": [{"state": 0, "sequence": [], "prob": value}]}
+    message = f"probability for (0, ()): expected a number, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        policy_from_dict(entry)
+    block = {**base, "uniform_full": [{"state": 0, "prob": value}]}
+    message = f"uniform-full mass for state 0: expected a number, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        policy_from_dict(block)
+
+
+def test_numpy_probabilities_are_read_as_floats():
+    pol = SequentialPolicy(3, 2, {(0, ()): np.float32(0.5), (0, (1,)): 0.5}, {1: np.float64(1.0)})
+    assert pol.entries == {(0, ()): 0.5, (0, (1,)): 0.5} and pol.uniform_full == {1: 1.0}
+    assert all(type(p) is float for p in (*pol.entries.values(), *pol.uniform_full.values()))
+
+
 def test_serialization_round_trip():
     pol = SequentialPolicy(
         4, 2, {(0, (2, 0)): 0.25, (1, ()): 1.0}, {0: 0.75}

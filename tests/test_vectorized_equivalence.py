@@ -1,11 +1,15 @@
-"""The numpy state axis against the per-state loops it replaced.
+"""The state axis against the per-state loops it once replaced.
 
 Each ``_loop_*`` function below is the scalar implementation the package
-used before its state loops became numpy arrays, kept as the reference;
-``_loop_private`` is the private-play walk that kept one state-length belief
-vector per interim event. On seeded instances every reported float must be
-the same double, compared through ``repr`` so that -0.0 and 0.0, and the
-infinite scores, count as different values.
+used before its state loops became numpy arrays, kept as the reference.
+The state axis is now tuples of Python floats again, but computed the way
+the arrays were (whole-column passes, fixed summation orders), so the same
+references still hold. ``_loop_private`` is the private-play walk that kept
+one state-length belief vector per interim event. On seeded instances every
+reported float must be the same double, compared through ``repr`` so that
+-0.0 and 0.0, and the infinite scores, count as different values. The
+references add in a fixed order too: Python's ``sum`` compensates rounding
+on Python floats from Python 3.12 on, so they never call it on them.
 """
 
 import math
@@ -123,13 +127,11 @@ def _loop_bce(env, welfare):
 
 
 def _loop_expected_gain(env, probs, count):
-    return float(
-        sum(
-            probs[s] * marginal_gain(env, s, count)
-            for s in range(env.n_states)
-            if probs[s] > 0.0
-        )
-    )
+    total = 0.0
+    for s in range(env.n_states):
+        if probs[s] > 0.0:
+            total += probs[s] * marginal_gain(env, s, count)
+    return total
 
 
 def _loop_smallest_count(env, probs, tol):
