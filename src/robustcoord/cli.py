@@ -52,8 +52,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
     globals()[name] = value
-    if gc.get_freeze_count():  # main froze the import heap: this import joins it
-        gc.freeze()
     return value
 
 
@@ -221,7 +219,7 @@ _MODE_RUNNERS = {
 
 def _run_all(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     if "lp" in scn.modes:  # an LP past its size cap fails before any write
-        _cli.check_capacity(scn.env, symmetric=True)
+        _cli.check_capacity(scn.env)
     written: list[str] = []
     for mode in scn.modes:
         written.extend(_MODE_RUNNERS[mode](scn, out, args, dsn))

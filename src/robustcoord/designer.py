@@ -13,7 +13,6 @@ independent of the number of agents.
 from __future__ import annotations
 
 import math
-from operator import truediv
 from typing import NamedTuple, Sequence
 
 from .env import (
@@ -133,8 +132,6 @@ def threshold_scan(
 def ratio_scores(gains: Sequence[float], stakes: Sequence[float]) -> list[float]:
     """Gain per unit of stake, state by state; where the stake is 0 the
     score is +inf for a positive gain and -inf otherwise."""
-    if min(stakes) > 0.0:
-        return list(map(truediv, gains, stakes))
     return [
         g / v if v > 0.0 else (math.inf if g > 0.0 else -math.inf)
         for g, v in zip(gains, stakes)

@@ -52,8 +52,6 @@ def as_number(value, where: str, kind=float):
     and the value if it is anything else (a string, a bool, None, ...) or,
     for ``kind=int``, a number with a fractional part: nothing is truncated.
     numpy registers its scalar types as ``numbers.Real``, so they pass too."""
-    if type(value) is kind:  # the common case, and the cheapest test
-        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = kind(value)
@@ -70,18 +68,10 @@ def _check_at_cost(env: Environment) -> Environment:
     """Reject a non-finite cost, and primitives whose potential at N
     overflows. That column bounds every value derived from them: each term
     of a potential or a gain, (b - c) * n and lambda * n * (n - 1), is
-    largest at n = N, so once it is finite nothing downstream overflows.
-
-    Every rounding step of the potential keeps its order in b and in
-    lambda, so it is finite in every state once it is finite at the lowest
-    and at the highest pair of them; only then is the column left unbuilt."""
+    largest at n = N, so once it is finite nothing downstream overflows."""
     if not math.isfinite(env.cost):
         raise ValueError("cost must be finite")
-    b, lam, n = env.benefit, env.complementarity, env.n_agents
-    corners = _potentials((min(b), max(b)), (min(lam), max(lam)), env.cost, n, n)
-    if all(map(math.isfinite, corners)):
-        return env
-    for s, value in enumerate(potential_column(env, n)):
+    for s, value in enumerate(potential_column(env, env.n_agents)):
         if not math.isfinite(value):
             raise ValueError(
                 f"state {s} ({env.labels[s]}): the potential at N overflows to {value}"
@@ -180,8 +170,8 @@ class Environment(Frozen):
 
     def with_cost(self, cost: float) -> "Environment":
         """Same environment at a different action cost (used by cost sweeps).
-        It shares this one's validated, read-only arrays and labels, so only
-        the new cost, and the potentials it moves, are checked."""
+        It shares this one's validated tuples and labels, so only the new
+        cost, and the potentials at N it moves, are checked."""
         env = object.__new__(Environment)
         for name in self.__slots__:
             object.__setattr__(env, name, getattr(self, name))
@@ -315,16 +305,14 @@ def gain_column(env: Environment, count: int) -> list[float]:
     return [b - c + lam * k / others for b, lam in zip(env.benefit, env.complementarity)]
 
 
-def _potentials(benefit, complementarity, cost: float, n: int, n_agents: int) -> list[float]:
-    n, less, pairs = float(n), float(n - 1), float(2 * (n_agents - 1))
-    return [(b - cost) * n + lam * n * less / pairs for b, lam in zip(benefit, complementarity)]
-
-
 def potential_column(env: Environment, n: int) -> list[float]:
     """``potential`` of every state at n cooperators, as one list."""
     if not 0 <= n <= env.n_agents:
         raise ValueError(f"n must be in 0..{env.n_agents}, got {n}")
-    return _potentials(env.benefit, env.complementarity, env.cost, n, env.n_agents)
+    c, n, less, pairs = env.cost, float(n), float(n - 1), float(2 * (env.n_agents - 1))
+    return [
+        (b - c) * n + lam * n * less / pairs for b, lam in zip(env.benefit, env.complementarity)
+    ]
 
 
 def welfare_column(welfare: WelfareSpec, n: int) -> list[float]:

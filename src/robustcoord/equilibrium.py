@@ -170,10 +170,8 @@ def event_outcome(
 ) -> EventOutcome:
     """One event's record; its welfare contribution is the prior-weighted
     value of ``coop_count`` cooperators over the states that send it."""
-    contrib = 0.0  # V(0, s) = 0 in every state
-    if coop_count:
-        weights = map(mul, env.prior, probs)
-        contrib = ordered_sum(map(mul, weights, welfare_column(welfare, coop_count)))
+    weights = map(mul, env.prior, probs)
+    contrib = ordered_sum(map(mul, weights, welfare_column(welfare, coop_count)))
     return EventOutcome(
         label=label,
         probs=tuple(probs),

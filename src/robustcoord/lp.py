@@ -83,19 +83,10 @@ class LpSolution(NamedTuple):
         return [(int(j), float(self.x[j])) for j in np.flatnonzero(self.x > PROB_TOL)]
 
 
-def check_capacity(env: Environment, *, symmetric: bool = False) -> None:
-    """Raise CapacityError if the LP of ``env`` is past its size cap: the
-    explicit LP's MAX_SEQUENCES columns, or the symmetric LP's
-    MAX_TABLEAU_CELLS tableau."""
+def check_capacity(env: Environment) -> None:
+    """Raise CapacityError if the symmetric LP of ``env`` is past its
+    MAX_TABLEAU_CELLS tableau cap."""
     n_states, n_agents = env.n_states, env.n_agents
-    if not symmetric:
-        n_seq = count_sequences(n_agents)
-        if n_seq * n_states > MAX_SEQUENCES:
-            raise CapacityError(
-                f"{n_seq} sequences x {n_states} states exceeds the "
-                f"{MAX_SEQUENCES}-variable cap"
-            )
-        return
     # tableau of solve_min: mass rows, two obedience rows and the objective,
     # by the variables, two slacks, one artificial per mass row and the rhs
     cells = (n_states + 3) * (n_states * (n_agents + 1) + n_states + 3)
@@ -114,7 +105,12 @@ def build_lp(
     if symmetric:
         return build_symmetric_lp(env, welfare)
     check_dimensions(env, welfare)
-    check_capacity(env)
+    n_seq = count_sequences(env.n_agents)
+    if n_seq * env.n_states > MAX_SEQUENCES:
+        raise CapacityError(
+            f"{n_seq} sequences x {env.n_states} states exceeds the "
+            f"{MAX_SEQUENCES}-variable cap"
+        )
     seqs = enumerate_sequences(env.n_agents)
     n_states, n_agents = env.n_states, env.n_agents
     columns = [(s, seq) for s in range(n_states) for seq in seqs]
@@ -164,7 +160,7 @@ def build_symmetric_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
     and then sees all k invitees cooperate.
     """
     check_dimensions(env, welfare)
-    check_capacity(env, symmetric=True)
+    check_capacity(env)
     n_states, n_agents = env.n_states, env.n_agents
     sizes = range(n_agents + 1)
     # column blocks indexed [s, k], flattened state-major

@@ -177,13 +177,7 @@ def _obedience_values(
         env.prior[s] * p * potential(env, s, n) / n for s, p in policy.uniform_full.items()
     ]
     so_c = [ordered_sum(invited[i] + uniform) for i in range(n)]
-    # an agent in no short sequence is outside every one of them
-    listed = {agent for _, seq in outside for agent in seq}
-    everyone = ordered_sum(t for t, _ in outside)
-    so_n = [
-        ordered_sum(t for t, seq in outside if i not in seq) if i in listed else everyone
-        for i in range(n)
-    ]
+    so_n = [ordered_sum(t for t, seq in outside if i not in seq) for i in range(n)]
     return so_c, so_n
 
 

@@ -21,6 +21,7 @@ from robustcoord import (
     to_sequential_policy,
 )
 from robustcoord import cli
+from robustcoord.equilibrium import event_posterior
 from conftest import random_convex_instance
 
 
@@ -65,6 +66,24 @@ def test_posterior_from_event(case1):
         posterior_from_event(env, (0.0, 0.0))
     with pytest.raises(ValueError, match="lie in"):
         posterior_from_event(env, (1.2, 0.5))
+
+
+def test_event_posterior_is_posterior_from_event_or_none(case1):
+    # the in-range branch skips Belief's checks and must give the same bits;
+    # a probability past 1 (within PROB_TOL, or beyond it) takes the checked path
+    env, _ = case1
+    rng = np.random.default_rng(3)
+    events = [tuple(rng.uniform(0.0, 1.0, 2).tolist()) for _ in range(200)]
+    events += [(0.0, 1.0), (1.0, 1.0), (1.95 / 2.85, 1.0), (-0.0, 0.3), (1.0 + 1e-13, 0.5)]
+    for probs in events:
+        bel = event_posterior(env, probs, 0.0)
+        assert [x.hex() for x in bel.probs] == [
+            x.hex() for x in posterior_from_event(env, probs).probs
+        ], probs
+    assert event_posterior(env, (0.0, 0.0), 0.0) is None
+    assert event_posterior(env, (1e-13, 0.0), 1e-12) is None
+    with pytest.raises(ValueError, match="lie in"):
+        event_posterior(env, (1.2, 0.5), 0.0)
 
 
 def test_posterior_rejects_state_count_mismatch(case1):
