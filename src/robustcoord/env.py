@@ -337,19 +337,21 @@ def pairwise_sum(terms: Sequence[float]) -> float:
     numpy's pairwise sum. That adds fewer than 8 terms in order; up to 128
     in eight strided running sums, combined as a tree, then the leftovers in
     order; past 128 it halves at a multiple of 8 and adds the halves' sums."""
+    return 0.0 + _pairwise_part(terms, 0, len(terms))
 
-    def part(lo: int, n: int) -> float:
-        if n < 8:
-            return ordered_sum(terms[lo : lo + n])
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return part(lo, half) + part(lo + half, n - half)
-        end = lo + n - n % 8
-        r = [reduce(add, terms[j + 8 : end : 8], terms[j]) for j in range(lo, lo + 8)]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, terms[end : lo + n], res)
 
-    return 0.0 + part(0, len(terms))
+def _pairwise_part(terms: Sequence[float], lo: int, n: int) -> float:
+    """``pairwise_sum`` of ``terms[lo : lo + n]`` without the +0.0; not a closure,
+    as one that calls itself is a cycle that pins ``terms`` until collected."""
+    if n < 8:
+        return ordered_sum(terms[lo : lo + n])
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_part(terms, lo, half) + _pairwise_part(terms, lo + half, n - half)
+    end = lo + n - n % 8
+    r = [reduce(add, terms[j + 8 : end : 8], terms[j]) for j in range(lo, lo + 8)]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, terms[end : lo + n], res)
 
 
 def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionReport:

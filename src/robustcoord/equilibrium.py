@@ -82,7 +82,8 @@ def posterior_from_event(env: Environment, event_probs: Sequence[float]) -> Beli
     probs = owned(event_probs)
     if len(probs) != env.n_states:
         raise ValueError("event probabilities do not match the state count")
-    if any(map((-PROB_TOL).__gt__, probs)) or any(map((1 + PROB_TOL).__lt__, probs)):
+    # an event is at most its state's mass, which may exceed 1 by MASS_SUM_TOL
+    if any(map((-PROB_TOL).__gt__, probs)) or any(map((1 + MASS_SUM_TOL).__lt__, probs)):
         raise ValueError("event probabilities must lie in [0, 1]")
     # clipped to [0, 1]; a -0.0 or a NaN passes through, as in np.clip
     weighted = [w * (0.0 if p < 0.0 else 1.0 if p > 1.0 else p) for w, p in zip(env.prior, probs)]

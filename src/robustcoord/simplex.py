@@ -16,7 +16,9 @@ away from the data. Answers are therefore never read off the final tableau:
 the final basis is re-solved against the original rows (``check_basis``,
 after Koberstein's refactorisation, PhD thesis, Paderborn 2005), and an
 optimal tableau is reported OPTIMAL only when the recomputed point and duals
-satisfy the program to CERT_TOL; otherwise the status is NUMERICAL.
+satisfy the program to CERT_TOL; otherwise the status is NUMERICAL. The
+tableau lives only while pivoting: it is freed before the check stacks the
+original rows, so the solve never holds both copies of the rows at once.
 """
 
 from __future__ import annotations
@@ -65,12 +67,12 @@ class SimplexResult(NamedTuple):
 
 
 class _Form(NamedTuple):
-    """The rows in tableau form. Columns are the n variables, then one slack
+    """The program in tableau form. Columns are the n variables, then one slack
     per ub row, then one artificial per eq row."""
 
-    rows: np.ndarray  # the eq rows, then the ub rows
+    A_eq: np.ndarray
+    A_ub: np.ndarray
     rhs: np.ndarray  # nonnegative
-    m_eq: int
 
 
 def _standard_form(c, A_eq, b_eq, A_ub, b_ub) -> tuple[np.ndarray, _Form]:
@@ -80,13 +82,12 @@ def _standard_form(c, A_eq, b_eq, A_ub, b_ub) -> tuple[np.ndarray, _Form]:
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=np.float64)
     A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=np.float64)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=np.float64)
-    m_eq = A_eq.shape[0]
-    if m_eq + A_ub.shape[0] == 0:
+    if len(A_eq) + len(A_ub) == 0:
         raise ValueError("need at least one constraint row")
     rhs = np.concatenate([b_eq, b_ub])
     if (rhs < 0).any():
         raise ValueError("every right-hand side must be nonnegative")
-    return c, _Form(np.vstack([A_eq, A_ub]), rhs, m_eq)
+    return c, _Form(A_eq, A_ub, rhs)
 
 
 def check_basis(c, A_eq, b_eq, A_ub, b_ub, basis) -> BasisCheck:
@@ -99,14 +100,15 @@ def check_basis(c, A_eq, b_eq, A_ub, b_ub, basis) -> BasisCheck:
 def _check(form: _Form, c: np.ndarray, basis: np.ndarray) -> BasisCheck:
     """x_B = B^-1 b and y = B^-T c_B from the original rows, then the primal
     residual, the bounds and the reduced-cost signs at that point."""
-    m, n = form.rows.shape
-    m_eq = form.m_eq
+    rows = np.vstack([form.A_eq, form.A_ub])
+    m, n = rows.shape
+    m_eq = len(form.A_eq)
     art_start = n + m - m_eq
     is_var = basis < n
     is_slack = (basis >= n) & (basis < art_start)
     slack_row = m_eq + basis[is_slack] - n
     B = np.zeros((m, m))
-    B[:, is_var] = form.rows[:, basis[is_var]]
+    B[:, is_var] = rows[:, basis[is_var]]
     B[slack_row, np.nonzero(is_slack)[0]] = 1.0
     art = ~(is_var | is_slack)
     B[basis[art] - art_start, np.nonzero(art)[0]] = 1.0  # artificial k sits on eq row k
@@ -125,12 +127,12 @@ def _check(form: _Form, c: np.ndarray, basis: np.ndarray) -> BasisCheck:
     x[basis[is_var]] = x_B[is_var]
     slack = np.zeros(m)  # slack value per row; zero on eq rows
     slack[slack_row] = x_B[is_slack]
-    residual = form.rows @ x + slack - form.rhs
+    residual = rows @ x + slack - form.rhs
     real = is_var | is_slack
     bound = float(max(0.0, -x_B[real].min())) if real.any() else 0.0
 
     # reduced costs of the variables, then of the slacks (cost 0)
-    d = np.concatenate([c - form.rows.T @ y, -y[m_eq:]])
+    d = np.concatenate([c - rows.T @ y, -y[m_eq:]])
     on_basis = np.zeros(art_start, dtype=bool)
     on_basis[basis[real]] = True
     dual = np.where(on_basis, np.abs(d), np.maximum(-d, 0.0))
@@ -153,14 +155,29 @@ def solve_min(
     A_ub: np.ndarray | None,
     b_ub: np.ndarray | None,
 ) -> SimplexResult:
+    """The result at the final basis. An optimal tableau stands as OPTIMAL
+    only when the re-solved basis passes the check; otherwise NUMERICAL,
+    with the re-solved point (zero when the basis is singular)."""
     c, form = _standard_form(c, A_eq, b_eq, A_ub, b_ub)
-    m, n = form.rows.shape
-    m_eq = form.m_eq
+    status, basis, iterations = _run_phases(form, c)
+    check = _check(form, c, basis)
+    if status == "OPTIMAL" and not check.passed:
+        status = "NUMERICAL"
+    basis.flags.writeable = False
+    return SimplexResult(status, iterations, basis, check)
+
+
+def _run_phases(form: _Form, c: np.ndarray) -> tuple[str, np.ndarray, int]:
+    """Both phases on a tableau of the program: the status, the final basis
+    and the pivot count. The tableau is freed on return."""
+    m_eq, n = form.A_eq.shape
+    m = m_eq + len(form.A_ub)
     art_start = n + m - m_eq
     total_cols = art_start + m_eq
 
     T = np.zeros((m + 1, total_cols + 1))
-    T[:m, :n] = form.rows
+    T[:m_eq, :n] = form.A_eq
+    T[m_eq:m, :n] = form.A_ub
     T[:m, total_cols] = form.rhs
     # start basis: an artificial on each eq row, a slack on each ub row
     basis = np.concatenate([np.arange(art_start, total_cols), np.arange(n, art_start)])
@@ -178,11 +195,11 @@ def solve_min(
         code, it = pivot_loop(T, basis, total_cols, maxiter)
         used += it
         if code == ITER_LIMIT:
-            return _finish("ITERATION_LIMIT", form, c, basis, used)
+            return "ITERATION_LIMIT", basis, used
         if code == UNBOUNDED:  # impossible: phase-1 objective is bounded below
             raise RuntimeError("phase-1 unbounded; simplex construction bug")
         if -T[m, total_cols] > PHASE1_TOL:
-            return _finish("INFEASIBLE", form, c, basis, used)
+            return "INFEASIBLE", basis, used
         # drive surviving artificials out of the basis where possible; rows
         # with no eligible pivot are redundant and stay inert at level zero
         for i in range(m):
@@ -202,19 +219,7 @@ def solve_min(
     code, it = pivot_loop(T, basis, art_start, maxiter - used)
     used += it
     if code == ITER_LIMIT:
-        return _finish("ITERATION_LIMIT", form, c, basis, used)
+        return "ITERATION_LIMIT", basis, used
     if code == UNBOUNDED:
         raise RuntimeError("objective unbounded; the caller built a bad program")
-    return _finish("OPTIMAL", form, c, basis, used)
-
-
-def _finish(status, form, c, basis, iterations) -> SimplexResult:
-    """The result at the final basis. An optimal tableau stands as OPTIMAL
-    only when the re-solved basis passes the check; otherwise NUMERICAL,
-    with the re-solved point (zero when the basis is singular)."""
-    check = _check(form, c, basis)
-    if status == "OPTIMAL" and not check.passed:
-        status = "NUMERICAL"
-    basis = basis.copy()
-    basis.flags.writeable = False
-    return SimplexResult(status, iterations, basis, check)
+    return "OPTIMAL", basis, used

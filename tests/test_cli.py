@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import re
@@ -682,6 +683,31 @@ def test_main_with_argv_leaves_the_collector_alone(tmp_path):
     before = gc.get_freeze_count()
     assert run_cli("run", "case1", tmp_path) == 0
     assert gc.get_freeze_count() == before
+
+
+def test_run_leaves_no_cyclic_garbage_holding_package_functions(tmp_path):
+    # a function caught in a reference cycle (a closure that calls itself,
+    # say) keeps everything it refers to alive until a collection runs
+    source = tmp_path / "grid.json"
+    source.write_text(json.dumps(GRID_300))
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli("run", str(source), tmp_path / "out") == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)  # collect() keeps what it finds in gc.garbage
+        gc.collect()
+        cyclic = [
+            f.__qualname__
+            for f in gc.garbage
+            if inspect.isfunction(f) and (f.__module__ or "").startswith("robustcoord")
+        ]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert cyclic == []
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):

@@ -13,6 +13,7 @@ from robustcoord import (
     PUBLIC,
     SequentialPolicy,
     WelfareSpec,
+    check_policy,
     design,
     evaluate_policy_realized,
     expected_gain,
@@ -70,7 +71,7 @@ def test_posterior_from_event(case1):
 
 def test_event_posterior_is_posterior_from_event_or_none(case1):
     # the in-range branch skips Belief's checks and must give the same bits;
-    # a probability past 1 (within PROB_TOL, or beyond it) takes the checked path
+    # a probability past 1 (within MASS_SUM_TOL, or beyond it) takes the checked path
     env, _ = case1
     rng = np.random.default_rng(3)
     events = [tuple(rng.uniform(0.0, 1.0, 2).tolist()) for _ in range(200)]
@@ -84,6 +85,25 @@ def test_event_posterior_is_posterior_from_event_or_none(case1):
     assert event_posterior(env, (1e-13, 0.0), 1e-12) is None
     with pytest.raises(ValueError, match="lie in"):
         event_posterior(env, (1.2, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, PRIVATE_SEQUENTIAL])
+def test_state_mass_within_mass_sum_tol_evaluates_as_mass_one(case1, mode):
+    # SequentialPolicy lets a state's mass exceed 1 by MASS_SUM_TOL, so an
+    # event probability may too; the posterior clips it to 1
+    env, wf = case1
+    over = SequentialPolicy(3, 2, {(0, (0, 1, 2)): 1 + 5e-10, (1, ()): 1.0}, {})
+    exact = SequentialPolicy(3, 2, {(0, (0, 1, 2)): 1.0, (1, ()): 1.0}, {})
+    assert check_policy(over, env).feasible
+    got = evaluate_policy_realized(over, env, wf, mode=mode)
+    want = evaluate_policy_realized(exact, env, wf, mode=mode)
+    assert got.welfare == want.welfare
+    assert [(e.label, e.posterior, e.coop_count) for e in got.events] == [
+        (e.label, e.posterior, e.coop_count) for e in want.events
+    ]
+    assert posterior_from_event(env, (1 + 5e-10, 0.0)).probs == (1.0, 0.0)
+    with pytest.raises(ValueError, match="lie in"):
+        posterior_from_event(env, (1 + 2e-9, 0.0))
 
 
 def test_posterior_rejects_state_count_mismatch(case1):

@@ -1,5 +1,7 @@
 """Exact LP oracle: agreement with the greedy rule, duality, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,29 @@ def test_case2_symmetric_lp_pivot_count(case2):
     sol = solve(build_symmetric_lp(env, wf))
     assert sol.status == "OPTIMAL"
     assert sol.iterations == 145  # pure Bland pricing took 2,509
+
+
+def test_case2_solve_never_holds_tableau_and_stacked_rows_together(case2):
+    # the tableau is freed before the basis check stacks the original rows,
+    # so the solve's peak above the program's own arrays stays below both
+    env, wf = case2
+    prog = build_symmetric_lp(env, wf)
+    m_eq, m_ub = len(prog.eq_matrix), len(prog.ineq_matrix)
+    rows = (m_eq + m_ub) * prog.n_vars * 8
+    tableau = (m_eq + m_ub + 1) * (prog.n_vars + m_ub + m_eq + 1) * 8
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve(prog)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sol.iterations == 145
+    assert peak < tableau + rows
 
 
 def _dense_pivot(T, basis, row, col):
