@@ -10,7 +10,7 @@ presume the best equilibrium.
 import os
 from importlib import import_module
 
-# Only the LP (lp, simplex, _kernels) uses numpy, so this matters only in a
+# Only the LP (lp, simplex) uses numpy, so this matters only in a
 # process that solves one. numpy's OpenBLAS starts one worker thread per
 # extra CPU when it loads, and each worker busy-waits before it sleeps; no
 # BLAS call here is large enough to use one, so the spin only burns CPU. One

@@ -20,8 +20,10 @@ from .env import (
     WelfareSpec,
     check_assumptions,
     ordered_sum,
+    potential,
     potential_column,
     welfare_column,
+    welfare_value,
 )
 from .seqpolicy import SequentialPolicy
 
@@ -138,20 +140,14 @@ def ratio_scores(gains: Sequence[float], stakes: Sequence[float]) -> list[float]
     ]
 
 
-def _potential_scores(
-    env: Environment, welfare: WelfareSpec
-) -> tuple[list[float], list[float], list[float]]:
-    """Full-cooperation potential, stake V(N) and score of every state."""
-    f_vals = potential_column(env, env.n_agents)
-    stakes = welfare_column(welfare, welfare.n_agents)
-    return f_vals, stakes, ratio_scores(f_vals, stakes)
-
-
 def score(env: Environment, welfare: WelfareSpec, state: int) -> float:
-    """Potential-to-welfare score of one state; +/-inf when the stake is 0."""
+    """Potential-to-welfare score of one state; +/-inf when the stake is 0.
+    Built from the scalar ``potential`` and ``welfare_value``, so it checks
+    ``design``'s score column instead of sharing its code."""
     if not 0 <= state < env.n_states:
         raise ValueError(f"state {state} out of range")
-    return _potential_scores(env, welfare)[2][state]
+    gain = potential(env, state, env.n_agents)
+    return ratio_scores([gain], [welfare_value(welfare, state, welfare.n_agents)])[0]
 
 
 def design(
@@ -173,7 +169,9 @@ def design(
     warnings = report.findings()
 
     counter = counter if counter is not None else OpCounter()
-    f_vals, stakes, scores = _potential_scores(env, welfare)
+    f_vals = potential_column(env, env.n_agents)
+    stakes = welfare_column(welfare, welfare.n_agents)
+    scores = ratio_scores(f_vals, stakes)
     if strict:
         s = next((s for s, v in enumerate(stakes) if not v > 0.0), None)
         if s is not None:

@@ -138,7 +138,7 @@ class Environment(Frozen):
         object.__setattr__(self, "prior", owned(prior))
         object.__setattr__(self, "benefit", owned(benefit))
         object.__setattr__(self, "complementarity", owned(complementarity))
-        object.__setattr__(self, "cost", float(cost))
+        object.__setattr__(self, "cost", as_number(cost, "cost"))
         self._validate()
 
     def _validate(self) -> None:
@@ -175,7 +175,7 @@ class Environment(Frozen):
         env = object.__new__(Environment)
         for name in self.__slots__:
             object.__setattr__(env, name, getattr(self, name))
-        object.__setattr__(env, "cost", float(cost))
+        object.__setattr__(env, "cost", as_number(cost, "cost"))
         return _check_at_cost(env)
 
 
@@ -210,12 +210,12 @@ class WelfareSpec(Frozen):
     @classmethod
     def power(cls, n_agents: int, alpha: Sequence[float], beta: float) -> "WelfareSpec":
         n_agents = as_number(n_agents, "n_agents", int)
-        alpha = owned(alpha)
+        alpha, beta = owned(alpha), as_number(beta, "beta")
         if not all(math.isfinite(a) and a > 0 for a in alpha):
             raise ValueError("power welfare requires finite alpha > 0 for every state")
         if not (math.isfinite(beta) and beta >= 1.0):
             raise ValueError(f"power welfare requires beta >= 1, got {beta}")
-        return cls(POWER, n_agents, alpha, float(beta))
+        return cls(POWER, n_agents, alpha, beta)
 
     @classmethod
     def tabulated(cls, table: Sequence[Sequence[float]]) -> "WelfareSpec":

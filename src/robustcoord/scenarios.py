@@ -121,7 +121,14 @@ def _build_explicit(config: dict, n_agents: int, cost: float, beta: float):
     for k, st in enumerate(states):
         where = f"states[{k}]"
         _reject_unknown(st, {"label", "prob", "b", "lambda", "alpha"}, where)
-        labels.append(str(_require(st, "label", where)))
+        label = str(_require(st, "label", where))
+        # labels go unquoted into the CSV artifacts; grid labels are decimal strings
+        if any(ch in label for ch in ',"\r\n'):
+            raise ValueError(
+                f"{where}.label: {label!r} holds a comma, double quote, CR or LF, "
+                "which the CSV artifacts cannot carry"
+            )
+        labels.append(label)
         prior.append(_field(st, "prob", where))
         benefit.append(_field(st, "b", where))
         comp.append(_field(st, "lambda", where))

@@ -6,10 +6,15 @@ is a ValueError). Every program this package builds qualifies: its mass rows
 have RHS 1 and its obedience rows RHS 0. The start basis is then the slacks
 plus one artificial per equality row. Small and deterministic by
 construction: fixed pivot rules, no scaling, no presolve. Intended for the
-moderate, mostly-degenerate programs this package builds (the zero RHS of
-the obedience rows makes ties in the ratio test exact and degenerate pivots
-common, which is why the kernel falls back to Bland's rule while pivots
-stall).
+moderate, mostly-degenerate programs this package builds.
+
+Pricing is Dantzig's rule (most negative reduced cost), which can cycle on
+degenerate programs (Beale 1955), and the zero RHS of the obedience rows
+makes ties in the ratio test exact and degenerate pivots common. So after
+STALL degenerate pivots in a row the loop prices by Bland's rule (Bland 1977)
+until the next nondegenerate pivot. That pivot strictly lowers the
+objective, and Bland's rule cannot cycle inside a degenerate run, so the
+loop terminates. The pivot loop is the package's only hot path.
 
 The tableau is updated in place, pivot after pivot, so its numbers drift
 away from the data. Answers are therefore never read off the final tableau:
@@ -27,15 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import (
-    ITER_LIMIT,
-    OPTIMAL,
-    PIVOT_TOL,
-    UNBOUNDED,
-    pivot,
-    pivot_loop,
-)
-
+PIVOT_TOL = 1e-10
+STALL = 50  # consecutive degenerate pivots before pricing falls back to Bland's rule
 PHASE1_TOL = 1e-8  # residual infeasibility we are willing to call zero
 CERT_TOL = 1e-9  # largest recomputed residual an OPTIMAL answer may carry
 
@@ -167,6 +165,52 @@ def solve_min(
     return SimplexResult(status, iterations, basis, check)
 
 
+def pivot(T, basis, row, col):
+    """One pivot on (row, col): the column becomes that row's unit vector and
+    enters the basis. Only the block where the normalised pivot row and the
+    pivot column are both nonzero is updated; every other cell would only
+    lose 0 * x, so at most the sign of a zero differs from the dense update.
+    Mutates T and basis in place."""
+    T[row] /= T[row, col]
+    cols = np.flatnonzero(T[row])
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(factors)
+    T[rows[:, None], cols] -= np.outer(factors[rows], T[row, cols])
+    basis[row] = col
+
+
+def pivot_loop(T, basis, active_cols, maxiter):
+    """Primal simplex on a dense tableau: most negative reduced cost enters,
+    or the lowest-index negative one while STALL or more pivots in a row have
+    been degenerate; the lowest basis index leaves among ratio-test ties.
+    Last row is the objective, last column the RHS. ``active_cols`` bounds
+    the entering scan so phase 2 can shut out the artificial columns.
+    Returns OPTIMAL, UNBOUNDED or ITERATION_LIMIT and the pivot count.
+    Mutates T and basis in place."""
+    m = T.shape[0] - 1
+    rhs = T.shape[1] - 1
+    it = 0
+    stalled = 0  # consecutive degenerate pivots
+    while it < maxiter:
+        costs = T[m, :active_cols]
+        neg = np.flatnonzero(costs < -PIVOT_TOL)
+        if neg.size == 0:
+            return "OPTIMAL", it
+        enter = int(neg[0]) if stalled >= STALL else int(np.argmin(costs))
+        col = T[:m, enter]
+        rows = np.nonzero(col > PIVOT_TOL)[0]
+        if rows.size == 0:
+            return "UNBOUNDED", it
+        ratios = T[rows, rhs] / col[rows]
+        best = ratios.min()
+        stalled = stalled + 1 if best <= PIVOT_TOL else 0
+        ties = rows[ratios == best]
+        pivot(T, basis, int(ties[np.argmin(basis[ties])]), enter)
+        it += 1
+    return "ITERATION_LIMIT", it
+
+
 def _run_phases(form: _Form, c: np.ndarray) -> tuple[str, np.ndarray, int]:
     """Both phases on a tableau of the program: the status, the final basis
     and the pivot count. The tableau is freed on return."""
@@ -194,9 +238,9 @@ def _run_phases(form: _Form, c: np.ndarray) -> tuple[str, np.ndarray, int]:
             T[m] -= T[i]
         code, it = pivot_loop(T, basis, total_cols, maxiter)
         used += it
-        if code == ITER_LIMIT:
-            return "ITERATION_LIMIT", basis, used
-        if code == UNBOUNDED:  # impossible: phase-1 objective is bounded below
+        if code == "ITERATION_LIMIT":
+            return code, basis, used
+        if code == "UNBOUNDED":  # impossible: phase-1 objective is bounded below
             raise RuntimeError("phase-1 unbounded; simplex construction bug")
         if -T[m, total_cols] > PHASE1_TOL:
             return "INFEASIBLE", basis, used
@@ -217,9 +261,6 @@ def _run_phases(form: _Form, c: np.ndarray) -> tuple[str, np.ndarray, int]:
         if bi < n and c[bi] != 0.0:
             T[m] -= c[bi] * T[i]
     code, it = pivot_loop(T, basis, art_start, maxiter - used)
-    used += it
-    if code == ITER_LIMIT:
-        return "ITERATION_LIMIT", basis, used
-    if code == UNBOUNDED:
+    if code == "UNBOUNDED":
         raise RuntimeError("objective unbounded; the caller built a bad program")
-    return "OPTIMAL", basis, used
+    return code, basis, used + it

@@ -22,9 +22,11 @@ from robustcoord import (
     ThresholdPolicy,
     WelfareSpec,
     cli,
+    design,
+    score,
 )
 from robustcoord.cli import main
-from robustcoord.scenarios import Scenario, load_scenario
+from robustcoord.scenarios import PRESETS, Scenario, build_scenario, load_scenario
 from robustcoord.seqpolicy import check_policy, policy_from_dict
 from robustcoord.simplex import BasisCheck
 
@@ -334,6 +336,29 @@ def test_non_finite_artifact_exits_2_and_leaves_strict_json(tmp_path, capsys, re
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("label", ["L,x", "H\nnew", 'say "hi"', "CR\rhere"])
+def test_label_breaking_csv_exits_2(tmp_path, capsys, label):
+    # a label lands unquoted in figdata_scores.csv and comparison.csv
+    cfg = {
+        "schema": 1,
+        "name": "labels",
+        "n_agents": 3,
+        "states": [
+            {"label": "L", "prob": 0.5, "b": 1.0, "lambda": 0.1, "alpha": 6.0},
+            {"label": label, "prob": 0.5, "b": 2.4, "lambda": 0.5, "alpha": 12.0},
+        ],
+        "cost": 2.0,
+        "beta": 1.5,
+        "modes": ["design", "baselines"],
+    }
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("run", str(path), out) == 2
+    assert f"error: states[1].label: {label!r} holds a comma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_write_json_refuses_non_finite_values(tmp_path, value):
     # the backstop behind the overflow check: no artifact holds Infinity or NaN
@@ -517,6 +542,18 @@ GRID_300 = {
     "sweep": {"start": 1.8, "stop": 2.2, "step": 0.1},
     "modes": ["design", "check", "baselines", "public-counterfactual"],
 }
+
+
+@pytest.mark.parametrize("config", [PRESETS["case2"], GRID_300], ids=["case2", "grid300"])
+def test_score_matches_design_scores_bit_for_bit(config):
+    # score is the scalar reference: potential and welfare_value per state
+    scn = build_scenario(config)
+    for cost in (1.0, 1.5, 2.0, 2.2):
+        env = scn.env.with_cost(cost)
+        scores = design(env, scn.welfare).scores
+        reference = [score(env, scn.welfare, s) for s in range(env.n_states)]
+        assert [x.hex() for x in reference] == [x.hex() for x in scores]
+
 
 # SHA-256 of every artifact `run` writes except manifest.json, as recorded
 # from commit 2330f8c (the grid's from commit 3b7ed88, with numpy on the
@@ -786,7 +823,22 @@ def test_only_the_lp_modules_import_numpy():
         for path in src.glob("*.py")
         if re.search(r"^\s*(import numpy|from numpy)", path.read_text(), re.M)
     }
-    assert importers == {"lp.py", "simplex.py", "_kernels.py"}
+    assert importers == {"lp.py", "simplex.py"}
+
+
+def test_kernels_stub_keeps_the_benchmark_backend_name():
+    # perfbench/run.py records _kernels.active_backend() in every run's
+    # environment; nothing in the package itself imports the stub
+    from robustcoord._kernels import active_backend
+
+    assert active_backend() == "numpy"
+    src = Path(robustcoord.__file__).resolve().parent
+    importers = {
+        path.name
+        for path in src.glob("*.py")
+        if re.search(r"^\s*(from|import)\s.*_kernels", path.read_text(), re.M)
+    }
+    assert importers == set()
 
 
 def test_package_exports_resolve_on_first_use():

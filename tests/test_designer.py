@@ -120,6 +120,7 @@ def test_zero_welfare_positive_potential_scores_plus_inf(case1):
     wf = WelfareSpec.tabulated(np.array([[0.0, 1.0, 2.0, 6.0], [0.0, 0.0, 0.0, 0.0]]))
     tp = design(env, wf)
     assert tp.scores[1] == math.inf
+    assert score(env, wf, 1) == math.inf
     assert tp.invite_probabilities()[1] == 1.0
 
 

@@ -142,6 +142,27 @@ def test_agent_count_must_be_a_whole_number(n_agents):
         WelfareSpec.power(n_agents, [1.0], 1.5)
 
 
+@pytest.mark.parametrize("cost", ["2", True, None])
+def test_cost_must_be_a_number(cost):
+    # float() would read "2" as 2.0 and True as 1.0
+    with pytest.raises(ValueError, match=re.escape("cost: expected a number, got")):
+        Environment(3, ("a",), [1.0], [2.0], [0.1], cost)
+
+
+@pytest.mark.parametrize("cost", ["1.5", False])
+def test_with_cost_must_be_given_a_number(cost):
+    env = Environment(3, ("a",), [1.0], [2.0], [0.1], 1.0)
+    with pytest.raises(ValueError, match=re.escape("cost: expected a number, got")):
+        env.with_cost(cost)
+
+
+@pytest.mark.parametrize("beta", ["1.5", True, None])
+def test_power_beta_must_be_a_number(beta):
+    # a string used to reach math.isfinite and raise TypeError
+    with pytest.raises(ValueError, match=re.escape("beta: expected a number, got")):
+        WelfareSpec.power(3, [1.0, 2.0], beta)
+
+
 def test_whole_float_and_numpy_agent_counts_are_read_as_ints():
     for n in (3.0, np.int64(3), np.float64(3.0)):
         env = Environment(n, ("a",), [1.0], [2.0], [0.1], 1.0)

@@ -305,7 +305,7 @@ def test_iteration_limit_is_reported(monkeypatch, case1, phase):
     def run_out(T, basis, active_cols, maxiter):
         in_phase2 = active_cols < T.shape[1] - 1  # artificials shut out
         if in_phase2 == (phase == 2):
-            return simplex.ITER_LIMIT, maxiter
+            return "ITERATION_LIMIT", maxiter
         return real(T, basis, active_cols, maxiter)
 
     monkeypatch.setattr(simplex, "pivot_loop", run_out)
@@ -360,7 +360,7 @@ def test_premature_optimal_tableau_gives_numerical(monkeypatch, case1):
 
     def stop_in_phase2(T, basis, active_cols, maxiter):
         if active_cols < T.shape[1] - 1:  # phase 2 shuts out the artificials
-            return simplex.OPTIMAL, 0  # claim optimality at phase 1's basis
+            return "OPTIMAL", 0  # claim optimality at phase 1's basis
         return real(T, basis, active_cols, maxiter)
 
     monkeypatch.setattr(simplex, "pivot_loop", stop_in_phase2)
