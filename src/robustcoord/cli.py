@@ -8,7 +8,7 @@ for the manifest timestamp. Each JSON artifact is built here, from its
 record's `_asdict()`; where one departs from those fields, its writer says why.
 
 Exit codes: 0 success, 1 assumption failure under --strict, 2 input or I/O
-error, 3 problem too large for the exact LP (tableau-size guard).
+error, 3 problem past a size cap (the scenario loader's or the exact LP's).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import sys
 from datetime import datetime, timezone
 from functools import cached_property
-from importlib import import_module
 from pathlib import Path
 
 from .designer import InfeasibleDesignError, StrictModeError, design, to_sequential_policy
@@ -29,29 +28,21 @@ from .scenarios import Scenario, load_scenario
 from .seqpolicy import CapacityError, check_policy, policy_to_dict
 
 # Only the baselines, sweep and public-counterfactual modes run baselines
-# and equilibrium, and only the lp mode runs lp (and with it numpy), so
-# these names of theirs are taken from their module on first use (PEP 562):
-# a `design` or `check` process loads none of them. The runners look the
-# names up on this module when they call them, so whatever is bound here at
-# that moment (a tracing wrapper, say) is what runs.
-_LAZY = {
-    "compare": "baselines",
-    "sweep": "baselines",
-    "sweep_boundaries": "baselines",
-    "evaluate_policy_realized": "equilibrium",
-    "PRIVATE_SEQUENTIAL": "equilibrium",
-    "PUBLIC": "equilibrium",
-    "build_lp": "lp",
-    "solve": "lp",
-    "check_capacity": "lp",
-}
+# and equilibrium, and only the lp mode runs lp (and with it numpy), so these
+# names are taken through the package's _EXPORTS on first use (PEP 562): a
+# `design` or `check` process loads none of them. The runners look the names
+# up on this module when they call them, so whatever is bound here at that
+# moment (a tracing wrapper, say) is what runs.
+_LAZY = frozenset(
+    "compare sweep sweep_boundaries evaluate_policy_realized PRIVATE_SEQUENTIAL PUBLIC "
+    "build_lp solve".split()
+)
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
 
 
@@ -219,7 +210,9 @@ _MODE_RUNNERS = {
 
 def _run_all(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     if "lp" in scn.modes:  # an LP past its size cap fails before any write
-        _cli.check_capacity(scn.env)
+        from .lp import check_capacity
+
+        check_capacity(scn.env)
     written: list[str] = []
     for mode in scn.modes:
         written.extend(_MODE_RUNNERS[mode](scn, out, args, dsn))

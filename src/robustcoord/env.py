@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from functools import reduce
 from operator import add
 from typing import NamedTuple, Sequence
@@ -62,6 +63,13 @@ def as_number(value, where: str, kind=float):
                 raise ValueError(f"{where}: expected an integer, got {value!r}")
             return number
     raise ValueError(f"{where}: expected a number, got {value!r}")
+
+
+def reject_duplicates(items, where: str, what: str) -> None:
+    """Raise ValueError naming every item given more than once."""
+    dups = sorted(k for k, n in Counter(items).items() if n > 1)
+    if dups:
+        raise ValueError(f"{where}: duplicate {what} {dups}")
 
 
 def _check_at_cost(env: Environment) -> Environment:

@@ -14,7 +14,8 @@ import math
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .designer import ThresholdPolicy, to_sequential_policy
+# unused here: the binding perfbench/spans.py replaces (ROADMAP item 3 drops both)
+from .designer import to_sequential_policy
 from .env import (
     DEFAULT_TOL,
     MASS_SUM_TOL,
@@ -206,7 +207,7 @@ def _signal_events(
 
 
 def evaluate_policy_realized(
-    policy: SequentialPolicy | ThresholdPolicy,
+    policy: SequentialPolicy,
     env: Environment,
     welfare: WelfareSpec,
     mode: str = PRIVATE_SEQUENTIAL,
@@ -232,11 +233,12 @@ def evaluate_policy_realized(
         raise ValueError(f"unknown evaluation mode {mode!r}")
     check_tol(obedience_tol)
     check_dimensions(env, welfare)
-    if isinstance(policy, ThresholdPolicy):
-        if len(policy.invite_probs) != env.n_states:
-            raise ValueError("policy does not match the environment's dimensions")
-        policy = to_sequential_policy(policy, env)
-    elif policy.n_agents != env.n_agents or policy.n_states != env.n_states:
+    if not isinstance(policy, SequentialPolicy):
+        raise TypeError(
+            f"expected a SequentialPolicy, got {type(policy).__name__}; "
+            "play a design as to_sequential_policy(tp, env)"
+        )
+    if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
         raise ValueError("policy does not match the environment's dimensions")
 
     private = mode == PRIVATE_SEQUENTIAL

@@ -16,14 +16,21 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 from typing import NamedTuple
 
-from .env import Environment, WelfareSpec, as_number
+from .env import Environment, WelfareSpec, as_number, reject_duplicates
+from .seqpolicy import CapacityError
 
 SCHEMA_VERSION = 1
+
+# Size caps, each checked before the list it bounds is built; past one the
+# loader raises CapacityError (exit 3). They sit far above every preset and
+# benchmark input: at most 45 sweep points, 2,000 states and S * N = 40,000.
+MAX_SWEEP_POINTS = 10_000
+MAX_GRID_COUNT = 100_000
+MAX_STATE_AGENTS = 1_000_000  # states times agents
 
 MODES = ("design", "check", "lp", "baselines", "public-counterfactual")
 
@@ -84,15 +91,9 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
-def _reject_duplicates(items, where: str, what: str) -> None:
-    dups = sorted(k for k, n in Counter(items).items() if n > 1)
-    if dups:
-        raise ValueError(f"{where}: duplicate {what} {dups}")
-
-
 def _unique_keys(pairs: list) -> dict:
     """A JSON object, refusing a key it gives twice (``json`` keeps the last)."""
-    _reject_duplicates([key for key, _ in pairs], "scenario file", "key(s)")
+    reject_duplicates([key for key, _ in pairs], "scenario file", "key(s)")
     return dict(pairs)
 
 
@@ -107,6 +108,13 @@ def _decimal(block: dict, key: str, where: str) -> Decimal:
     return Decimal(str(block[key]))
 
 
+def _check_size(n_states: int, n_agents: int) -> None:
+    if n_states * n_agents > MAX_STATE_AGENTS:
+        raise CapacityError(
+            f"{n_states} states times {n_agents} agents exceeds the cap of {MAX_STATE_AGENTS}"
+        )
+
+
 def _ramp_endpoints(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{where}: expected [lo, hi]")
@@ -117,6 +125,7 @@ def _build_explicit(config: dict, n_agents: int, cost: float, beta: float):
     states = config["states"]
     if not isinstance(states, list) or not states:
         raise ValueError("states: expected a non-empty list")
+    _check_size(len(states), n_agents)
     labels, prior, benefit, comp, alpha = [], [], [], [], []
     for k, st in enumerate(states):
         where = f"states[{k}]"
@@ -152,6 +161,9 @@ def _build_grid(config: dict, n_agents: int, cost: float, beta: float):
     count = _field(grid, "count", "grid", int)
     if count < 1:
         raise ValueError("grid.count: must be at least 1")
+    if count > MAX_GRID_COUNT:
+        raise CapacityError(f"grid.count {count} exceeds the cap of {MAX_GRID_COUNT}")
+    _check_size(count, n_agents)
     d0, dd = _decimal(grid, "theta_start", "grid"), _decimal(grid, "theta_step", "grid")
     decs = [d0 + k * dd for k in range(count)]
     theta = [float(d) for d in decs]
@@ -180,6 +192,9 @@ def _build_sweep(block: dict) -> tuple[float, ...]:
         raise ValueError("sweep.step: must be positive")
     if stop < start:
         raise ValueError("sweep.stop: must not be below sweep.start")
+    # floor((stop - start) / step) + 1 points, so past the cap when this holds
+    if (stop - start) / step >= MAX_SWEEP_POINTS:
+        raise CapacityError(f"sweep has more than the cap of {MAX_SWEEP_POINTS} points")
     costs, point = [], start
     while point <= stop:
         costs.append(float(point))
@@ -207,7 +222,7 @@ def build_scenario(config: dict) -> Scenario:
         env, welfare = _build_explicit(config, n_agents, cost, beta)
     else:
         env, welfare = _build_grid(config, n_agents, cost, beta)
-    _reject_duplicates(env.labels, "states" if "states" in config else "grid", "label(s)")
+    reject_duplicates(env.labels, "states" if "states" in config else "grid", "label(s)")
 
     modes = _require(config, "modes", "scenario")
     if not isinstance(modes, list):
@@ -215,7 +230,7 @@ def build_scenario(config: dict) -> Scenario:
     bad = [m for m in modes if m not in MODES]
     if bad:
         raise ValueError(f"scenario.modes: unknown mode(s) {bad}; valid: {list(MODES)}")
-    _reject_duplicates(modes, "scenario.modes", "mode(s)")
+    reject_duplicates(modes, "scenario.modes", "mode(s)")
 
     sweep_costs = _build_sweep(config["sweep"]) if "sweep" in config else None
     return Scenario(

@@ -29,6 +29,7 @@ from .env import (
     gain_column,
     ordered_sum,
     potential,
+    reject_duplicates,
     welfare_value,
 )
 
@@ -39,8 +40,10 @@ Sequence_ = tuple[int, ...]
 
 
 class CapacityError(RuntimeError):
-    """Raised when a problem exceeds a size cap: explicit enumeration past
-    MAX_SEQUENCES, or a symmetric-LP tableau past lp.MAX_TABLEAU_CELLS."""
+    """Raised when a problem exceeds a size cap: a scenario past one of the
+    loader's caps (scenarios.MAX_SWEEP_POINTS, MAX_GRID_COUNT and
+    MAX_STATE_AGENTS), explicit enumeration past MAX_SEQUENCES, or a
+    symmetric-LP tableau past lp.MAX_TABLEAU_CELLS."""
 
 
 def count_sequences(n_agents: int) -> int:
@@ -244,12 +247,14 @@ def policy_to_dict(policy: SequentialPolicy, labels: Iterable[str] | None = None
 
 def policy_from_dict(data: Mapping) -> SequentialPolicy:
     try:
-        entries = {
-            (e["state"], tuple(e["sequence"])): e["prob"] for e in data["entries"]
-        }
-        uniform_full = {e["state"]: e["prob"] for e in data.get("uniform_full", [])}
+        entries = [((e["state"], tuple(e["sequence"])), e["prob"]) for e in data["entries"]]
+        uniform_full = [(e["state"], e["prob"]) for e in data.get("uniform_full", [])]
+        # a dict would keep an item given twice only once, dropping mass
+        where = "malformed policy payload"
+        reject_duplicates([key for key, _ in entries], where, "(state, sequence)")
+        reject_duplicates([state for state, _ in uniform_full], where, "uniform_full state")
         return SequentialPolicy(
-            data["n_agents"], data["n_states"], entries, uniform_full
+            data["n_agents"], data["n_states"], dict(entries), dict(uniform_full)
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed policy payload: {exc}") from exc

@@ -2,7 +2,7 @@
 
 import gc
 import hashlib
-import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -23,6 +23,7 @@ from robustcoord import (
     WelfareSpec,
     cli,
     design,
+    scenarios,
     score,
 )
 from robustcoord.cli import main
@@ -269,6 +270,42 @@ def test_run_past_the_lp_cap_writes_no_artifact(tmp_path, capsys):
     assert run_cli("run", str(path), tmp_path / "out") == 3
     assert "cell cap" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "cap, scenario, at",
+    [
+        ("MAX_SWEEP_POINTS", "case1", 45),  # 1.0 to 3.2 in steps of 0.05
+        ("MAX_GRID_COUNT", "case2", 100),
+        ("MAX_STATE_AGENTS", "case2", 1000),  # 100 grid states, 10 agents
+        ("MAX_STATE_AGENTS", "case1", 6),  # 2 listed states, 3 agents
+    ],
+)
+def test_loader_size_caps_exit_3_before_out_exists(
+    tmp_path, capsys, monkeypatch, cap, scenario, at
+):
+    monkeypatch.setattr(scenarios, cap, at)
+    assert run_cli("design", scenario, tmp_path / "at") == 0
+    monkeypatch.setattr(scenarios, cap, at - 1)
+    assert run_cli("design", scenario, tmp_path / "past") == 3
+    assert f"cap of {at - 1}" in capsys.readouterr().err
+    assert not (tmp_path / "past").exists()
+
+
+def test_a_fine_sweep_exits_3_before_building_its_costs(tmp_path, capsys):
+    # 1.0 to 3.2 in steps of 1e-7 is ~22M costs: seconds and hundreds of MB
+    # before the cap; the count is checked first
+    cfg = {**PRESETS["case1"], "sweep": {"start": 1.0, "stop": 3.2, "step": 1e-7}}
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("design", str(path), tmp_path / "out") == 3
+    assert "sweep has more than the cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_scenario_mode_has_a_runner():
+    # a mode in MODES alone would crash `run` with a KeyError (exit 1)
+    assert set(scenarios.MODES) == set(cli._MODE_RUNNERS)
 
 
 def test_lp_case2_within_guard(tmp_path):
@@ -826,12 +863,25 @@ def test_only_the_lp_modules_import_numpy():
     assert importers == {"lp.py", "simplex.py"}
 
 
-def test_kernels_stub_keeps_the_benchmark_backend_name():
-    # perfbench/run.py records _kernels.active_backend() in every run's
-    # environment; nothing in the package itself imports the stub
+def test_every_name_the_benchmark_looks_up_resolves(monkeypatch):
+    # perfbench/ reaches into the package only through these names: each
+    # traced function and every module binding spans.py replaces, the
+    # backend name run.py records, and the counter the design span passes
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("_spans", root / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclass looks itself up there
+    spec.loader.exec_module(spans)
+    for _, home, attr, users, _, _ in spans.TARGETS:
+        original = getattr(importlib.import_module(home), attr)
+        for user in users:
+            assert getattr(importlib.import_module(user), attr) is original, (user, attr)
     from robustcoord._kernels import active_backend
+    from robustcoord.designer import OpCounter
 
     assert active_backend() == "numpy"
+    assert OpCounter().ops == 0
+    # the stub serves the benchmark alone: nothing in the package imports it
     src = Path(robustcoord.__file__).resolve().parent
     importers = {
         path.name

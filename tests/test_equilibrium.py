@@ -251,8 +251,8 @@ def test_bad_tolerance_rejected(case1, tol):
 
 def test_private_evaluation_of_optimal_policy(case1):
     env, wf = case1
-    tp = design(env, wf)
-    ev = evaluate_policy_realized(tp, env, wf, mode=PRIVATE_SEQUENTIAL)
+    pol = to_sequential_policy(design(env, wf), env)
+    ev = evaluate_policy_realized(pol, env, wf, mode=PRIVATE_SEQUENTIAL)
     assert ev.obedient is True
     assert ev.welfare == pytest.approx(8.052631578947368, abs=1e-12)
 
@@ -351,8 +351,10 @@ def test_policy_with_more_states_rejected(case1, mode):
         complementarity=np.array([0.1, 0.5, 0.5]),
         cost=2.0,
     )
+    # a design is played only once it is a policy, and to_sequential_policy
+    # checks its size (tests/test_designer.py)
     tp = design(three, WelfareSpec.power(3, [6.0, 12.0, 12.0], 1.5))
-    with pytest.raises(ValueError, match="policy does not match the environment"):
+    with pytest.raises(TypeError, match=r"to_sequential_policy\(tp, env\)"):
         evaluate_policy_realized(tp, env, wf, mode=mode)
 
 

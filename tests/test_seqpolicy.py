@@ -206,6 +206,31 @@ def test_policy_probabilities_must_be_numbers(value):
         policy_from_dict(block)
 
 
+def test_policy_from_dict_rejects_a_repeated_entry():
+    # a dict would keep the last item and drop state 0's other half
+    half = {"state": 0, "sequence": [], "prob": 0.5}
+    data = {
+        "n_agents": 3,
+        "n_states": 2,
+        "entries": [half, dict(half), {"state": 1, "sequence": [], "prob": 1.0}],
+    }
+    message = "malformed policy payload: duplicate (state, sequence) [(0, ())]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        policy_from_dict(data)
+
+
+def test_policy_from_dict_rejects_a_repeated_uniform_full_state():
+    data = {
+        "n_agents": 3,
+        "n_states": 1,
+        "entries": [],
+        "uniform_full": [{"state": 0, "prob": 0.6}, {"state": 0, "prob": 0.4}],
+    }
+    message = "malformed policy payload: duplicate uniform_full state [0]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        policy_from_dict(data)
+
+
 def test_numpy_probabilities_are_read_as_floats():
     pol = SequentialPolicy(3, 2, {(0, ()): np.float32(0.5), (0, (1,)): 0.5}, {1: np.float64(1.0)})
     assert pol.entries == {(0, ()): 0.5, (0, (1,)): 0.5} and pol.uniform_full == {1: 1.0}
