@@ -11,6 +11,7 @@ one-shot analogue of the threshold rule is exact.
 
 from __future__ import annotations
 
+import math
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -22,7 +23,6 @@ from .env import (
     WelfareSpec,
     check_dimensions,
     gain_column,
-    ordered_sum,
     welfare_column,
 )
 from .equilibrium import (
@@ -90,7 +90,7 @@ def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePol
 
     scan = threshold_scan(env.prior, g_full, scores)
     q = scan.invite_probs
-    predicted = ordered_sum(map(mul, map(mul, env.prior, q), v_full))
+    predicted = math.fsum(map(mul, map(mul, env.prior, q), v_full))
     # the lowest-scored fully invited state; order is stable, so ties go to
     # the lower index
     first_full = next((s for s in scan.order if q[s] == 1.0), None)
@@ -112,7 +112,6 @@ def evaluate_bce_realized(
     """Same recommendations under smallest-equilibrium play: two public
     events (recommend-all, recommend-none), each with its Bayes posterior."""
     q = policy.invite_probs
-    total = 0.0
     events = []
     for label, probs in (("recommend-all", q), ("recommend-none", [1.0 - x for x in q])):
         # up to PROB_TOL the event is float dust from q near 0 or 1
@@ -120,9 +119,8 @@ def evaluate_bce_realized(
         if belief is None:
             continue
         out = smallest_equilibrium(env, belief)
-        event = event_outcome(env, welfare, label, probs, belief, out.coop_count)
-        total += event.welfare_contribution
-        events.append(event)
+        events.append(event_outcome(env, welfare, label, probs, belief, out.coop_count))
+    total = math.fsum(e.welfare_contribution for e in events)
     return RealizedEvaluation(
         welfare=total, mode=PUBLIC, obedient=None, events=tuple(events)
     )

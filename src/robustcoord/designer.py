@@ -13,13 +13,13 @@ independent of the number of agents.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .env import (
     Environment,
     WelfareSpec,
     check_assumptions,
-    ordered_sum,
     potential,
     potential_column,
     welfare_column,
@@ -108,7 +108,7 @@ def threshold_scan(
     eligible = order[scores.count(-math.inf) :]
     steps = [prior[s] * gains[s] for s in eligible]
     q = [0.0] * n_states
-    if ordered_sum(steps) >= 0.0:
+    if math.fsum(steps) >= 0.0:
         for s in eligible:
             q[s] = 1.0
         return ThresholdScan(order, tuple(q), eligible[0], 1.0, True)
@@ -160,10 +160,10 @@ def design(
     """Compute the optimal robust invitation policy.
 
     Scores every state by potential(N) / V(N), then grants invitation mass
-    with ``threshold_scan`` budgeting the prior-weighted potential. Expected
-    welfare sums the invited states in score order. The counter ticks once
-    per state scored, per ``threshold_scan``'s steps and once per eligible
-    state summed, so its total does not depend on N.
+    with ``threshold_scan`` budgeting the prior-weighted potential. The
+    counter ticks once per state scored, per ``threshold_scan``'s steps and
+    once per eligible state (those the welfare sum can invite), so its total
+    does not depend on N.
     """
     report = check_assumptions(env, welfare)
     warnings = report.findings()
@@ -189,11 +189,9 @@ def design(
         )
 
     scan = threshold_scan(env.prior, f_vals, scores, counter)
-    q, prior = scan.invite_probs, env.prior
+    q = scan.invite_probs
     counter.tick(len(scores) - scores.count(-math.inf))
-    # in score order; -inf states are never invited
-    invited = [s for s in scan.order if q[s] > 0.0]
-    wel = ordered_sum(q[s] * prior[s] * stakes[s] for s in invited)
+    wel = math.fsum(map(mul, map(mul, env.prior, q), stakes))
 
     return ThresholdPolicy(
         scores=tuple(scores),

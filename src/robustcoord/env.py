@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from functools import reduce
-from operator import add
 from typing import NamedTuple, Sequence
 
 # welfare kinds
@@ -87,10 +85,14 @@ def _check_at_cost(env: Environment) -> Environment:
     return env
 
 
-def owned(values) -> tuple[float, ...]:
-    """``values`` as a tuple of floats: a record shares no list with its
-    caller and hands out none that can be written."""
-    return tuple(map(float, values))
+def owned(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each read by ``as_number`` (an error
+    names ``name`` and the index): a record shares no list with its caller
+    and hands out none that can be written."""
+    # a float passes as itself; only other values pay for as_number's checks
+    return tuple(
+        [v if type(v) is float else as_number(v, f"{name}[{i}]") for i, v in enumerate(values)]
+    )
 
 
 class Frozen:
@@ -143,9 +145,9 @@ class Environment(Frozen):
     ):
         object.__setattr__(self, "n_agents", as_number(n_agents, "n_agents", int))
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
-        object.__setattr__(self, "prior", owned(prior))
-        object.__setattr__(self, "benefit", owned(benefit))
-        object.__setattr__(self, "complementarity", owned(complementarity))
+        object.__setattr__(self, "prior", owned(prior, "prior"))
+        object.__setattr__(self, "benefit", owned(benefit, "benefit"))
+        object.__setattr__(self, "complementarity", owned(complementarity, "complementarity"))
         object.__setattr__(self, "cost", as_number(cost, "cost"))
         self._validate()
 
@@ -168,8 +170,8 @@ class Environment(Frozen):
             for s, value in enumerate(column):
                 if value < 0:
                     raise ValueError(f"{name} must be nonnegative, state {s} is {value}")
-            if name == "prior" and abs(pairwise_sum(column) - 1.0) > PRIOR_SUM_TOL:
-                raise ValueError(f"prior must sum to 1, got {pairwise_sum(column)!r}")
+            if name == "prior" and abs(math.fsum(column) - 1.0) > PRIOR_SUM_TOL:
+                raise ValueError(f"prior must sum to 1, got {math.fsum(column)!r}")
         _check_at_cost(self)
 
     @property
@@ -194,8 +196,8 @@ class WelfareSpec(Frozen):
     TABULATED: explicit table of shape (n_states, N + 1), V(0, s) = 0 and
     weakly increasing in n. Convexity (V(n, s) <= (n/N) V(N, s)) is an
     assumption to be *checked*, not enforced at construction. Build one with
-    ``power`` or ``tabulated``, which validate; the constructor only keeps
-    tuple copies of ``alpha`` and of the table's rows.
+    ``power`` or ``tabulated``, which copy ``alpha`` or the table's rows into
+    tuples of floats and validate them; the constructor keeps what it is given.
     """
 
     __slots__ = ("kind", "n_agents", "alpha", "beta", "table")
@@ -210,15 +212,14 @@ class WelfareSpec(Frozen):
     ):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n_agents", n_agents)
-        object.__setattr__(self, "alpha", None if alpha is None else owned(alpha))
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        table = None if table is None else tuple(map(owned, table))
         object.__setattr__(self, "table", table)
 
     @classmethod
     def power(cls, n_agents: int, alpha: Sequence[float], beta: float) -> "WelfareSpec":
         n_agents = as_number(n_agents, "n_agents", int)
-        alpha, beta = owned(alpha), as_number(beta, "beta")
+        alpha, beta = owned(alpha, "alpha"), as_number(beta, "beta")
         if not all(math.isfinite(a) and a > 0 for a in alpha):
             raise ValueError("power welfare requires finite alpha > 0 for every state")
         if not (math.isfinite(beta) and beta >= 1.0):
@@ -227,7 +228,7 @@ class WelfareSpec(Frozen):
 
     @classmethod
     def tabulated(cls, table: Sequence[Sequence[float]]) -> "WelfareSpec":
-        table = tuple(map(owned, table))
+        table = tuple(owned(row, f"table[{s}]") for s, row in enumerate(table))
         width = len(table[0]) if table else 0
         if width < 3 or any(len(row) != width for row in table):
             raise ValueError("welfare table must be (n_states, n_agents + 1)")
@@ -331,35 +332,6 @@ def welfare_column(welfare: WelfareSpec, n: int) -> list[float]:
         frac = (n / welfare.n_agents) ** welfare.beta
         return [a * frac for a in welfare.alpha]
     return [row[n] for row in welfare.table]
-
-
-def ordered_sum(terms) -> float:
-    """Sum of the terms added one at a time, first to last, from +0.0.
-    Python's ``sum`` compensates float rounding from Python 3.12 on, and a
-    running sum started from the first term would keep a leading -0.0."""
-    return reduce(add, terms, 0.0)
-
-
-def pairwise_sum(terms: Sequence[float]) -> float:
-    """What ``np.sum`` gives for a 1-d float64 array of ``terms``: +0.0 plus
-    numpy's pairwise sum. That adds fewer than 8 terms in order; up to 128
-    in eight strided running sums, combined as a tree, then the leftovers in
-    order; past 128 it halves at a multiple of 8 and adds the halves' sums."""
-    return 0.0 + _pairwise_part(terms, 0, len(terms))
-
-
-def _pairwise_part(terms: Sequence[float], lo: int, n: int) -> float:
-    """``pairwise_sum`` of ``terms[lo : lo + n]`` without the +0.0; not a closure,
-    as one that calls itself is a cycle that pins ``terms`` until collected."""
-    if n < 8:
-        return ordered_sum(terms[lo : lo + n])
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_part(terms, lo, half) + _pairwise_part(terms, lo + half, n - half)
-    end = lo + n - n % 8
-    r = [reduce(add, terms[j + 8 : end : 8], terms[j]) for j in range(lo, lo + 8)]
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(add, terms[end : lo + n], res)
 
 
 def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionReport:

@@ -27,9 +27,7 @@ from .env import (
     check_dimensions,
     check_tol,
     gain_column,
-    ordered_sum,
     owned,
-    pairwise_sum,
     welfare_column,
 )
 from .seqpolicy import SequentialPolicy, check_policy, expected_welfare
@@ -45,10 +43,10 @@ class Belief(Frozen):
     __slots__ = ("probs",)
 
     def __init__(self, probs: Sequence[float]):
-        probs = owned(probs)
+        probs = owned(probs, "belief")
         if not (all(map(math.isfinite, probs)) and min(probs, default=0.0) >= 0):
             raise ValueError("belief must be finite and nonnegative")
-        total = pairwise_sum(probs)
+        total = math.fsum(probs)
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"belief must sum to 1, got {total!r}")
         object.__setattr__(self, "probs", probs)
@@ -80,15 +78,16 @@ class RealizedEvaluation(NamedTuple):
 
 def posterior_from_event(env: Environment, event_probs: Sequence[float]) -> Belief:
     """Bayes posterior given per-state probabilities of an observed event."""
-    probs = owned(event_probs)
+    probs = owned(event_probs, "event probabilities")
     if len(probs) != env.n_states:
         raise ValueError("event probabilities do not match the state count")
-    # an event is at most its state's mass, which may exceed 1 by MASS_SUM_TOL
-    if any(map((-PROB_TOL).__gt__, probs)) or any(map((1 + MASS_SUM_TOL).__lt__, probs)):
+    # an event is at most its state's mass, which may exceed 1 by MASS_SUM_TOL;
+    # a NaN fails both bounds
+    if not all(-PROB_TOL <= p <= 1 + MASS_SUM_TOL for p in probs):
         raise ValueError("event probabilities must lie in [0, 1]")
-    # clipped to [0, 1]; a -0.0 or a NaN passes through, as in np.clip
+    # clipped to [0, 1]; a -0.0 passes through, as in np.clip
     weighted = [w * (0.0 if p < 0.0 else 1.0 if p > 1.0 else p) for w, p in zip(env.prior, probs)]
-    total = pairwise_sum(weighted)
+    total = math.fsum(weighted)
     if total <= 0.0:
         raise ValueError("event has zero prior probability; posterior undefined")
     return Belief([w / total for w in weighted])
@@ -101,7 +100,7 @@ def event_posterior(env: Environment, probs: Sequence[float], skip_at: float) ->
     is finite the posterior is finite, nonnegative and sums to 1 up to
     rounding far below MASS_SUM_TOL: Belief's checks would always pass."""
     weighted = list(map(mul, env.prior, probs))
-    mass = pairwise_sum(weighted)
+    mass = math.fsum(weighted)
     if mass <= skip_at:
         return None
     if not (math.isfinite(mass) and min(probs) >= 0.0 and max(probs) <= 1.0):
@@ -115,7 +114,7 @@ def expected_gain(env: Environment, belief: Belief, others_cooperating: int) -> 
     """Belief-weighted gain from cooperating against a fixed count of others."""
     if len(belief.probs) != env.n_states:
         raise ValueError("belief does not match the state count")
-    return ordered_sum(map(mul, belief.probs, gain_column(env, others_cooperating)))
+    return math.fsum(map(mul, belief.probs, gain_column(env, others_cooperating)))
 
 
 def smallest_equilibrium(
@@ -141,8 +140,8 @@ def smallest_equilibrium(
     probs, n = belief.probs, env.n_agents
     if len(probs) != env.n_states:
         raise ValueError("belief does not match the state count")
-    mean_net = ordered_sum(map(mul, probs, [b - env.cost for b in env.benefit]))
-    mean_comp = ordered_sum(map(mul, probs, env.complementarity))
+    mean_net = math.fsum(map(mul, probs, [b - env.cost for b in env.benefit]))
+    mean_comp = math.fsum(map(mul, probs, env.complementarity))
     gains = [_gain(env, (1.0, mean_net, mean_comp), k) for k in range(n)]
     equilibria = [
         k
@@ -153,7 +152,7 @@ def smallest_equilibrium(
 
     wel = None
     if welfare is not None:
-        wel = ordered_sum(map(mul, probs, welfare_column(welfare, count)))
+        wel = math.fsum(map(mul, probs, welfare_column(welfare, count)))
     return EquilibriumOutcome(
         coop_count=count,
         all_equilibria=tuple(equilibria),
@@ -173,7 +172,7 @@ def event_outcome(
     """One event's record; its welfare contribution is the prior-weighted
     value of ``coop_count`` cooperators over the states that send it."""
     weights = map(mul, env.prior, probs)
-    contrib = ordered_sum(map(mul, weights, welfare_column(welfare, coop_count)))
+    contrib = math.fsum(map(mul, weights, welfare_column(welfare, coop_count)))
     return EventOutcome(
         label=label,
         probs=tuple(probs),
@@ -194,14 +193,14 @@ def _signal_events(
     for (s, seq), p in policy.canonical_items():
         if seq not in by_seq:
             by_seq[seq] = [0.0] * n_states
-        by_seq[seq][s] += p
+        by_seq[seq][s] = p  # canonical items hold each (state, sequence) once
     for seq in sorted(by_seq, key=lambda q: (len(q), q)):
         label = "invite[" + ",".join(map(str, seq)) + "]" if seq else "invite[-]"
         events.append((label, by_seq[seq], seq))
     if policy.uniform_full:
         probs = [0.0] * n_states
         for s, p in policy.uniform_full.items():
-            probs[s] += p
+            probs[s] = p
         events.append(("invite[all,uniform]", probs, None))
     return events
 
@@ -251,7 +250,6 @@ def evaluate_policy_realized(
             )
         interim = _interim_sums(policy, env)
 
-    total = 0.0
     outcomes = []
     for label, probs, seq in _signal_events(policy, env.n_states):
         belief = event_posterior(env, probs, 0.0)
@@ -261,9 +259,8 @@ def evaluate_policy_realized(
             count = _chain_walk(env, seq, *interim)
         else:
             count = smallest_equilibrium(env, belief).coop_count
-        event = event_outcome(env, welfare, label, probs, belief, count)
-        total += event.welfare_contribution
-        outcomes.append(event)
+        outcomes.append(event_outcome(env, welfare, label, probs, belief, count))
+    total = math.fsum(e.welfare_contribution for e in outcomes)
     obedient = False if private else None
     return RealizedEvaluation(total, mode, obedient, tuple(outcomes))
 

@@ -27,7 +27,6 @@ from .env import (
     as_number,
     check_tol,
     gain_column,
-    ordered_sum,
     potential,
     reject_duplicates,
     welfare_value,
@@ -86,7 +85,7 @@ class SequentialPolicy(Frozen):
     ):
         object.__setattr__(self, "n_agents", as_number(n_agents, "n_agents", int))
         object.__setattr__(self, "n_states", as_number(n_states, "n_states", int))
-        clean: dict[tuple[int, Sequence_], float] = {}
+        given: dict[tuple[int, Sequence_], list[float]] = {}
         items = entries.items() if hasattr(entries, "items") else (entries or [])
         for (s, seq), p in items:
             seq = tuple(as_number(a, "sequence agent", int) for a in seq)
@@ -101,7 +100,8 @@ class SequentialPolicy(Frozen):
             if not math.isfinite(p) or p < -PROB_TOL:
                 raise ValueError(f"probability {p} for {key} is invalid")
             if p > 0.0:
-                clean[key] = clean.get(key, 0.0) + p
+                given.setdefault(key, []).append(p)
+        clean = {key: math.fsum(ps) for key, ps in given.items()}
         uf: dict[int, float] = {}
         for s, p in (uniform_full or {}).items():
             s = as_number(s, "uniform-full state", int)
@@ -143,20 +143,19 @@ def check_feasibility(
     policy: SequentialPolicy, tol: float = DEFAULT_TOL
 ) -> tuple[bool, list[float]]:
     """Per-state masses must each sum to 1 within tol."""
-    mass = [0.0] * policy.n_states
+    terms: list[list[float]] = [[] for _ in range(policy.n_states)]
     for (s, _), p in policy.entries.items():
-        mass[s] += p
+        terms[s].append(p)
     for s, p in policy.uniform_full.items():
-        mass[s] += p
+        terms[s].append(p)
+    mass = list(map(math.fsum, terms))
     return all(abs(m - 1.0) <= tol for m in mass), mass
 
 
 def _obedience_values(
     policy: SequentialPolicy, env: Environment
 ) -> tuple[list[float], list[float]]:
-    """SO_c and SO_n of every agent. Each value adds its terms one at a time
-    over the entries in insertion order (then, for SO_c, over the
-    uniform-full states), the order the per-agent definitions below read."""
+    """SO_c and SO_n of every agent."""
     n = env.n_agents
     columns: dict[int, list[float]] = {}  # gain_column at each count met
 
@@ -179,8 +178,8 @@ def _obedience_values(
     uniform = [
         env.prior[s] * p * potential(env, s, n) / n for s, p in policy.uniform_full.items()
     ]
-    so_c = [ordered_sum(invited[i] + uniform) for i in range(n)]
-    so_n = [ordered_sum(t for t, seq in outside if i not in seq) for i in range(n)]
+    so_c = [math.fsum(invited[i] + uniform) for i in range(n)]
+    so_n = [math.fsum(t for t, seq in outside if i not in seq) for i in range(n)]
     return so_c, so_n
 
 
@@ -218,13 +217,11 @@ def check_policy(
 def expected_welfare(
     policy: SequentialPolicy, env: Environment, welfare: WelfareSpec
 ) -> float:
-    """Designer value if every invitation is followed (the policy objective),
-    summed over the entries and then the uniform-full states in insertion
-    order."""
+    """Designer value if every invitation is followed (the policy objective)."""
     n, prior = env.n_agents, env.prior
     blocks = [((s, len(seq)), p) for (s, seq), p in policy.entries.items()]
     blocks += [((s, n), p) for s, p in policy.uniform_full.items()]
-    return ordered_sum(prior[s] * p * welfare_value(welfare, s, k) for (s, k), p in blocks)
+    return math.fsum(prior[s] * p * welfare_value(welfare, s, k) for (s, k), p in blocks)
 
 
 def policy_to_dict(policy: SequentialPolicy, labels: Iterable[str] | None = None) -> dict:

@@ -559,9 +559,9 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
 
 
 # A 300-state grid with the public counterfactual: its events pool 222 and
-# 79 states, so the posterior's normalising total is a pairwise sum past
-# numpy's 128-term block, which neither preset reaches (case1 has 2 states,
-# case2 has 100 and no public mode).
+# 79 states, so each posterior's normalising total is a long math.fsum,
+# which neither preset reaches (case1 has 2 states, case2 has 100 and no
+# public mode).
 GRID_300 = {
     "schema": 1,
     "name": "grid",
@@ -597,9 +597,12 @@ def test_score_matches_design_scores_bit_for_bit(config):
 # state axis); case1's lp.json changed on purpose when `lp` moved to
 # the agent-symmetric LP and began reporting its basis-check residuals, and
 # again when the simplex moved to most-negative pricing (its `iterations`
-# went from 8 to 4, every other field unchanged). A change that alters any
-# of these files on purpose updates the digest here and says so in
-# CHANGES.md.
+# went from 8 to 4, every other field unchanged). When every float sum
+# became math.fsum, the sums that numpy's order had rounded differently
+# moved: case2's obedience.json (so_c) and the grid's design.json,
+# obedience.json and public.json (expected welfare, so_c, posteriors). A
+# change that alters any of these files on purpose updates the digest here
+# and says so in CHANGES.md.
 GOLDEN_DIGESTS = {
     "case1": {
         "comparison.csv": "622058182ae1080a41505e14ac835884521b62118dddb033a598c0ba505b6a18",
@@ -618,19 +621,19 @@ GOLDEN_DIGESTS = {
         "design.json": "2b02159aa91d8306212693667d6c83b64aca2d56a58b9b1920c9f9dc62f767e6",
         "figdata_scores.csv": "151b3953395d97d53f09ea31f025ea4298a9063332ce88c02afd5b979596a635",
         "figdata_welfare.csv": "866e832bda82440f61c6418deb6cb57a3e0c6d698929736c09f20db03107a681",
-        "obedience.json": "be2a77a433dd4ef3cff91b77614c9cae0f743fbaa53539318f4c889817886a16",
+        "obedience.json": "30c5a2ef134755b865217b5e9866e995dfc251c20f8acc4a553d7bb4ebf8f60c",
         "policy.json": "ebadf802cad4a4dc7708500949e8bc18a78e301aedff245a076b9b195caf1211",
         "sweep.csv": "3d41ab5e54e464c22f62918ce76d3917a293f81029fd10e855bb651bb8d8e4f5",
         "sweep_summary.json": "28ba9f4c01fc8e48bbc117c5d4c461405ad9150c2de1643f9294d4738b979617",
     },
     "grid": {
         "comparison.csv": "b7e943da73de280869a42979501cddf7da3e7e9a2028dafdc40f0f31f7142b12",
-        "design.json": "c217f1f4b976cf4671e20f17c6beeed6fe2eb25c1dfd4cd39759a27027039fda",
+        "design.json": "983de6a1f4367ccd62e79f2cd93979d0e3a256db45b2d24f231fa71bd7c0bf64",
         "figdata_scores.csv": "d406ae4f68470898cf90840493b779d10f47bf37d66c2807110b0680ffb2decc",
         "figdata_welfare.csv": "e13736f6f441af6fdf04939477601cce28b251d125ff304302c1ed3edaecfa64",
-        "obedience.json": "9066a7961d1ea06646528df03ffe78420fefa2f467e79bf8f8b484f54b13d7d9",
+        "obedience.json": "767406d75db3a8bd6239c3027b3164edb165ee9e423014c1d90ac9e20cc554a0",
         "policy.json": "8f67bff01e53f708c74f1f21c5aec453ba9c8aa9ad0beb4af720baa82065b49a",
-        "public.json": "eb34e671a54a39be1f46027c9b01235619d528a7f77e7f56cbcbee64d69b173e",
+        "public.json": "efc6ce378b89b15ca810237b554bc2ddc20dbb901ed96018afccc7c7f322ca39",
         "sweep.csv": "acc2cf1ca3246d98e7279aa74f52464544240f2feedc13fc801091215edbac3a",
         "sweep_summary.json": "4439692b0119a09eec09595382405f64a03df5113fd8c51a7b6b686236847fea",
     },

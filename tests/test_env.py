@@ -18,7 +18,7 @@ from robustcoord import (
     potential,
     welfare_value,
 )
-from robustcoord.env import as_number, ordered_sum, pairwise_sum
+from robustcoord.env import as_number
 
 
 def utility(env, agent, profile, state):
@@ -180,20 +180,32 @@ def test_as_number_reads_numpy_scalars_as_real_numbers():
         as_number(np.float64(2.5), "x", int)
 
 
-def test_pairwise_sum_is_np_sum_bit_for_bit():
-    # numpy sums fewer than 8 terms in order, up to 128 in eight strided
-    # running sums, and halves longer arrays at a multiple of 8; spread
-    # magnitudes make every one of those orders show in the last bits
-    rng = np.random.default_rng(2026)
-    order_shows = 0
-    for n in [*range(301), 2000]:
-        values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
-        for arr in (values, np.abs(values), np.zeros(n), np.full(n, -0.0)):
-            want = float(np.sum(arr)).hex()
-            assert pairwise_sum(arr.tolist()).hex() == want, n
-            assert pairwise_sum(tuple(arr.tolist())).hex() == want, n
-        order_shows += ordered_sum(values.tolist()).hex() != float(np.sum(values)).hex()
-    assert order_shows > 200  # the lengths where an ordered sum would differ
+# a per-state value that is not a number, by the column and index its error names
+NOT_NUMBERS = {
+    "benefit[0]": lambda: Environment(3, "ab", [0.5, 0.5], [True, "3.0"], [0.1, 0.2], 1.0),
+    "prior[0]": lambda: Environment(3, "ab", ["0.5", 0.5], [1.0, 3.0], [0.1, 0.2], 1.0),
+    "complementarity[1]": lambda: Environment(3, "ab", [0.5, 0.5], [1.0, 3.0], [0.1, None], 1.0),
+    "alpha[0]": lambda: WelfareSpec.power(3, ["1", True], 1.5),
+    "alpha[1]": lambda: WelfareSpec.power(3, [1.0, True], 1.5),
+    "table[1][0]": lambda: WelfareSpec.tabulated([[0.0, 1.0, 2.0, 3.0], ["0", 1.0, 2.0, 3.0]]),
+    "table[0][2]": lambda: WelfareSpec.tabulated([[0.0, 1.0, True, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("where", list(NOT_NUMBERS))
+def test_per_state_columns_must_be_numbers(where):
+    # float() would read "3.0" as 3.0 and True as 1.0, as cost and beta once did
+    with pytest.raises(ValueError, match=re.escape(f"{where}: expected a number, got")):
+        NOT_NUMBERS[where]()
+
+
+def test_per_state_columns_read_numpy_scalars_as_floats():
+    env = Environment(3, "ab", [np.float32(0.5), 0.5], [np.int64(1), 3.0], [0.1, 0.2], 1.0)
+    table = WelfareSpec.tabulated([[np.int64(0), 1.0, np.float64(2.0), 3.0]]).table
+    alpha = WelfareSpec.power(3, np.array([1.0, 2.0]), 1.5).alpha
+    for column in (env.prior, env.benefit, table[0], alpha):
+        assert type(column) is tuple and {type(v) for v in column} == {float}
+    assert env.benefit == (1.0, 3.0) and table == ((0.0, 1.0, 2.0, 3.0),)
 
 
 @pytest.mark.parametrize(
@@ -304,3 +316,26 @@ def test_tolerances_are_named_constants_listed_in_readme():
     section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|", section, re.M)
     assert {name: (module, float(value)) for name, module, value in rows} == constants
+
+
+def test_float_sums_are_fsum():
+    # a float sum in src/ is math.fsum, correctly rounded whatever the order
+    # of its terms; the builtin sum is left only for _chain_walk's count of
+    # booleans, and functools.reduce for none
+    builtin_sums, reduces = [], []
+    for path in sorted(Path(robustcoord.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                reduces += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "reduce"]
+            elif isinstance(node, ast.Attribute) and node.attr == "reduce":
+                if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                    reduces.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "sum":
+                    # the innermost function around the call: ast.walk is breadth first
+                    owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                    builtin_sums.append((path.stem, owners[-1] if owners else None))
+    assert reduces == []
+    assert builtin_sums == [("equilibrium", "_chain_walk")]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ def test_posterior_from_event(case1):
         posterior_from_event(env, (0.0, 0.0))
     with pytest.raises(ValueError, match="lie in"):
         posterior_from_event(env, (1.2, 0.5))
+
+
+def test_posterior_rejects_a_nan_event_probability(case1):
+    # NaN fails both bounds of the range check, so it is named there and not
+    # later by Belief as a belief that is not finite
+    env, _ = case1
+    for probs in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match=r"event probabilities must lie in \[0, 1\]"):
+            posterior_from_event(env, probs)
+        with pytest.raises(ValueError, match=r"event probabilities must lie in \[0, 1\]"):
+            event_posterior(env, probs, 0.0)
 
 
 def test_event_posterior_is_posterior_from_event_or_none(case1):

@@ -2,17 +2,17 @@
 
 Each ``_loop_*`` function below is the scalar implementation the package
 used before its state loops became numpy arrays, kept as the reference.
-The state axis is now tuples of Python floats again, but computed the way
-the arrays were (whole-column passes, fixed summation orders), so the same
-references still hold. ``_loop_private`` is the private-play walk that kept
-one state-length belief vector per interim event. On seeded instances every
-reported float must be the same double, compared through ``repr`` so that
--0.0 and 0.0, and the infinite scores, count as different values. The
-references add in a fixed order too: Python's ``sum`` compensates rounding
-on Python floats from Python 3.12 on, so they never call it on them.
+The state axis is now tuples of Python floats again, and both sides add
+with ``math.fsum``, whose correctly rounded result depends neither on the
+order of the terms nor on the Python version, so the references still hold.
+``_loop_private`` is the private-play walk that kept one state-length belief
+vector per interim event. On seeded instances every reported float must be
+the same double, compared through ``repr`` so that -0.0 and 0.0, and the
+infinite scores, count as different values.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from robustcoord import (
     PUBLIC,
     SequentialPolicy,
     WelfareSpec,
+    build_scenario,
     check_policy,
     design,
     design_bce_optimistic,
@@ -37,7 +38,7 @@ from robustcoord import (
     to_sequential_policy,
     welfare_value,
 )
-from robustcoord.env import gain_column, ordered_sum
+from robustcoord.env import gain_column
 
 
 def bits(x):
@@ -56,7 +57,7 @@ def _loop_threshold_scan(prior, gains, scores, counter):
     counter.tick(n_states)
     eligible = [s for s in order if scores[s] > -math.inf]
     q = np.zeros(n_states)
-    total = sum(prior[s] * gains[s] for s in eligible)
+    total = math.fsum(prior[s] * gains[s] for s in eligible)
     if total >= 0.0:
         q[eligible] = 1.0
         return order, q, eligible[0], 1.0, True
@@ -93,14 +94,14 @@ def _loop_design(env, welfare):
     order, q, t_state, mix, degenerate = _loop_threshold_scan(
         env.prior, f_vals, scores, counter
     )
-    wel = 0.0
+    terms = []
     for s in order:
         if scores[s] == -math.inf:
             continue
         counter.tick()
         if q[s] > 0.0:
-            wel += q[s] * env.prior[s] * welfare_value(welfare, s, welfare.n_agents)
-    return scores, order, q, t_state, mix, float(wel), degenerate, counter.ops
+            terms.append(q[s] * env.prior[s] * welfare_value(welfare, s, welfare.n_agents))
+    return scores, order, q, t_state, mix, math.fsum(terms), degenerate, counter.ops
 
 
 def _loop_bce(env, welfare):
@@ -121,17 +122,15 @@ def _loop_bce(env, welfare):
     order, q, t_state, mix, degenerate = _loop_threshold_scan(
         env.prior, g_full, scores, OpCounter()
     )
-    predicted = float(sum(env.prior[s] * q[s] * v_full[s] for s in range(n_states)))
+    predicted = math.fsum(env.prior[s] * q[s] * v_full[s] for s in range(n_states))
     first_full = next((s for s in order if q[s] == 1.0), None)
     return q, t_state, mix, first_full, predicted, degenerate
 
 
 def _loop_expected_gain(env, probs, count):
-    total = 0.0
-    for s in range(env.n_states):
-        if probs[s] > 0.0:
-            total += probs[s] * marginal_gain(env, s, count)
-    return total
+    return math.fsum(
+        probs[s] * marginal_gain(env, s, count) for s in range(env.n_states) if probs[s] > 0.0
+    )
 
 
 def _loop_smallest_count(env, probs, tol):
@@ -147,23 +146,19 @@ def _loop_smallest_count(env, probs, tol):
 def _loop_event(env, welfare, label, probs, tol):
     belief = posterior_from_event(env, probs)
     count = _loop_smallest_count(env, belief.probs, tol)
-    contrib = float(
-        sum(
-            env.prior[s] * probs[s] * welfare_value(welfare, s, count)
-            for s in range(env.n_states)
-        )
+    contrib = math.fsum(
+        env.prior[s] * probs[s] * welfare_value(welfare, s, count) for s in range(env.n_states)
     )
     return label, count, contrib, tuple(float(p) for p in belief.probs)
 
 
 def _loop_bce_realized(q, env, welfare, tol=1e-12):
-    total, events = 0.0, []
+    events = []
     for label, probs in (("recommend-all", q), ("recommend-none", 1.0 - q)):
-        if float((env.prior * probs).sum()) <= tol:
+        if math.fsum(env.prior * probs) <= tol:
             continue
         events.append(_loop_event(env, welfare, label, probs, tol))
-        total += events[-1][2]
-    return total, events
+    return math.fsum(e[2] for e in events), events
 
 
 def _signals(policy, env):
@@ -183,13 +178,12 @@ def _signals(policy, env):
 
 
 def _loop_public(policy, env, welfare, tol=1e-12):
-    total, events = 0.0, []
+    events = []
     for label, probs, _ in _signals(policy, env):
-        if float((env.prior * probs).sum()) <= 0.0:
+        if math.fsum(env.prior * probs) <= 0.0:
             continue
         events.append(_loop_event(env, welfare, label, probs, tol))
-        total += events[-1][2]
-    return total, events
+    return math.fsum(e[2] for e in events), events
 
 
 def _interim_invited_weights(policy, env):
@@ -221,10 +215,10 @@ def _uninvited_weights(policy, env):
 
 
 def _gain_under(env, weights, count):
-    total = float(weights.sum())
+    total = math.fsum(weights)
     if total <= 0.0:
         return -math.inf  # event never happens; treat as never joining
-    return float(ordered_sum(weights * gain_column(env, count)) / total)
+    return math.fsum(weights * gain_column(env, count)) / total
 
 
 def _loop_private(policy, env, welfare, tol=1e-12):
@@ -270,48 +264,44 @@ def _loop_private(policy, env, welfare, tol=1e-12):
             count += 1
         return count, None
 
-    total, events = 0.0, []
+    events = []
     for label, probs, seq in _signals(policy, env):
         weights = env.prior * probs
-        if float(weights.sum()) <= 0.0:
+        if math.fsum(weights) <= 0.0:
             continue
         count, walk = uniform_walk(weights) if seq is None else chain_walk(seq)
-        contrib = float(
-            sum(
-                env.prior[s] * probs[s] * welfare_value(welfare, s, count)
-                for s in range(env.n_states)
-            )
+        contrib = math.fsum(
+            env.prior[s] * probs[s] * welfare_value(welfare, s, count) for s in range(env.n_states)
         )
         events.append((label, count, contrib, walk))
-        total += contrib
-    return total, False, events
+    return math.fsum(e[2] for e in events), False, events
 
 
 def _loop_so_c(policy, env, agent):
-    total = 0.0
+    terms = []
     for (s, seq), p in policy.entries.items():
         if agent in seq:
-            total += env.prior[s] * p * marginal_gain(env, s, seq.index(agent))
+            terms.append(env.prior[s] * p * marginal_gain(env, s, seq.index(agent)))
     for s, p in policy.uniform_full.items():
-        total += env.prior[s] * p * potential(env, s, env.n_agents) / env.n_agents
-    return float(total)
+        terms.append(env.prior[s] * p * potential(env, s, env.n_agents) / env.n_agents)
+    return math.fsum(terms)
 
 
 def _loop_so_n(policy, env, agent):
-    total = 0.0
-    for (s, seq), p in policy.entries.items():
-        if agent not in seq:
-            total += env.prior[s] * p * marginal_gain(env, s, len(seq))
-    return float(total)
+    return math.fsum(
+        env.prior[s] * p * marginal_gain(env, s, len(seq))
+        for (s, seq), p in policy.entries.items()
+        if agent not in seq
+    )
 
 
 def _loop_expected_welfare(policy, env, welfare):
-    total = 0.0
+    terms = []
     for (s, seq), p in policy.entries.items():
-        total += env.prior[s] * p * welfare_value(welfare, s, len(seq))
+        terms.append(env.prior[s] * p * welfare_value(welfare, s, len(seq)))
     for s, p in policy.uniform_full.items():
-        total += env.prior[s] * p * welfare_value(welfare, s, env.n_agents)
-    return float(total)
+        terms.append(env.prior[s] * p * welfare_value(welfare, s, env.n_agents))
+    return math.fsum(terms)
 
 
 # ----------------------------------------------------------------- instances
@@ -475,9 +465,9 @@ def test_obedience_values_and_welfare_match_loops():
 
 
 def test_zero_prior_negative_gain_sums_to_positive_zero():
-    # every SO_c term is prior 0 times a negative gain, i.e. -0.0; summed
-    # from +0.0 as the loops do the value is 0.0, where a running sum started
-    # from the first term would report -0.0
+    # every SO_c term is prior 0 times a negative gain, i.e. -0.0; math.fsum,
+    # which the loops call too, gives 0.0, where a running sum started from
+    # the first term would report -0.0
     env = Environment(
         n_agents=3,
         labels=("live", "dead"),
@@ -491,3 +481,94 @@ def test_zero_prior_negative_gain_sums_to_positive_zero():
     want = [_loop_so_c(pol, env, i) for i in range(3)]
     assert [repr(v) for v in want] == ["0.0", "0.0", "0.0"]
     assert bits(check_policy(pol, env).so_c) == bits(want)
+
+
+def _listed(env, welfare, order):
+    """A power-welfare scenario's states as an explicit list, in ``order``."""
+    states = [
+        {
+            "label": env.labels[s],
+            "prob": env.prior[s],
+            "b": env.benefit[s],
+            "lambda": env.complementarity[s],
+            "alpha": welfare.alpha[s],
+        }
+        for s in order
+    ]
+    config = {"schema": 1, "name": "listed", "n_agents": env.n_agents, "states": states}
+    scn = build_scenario({**config, "cost": env.cost, "beta": welfare.beta, "modes": ["design"]})
+    return scn.env, scn.welfare
+
+
+def _reported(env, welfare):
+    counter = OpCounter()
+    tp = design(env, welfare, counter=counter)
+    policy = to_sequential_policy(tp, env)
+    bce = design_bce_optimistic(env, welfare)
+    realized = evaluate_bce_realized(bce, env, welfare)
+    public = evaluate_policy_realized(policy, env, welfare, mode=PUBLIC)
+    return tp, counter.ops, check_policy(policy, env), bce, realized, public
+
+
+def test_the_order_of_the_states_does_not_matter(case2):
+    # every sum is correctly rounded, so listing the states in reverse moves
+    # no reported bit: the threshold scan's running budget follows the score
+    # order, which case2's distinct scores fix whatever the listing
+    env, wf = case2
+    order = range(env.n_states - 1, -1, -1)
+    tp, ops, report, bce, realized, public = _reported(env, wf)
+    r_tp, r_ops, r_report, r_bce, r_realized, r_public = _reported(*_listed(env, wf, order))
+    assert bits(r_tp.expected_welfare) == bits(tp.expected_welfare)
+    assert bits(r_tp.mixing_weight) == bits(tp.mixing_weight)
+    assert r_tp.threshold_label == tp.threshold_label and r_ops == ops
+    assert bits(r_tp.invite_probs) == bits([tp.invite_probs[s] for s in order])
+    assert bits(r_report.so_c) == bits(report.so_c)
+    assert bits(r_report.so_n) == bits(report.so_n)
+    assert bits(r_bce.predicted_welfare) == bits(bce.predicted_welfare)
+    assert bits(r_realized.welfare) == bits(realized.welfare)
+    assert bits(r_public.welfare) == bits(public.welfare)
+    events = realized.events + public.events
+    r_events = r_realized.events + r_public.events
+    assert len(r_events) == len(events) == 4
+    for got, want in zip(r_events, events):
+        assert (got.label, got.coop_count) == (want.label, want.coop_count)
+        assert bits(got.welfare_contribution) == bits(want.welfare_contribution)
+        assert bits(got.posterior) == bits([want.posterior[s] for s in order])
+
+
+def _exact(terms):
+    """The float nearest the exact sum of ``terms``."""
+    return float(sum(map(Fraction, terms)))
+
+
+def test_case2_sums_are_correctly_rounded(case2):
+    # each expected value is the exact sum of the float terms, rounded once
+    env, wf = case2
+    n, prior, states = env.n_agents, env.prior, range(env.n_states)
+    v_full = [welfare_value(wf, s, n) for s in states]
+    tp = design(env, wf)
+    q = tp.invite_probs
+    assert bits(tp.expected_welfare) == bits(_exact([prior[s] * q[s] * v_full[s] for s in states]))
+    bce = design_bce_optimistic(env, wf)
+    q = bce.invite_probs
+    assert bits(bce.predicted_welfare) == bits(_exact([prior[s] * q[s] * v_full[s] for s in states]))
+
+    policy = to_sequential_policy(tp, env)
+    report = check_policy(policy, env)
+    so_c = [prior[s] * p * potential(env, s, n) / n for s, p in policy.uniform_full.items()]
+    so_n = [
+        prior[s] * p * marginal_gain(env, s, len(seq))
+        for (s, seq), p in policy.entries.items()
+        if 0 not in seq
+    ]
+    assert bits(report.so_c[0]) == bits(_exact(so_c))
+    assert bits(report.so_n[0]) == bits(_exact(so_n))
+
+    public = evaluate_policy_realized(policy, env, wf, mode=PUBLIC)
+    events = public.events + evaluate_bce_realized(bce, env, wf).events
+    assert len(events) == 4
+    for event in events:
+        # the posterior divides each weight by the event's prior mass
+        weights = [w * p for w, p in zip(prior, event.probs)]
+        mass = _exact(weights)
+        assert bits(event.posterior) == bits([w / mass for w in weights]), event.label
