@@ -28,8 +28,8 @@ _EXPORTS = {
     for module, names in {
         "baselines": "BaselinePolicy ComparisonRecord compare design_bce_optimistic "
         "evaluate_bce_realized sweep sweep_boundaries",
-        "designer": "InfeasibleDesignError OpCounter StrictModeError ThresholdPolicy "
-        "design score to_sequential_policy",
+        "designer": "Certificate InfeasibleDesignError OpCounter StrictModeError "
+        "ThresholdPolicy certify design score to_sequential_policy",
         "env": "POWER TABULATED AssumptionReport Environment WelfareSpec "
         "check_assumptions marginal_gain potential welfare_value",
         "equilibrium": "PRIVATE_SEQUENTIAL PUBLIC Belief EquilibriumOutcome "

@@ -8,7 +8,7 @@ for the manifest timestamp. Each JSON artifact is built here, from its
 record's `_asdict()`; where one departs from those fields, its writer says why.
 
 Exit codes: 0 success, 1 assumption failure under --strict, 2 input or I/O
-error, 3 problem past a size cap (the scenario loader's or the exact LP's).
+error, 3 a scenario past one of the loader's size caps.
 """
 
 from __future__ import annotations
@@ -22,17 +22,19 @@ from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
 
-from .designer import InfeasibleDesignError, StrictModeError, design, to_sequential_policy
-from .env import DEFAULT_TOL, check_tol
+from .designer import InfeasibleDesignError, StrictModeError, certify, design, to_sequential_policy
+from .env import DEFAULT_TOL, PROB_TOL, check_tol
 from .scenarios import Scenario, load_scenario
 from .seqpolicy import CapacityError, check_policy, policy_to_dict
 
 # Only the baselines, sweep and public-counterfactual modes run baselines
-# and equilibrium, and only the lp mode runs lp (and with it numpy), so these
-# names are taken through the package's _EXPORTS on first use (PEP 562): a
-# `design` or `check` process loads none of them. The runners look the names
-# up on this module when they call them, so whatever is bound here at that
-# moment (a tracing wrapper, say) is what runs.
+# and equilibrium, so these names are taken through the package's _EXPORTS
+# on first use (PEP 562): a `design` or `check` process loads neither. The
+# runners look the names up on this module when they call them, so whatever
+# is bound here at that moment (a tracing wrapper, say) is what runs.
+# No command runs build_lp or solve: they stay only because the benchmark's
+# tracer (perfbench/spans.py) rebinds them here, and ROADMAP item 3, which
+# retargets those spans at certify, releases them.
 _LAZY = frozenset(
     "compare sweep sweep_boundaries evaluate_policy_realized PRIVATE_SEQUENTIAL PUBLIC "
     "build_lp solve".split()
@@ -112,31 +114,25 @@ def _run_check(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
 
 
 def _run_lp(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
-    prog = _cli.build_lp(scn.env, scn.welfare, symmetric=True)
-    sol = _cli.solve(prog)
-    tp = dsn.tp
-    sizes = scn.env.n_agents + 1  # columns p[s, k], state-major over k = 0..N
-    # the check's float figures, not its arrays; a singular basis leaves them
-    # infinite, which JSON cannot hold
-    figures = {
-        k: v if math.isfinite(v) else None
-        for k, v in sol.check._asdict().items()
-        if isinstance(v, float)
-    }
+    # the design, certified by the agent-symmetric LP's dual; of that LP's
+    # columns (state, size k), the design uses only the sizes 0 and N
+    env, tp = scn.env, dsn.tp
+    cert = certify(env, scn.welfare, tp)
+    fields = cert._asdict()
+    value = fields.pop("dual_value")  # the artifact's established key
     payload = {
-        "status": sol.status,
-        "value": sol.value,
-        "iterations": sol.iterations,
-        "n_vars": prog.n_vars,
+        "status": "OPTIMAL" if cert.passed else "NUMERICAL",
+        "value": value,
+        "n_vars": env.n_states * (env.n_agents + 1),  # the columns the certificate priced
         "assignment": [
-            {"state": scn.env.labels[j // sizes], "size": j % sizes, "prob": p}
-            for j, p in sol.support()
+            {"state": label, "size": size, "prob": p}
+            for label, x in zip(env.labels, tp.invite_probs)
+            for size, p in ((0, 1.0 - x), (env.n_agents, x))
+            if p > PROB_TOL
         ],
-        **figures,
+        **fields,
         "greedy_welfare": tp.expected_welfare,
-        "agreement_gap": abs(sol.value - tp.expected_welfare)
-        if sol.status == "OPTIMAL"
-        else None,
+        "agreement_gap": abs(value - tp.expected_welfare) if cert.passed else None,
     }
     _write_json(out / "lp.json", payload)
     return ["lp.json"]
@@ -209,10 +205,6 @@ _MODE_RUNNERS = {
 
 
 def _run_all(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
-    if "lp" in scn.modes:  # an LP past its size cap fails before any write
-        from .lp import check_capacity
-
-        check_capacity(scn.env)
     written: list[str] = []
     for mode in scn.modes:
         written.extend(_MODE_RUNNERS[mode](scn, out, args, dsn))
@@ -224,7 +216,7 @@ def _run_all(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
 _COMMANDS = {
     "design": (_run_design, "compute the robust threshold policy"),
     "check": (_run_check, "verify obedience of the designed policy"),
-    "lp": (_run_lp, "cross-check the design against the exact agent-symmetric LP"),
+    "lp": (_run_lp, "certify the design optimal by the agent-symmetric LP's dual"),
     "evaluate": (_run_public, "realized welfare, private versus public signals"),
     "compare": (_run_compare, "robust versus optimistic baselines at one cost"),
     "sweep": (_run_sweep, "baseline comparison across the configured cost grid"),

@@ -17,9 +17,12 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .env import (
+    CERT_TOL,
     Environment,
     WelfareSpec,
     check_assumptions,
+    check_dimensions,
+    gain_column,
     potential,
     potential_column,
     welfare_column,
@@ -203,6 +206,69 @@ def design(
         expected_welfare=wel,
         degenerate=scan.degenerate,
         warnings=warnings,
+    )
+
+
+class Certificate(NamedTuple):
+    """Weak LP duality for a design: a dual solution of the agent-symmetric
+    LP (``lp.build_symmetric_lp``) and by how much the pair misses optimality."""
+
+    mu: float  # the invited row's dual per unit of potential; the stay-out row's is 0
+    dual_value: float  # sum of the mass rows' duals, a bound on every policy's welfare
+    gap: float  # dual_value minus the design's welfare
+    dual_violation: float  # worst prior*(V + mu*potential) - y over (state, size), and -mu
+    primal_residual: float  # the design's miss on the obedience and mass rows
+    bound_violation: float  # how far an invitation probability lies outside [0, 1]
+
+    @property
+    def passed(self) -> bool:
+        worst = max(self.dual_violation, self.primal_residual, self.bound_violation)
+        return max(abs(self.gap), worst) <= CERT_TOL
+
+
+def certify(env: Environment, welfare: WelfareSpec, tp: ThresholdPolicy) -> Certificate:
+    """Check the design ``tp`` against the dual of the agent-symmetric LP.
+
+    The design puts mass q on inviting all N agents and 1 - q on inviting
+    none. With t the threshold state, the invited row is priced at
+    mu = -V(t, N) / potential(t, N), or 0 when every state is invited. A
+    certificate that ``passed`` proves the design optimal for that LP.
+    """
+    check_dimensions(env, welfare)
+    q, n, t = tp.invite_probs, env.n_agents, tp.threshold_state
+    if len(q) != env.n_states:
+        raise ValueError(f"design covers {len(q)} states, environment has {env.n_states}")
+    mu = 0.0 if tp.degenerate else -welfare_column(welfare, n)[t] / potential_column(env, n)[t]
+    return _certify_at(env, welfare, tp, mu)
+
+
+def _certify_at(
+    env: Environment, welfare: WelfareSpec, tp: ThresholdPolicy, mu: float
+) -> Certificate:
+    """``certify`` with the invited row priced at ``mu``. Each state's mass
+    row is priced by complementary slackness at the size the design uses:
+    y = prior * (V(N) + mu * potential(N)) where it invites, clipped at 0 at
+    the threshold state, and 0 where it does not. Every column (state, size
+    k = 0..N) is then priced against y, so the cost is O(S * N)."""
+    q, n = tp.invite_probs, env.n_agents
+    v_n, f_n = welfare_column(welfare, n), potential_column(env, n)
+    y = [p * (v + mu * f) if x > 0.0 else 0.0 for p, x, v, f in zip(env.prior, q, v_n, f_n)]
+    y[tp.threshold_state] = max(y[tp.threshold_state], 0.0)
+    dual_violation = max(0.0, -mu)
+    for k in range(n + 1):
+        columns = zip(env.prior, welfare_column(welfare, k), potential_column(env, k), y)
+        dual_violation = max(dual_violation, *(p * (v + mu * f) - ys for p, v, f, ys in columns))
+    budget = math.fsum(map(mul, map(mul, env.prior, q), f_n))
+    stay_out = math.fsum(p * (1.0 - x) * g for p, x, g in zip(env.prior, q, gain_column(env, 0)))
+    mass = max(abs(math.fsum((x, 1.0 - x)) - 1.0) for x in q)
+    dual_value = math.fsum(y)
+    return Certificate(
+        mu=mu,
+        dual_value=dual_value,
+        gap=dual_value - tp.expected_welfare,
+        dual_violation=dual_violation,
+        primal_residual=max(0.0, -budget, stay_out, mass),
+        bound_violation=max(0.0, *(max(-x, x - 1.0) for x in q)),
     )
 
 

@@ -17,7 +17,7 @@ POWER = "power"
 TABULATED = "tabulated"
 
 # The package's tolerances, one per decision; README's "Tolerances" table
-# lists these with the solver's PIVOT_TOL, PHASE1_TOL and CERT_TOL.
+# lists these with the simplex's PIVOT_TOL and PHASE1_TOL.
 # obedience slack, the default of check_policy and --tol: an invited value
 # must be >= -tol, an uninvited one <= tol, a state's mass within tol of 1
 DEFAULT_TOL = 1e-9
@@ -32,6 +32,9 @@ PROB_TOL = 1e-12
 PRIOR_SUM_TOL = 1e-12
 # how far a Belief may sum away from 1, and a policy's state mass exceed 1
 MASS_SUM_TOL = 1e-9
+# largest residual an OPTIMAL answer may carry: the simplex's re-solved
+# basis, and designer.certify's duality gap and violations
+CERT_TOL = 1e-9
 
 
 def check_tol(tol: float) -> None:

@@ -2,16 +2,16 @@
 
 ``build_lp`` is the explicit program: one variable per (state, sequence)
 pair, one mass-balance equality per state, and one row per agent for each
-obedience half. ``build_symmetric_lp`` (also ``build_lp(..., symmetric=True)``,
-which the ``lp`` command uses) is the same program averaged over agent
+obedience half. ``build_symmetric_lp`` is the same program averaged over agent
 relabellings: payoffs are anonymous, so the average of a feasible policy
 over all permutations of the agents is feasible at the same value (Bödi,
 Herr & Joswig, Math. Prog. 137, 2013), and an optimum may be sought among
 policies that draw a uniformly random ordered k-subset of the agents. That
 leaves one variable per (state, size k), one mass row per state, one
 invited row and one stay-out row. Both are solved with the in-package
-simplex, so results are bit-reproducible; they are the ground truth the
-threshold designer is checked against.
+simplex, so results are bit-reproducible; they are the library's exact LP,
+the ground truth that the threshold designer and its dual certificate
+(``designer.certify``, which the ``lp`` command reports) are tested against.
 
 Both builders store the rows as the simplex takes them, and maximize
 objective @ x subject to eq_matrix @ x = 1, ineq_matrix @ x <= 0, x >= 0.
@@ -83,27 +83,8 @@ class LpSolution(NamedTuple):
         return [(int(j), float(self.x[j])) for j in np.flatnonzero(self.x > PROB_TOL)]
 
 
-def check_capacity(env: Environment) -> None:
-    """Raise CapacityError if the symmetric LP of ``env`` is past its
-    MAX_TABLEAU_CELLS tableau cap."""
-    n_states, n_agents = env.n_states, env.n_agents
-    # tableau of solve_min: mass rows, two obedience rows and the objective,
-    # by the variables, two slacks, one artificial per mass row and the rhs
-    cells = (n_states + 3) * (n_states * (n_agents + 1) + n_states + 3)
-    if cells > MAX_TABLEAU_CELLS:
-        raise CapacityError(
-            f"symmetric LP tableau of {cells} cells ({n_states} states x "
-            f"{n_agents + 1} sizes) exceeds the {MAX_TABLEAU_CELLS}-cell cap"
-        )
-
-
-def build_lp(
-    env: Environment, welfare: WelfareSpec, *, symmetric: bool = False
-) -> LinearProgram:
-    """Assemble the sequential-obedience LP for an explicit sequence grid,
-    or with ``symmetric`` its agent-symmetric reduction."""
-    if symmetric:
-        return build_symmetric_lp(env, welfare)
+def build_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
+    """Assemble the sequential-obedience LP for an explicit sequence grid."""
     check_dimensions(env, welfare)
     n_seq = count_sequences(env.n_agents)
     if n_seq * env.n_states > MAX_SEQUENCES:
@@ -160,8 +141,15 @@ def build_symmetric_lp(env: Environment, welfare: WelfareSpec) -> LinearProgram:
     and then sees all k invitees cooperate.
     """
     check_dimensions(env, welfare)
-    check_capacity(env)
     n_states, n_agents = env.n_states, env.n_agents
+    # tableau of solve_min: mass rows, two obedience rows and the objective,
+    # by the variables, two slacks, one artificial per mass row and the rhs
+    cells = (n_states + 3) * (n_states * (n_agents + 1) + n_states + 3)
+    if cells > MAX_TABLEAU_CELLS:
+        raise CapacityError(
+            f"symmetric LP tableau of {cells} cells ({n_states} states x "
+            f"{n_agents + 1} sizes) exceeds the {MAX_TABLEAU_CELLS}-cell cap"
+        )
     sizes = range(n_agents + 1)
     # column blocks indexed [s, k], flattened state-major
     value = np.column_stack([welfare_column(welfare, k) for k in sizes])

@@ -72,9 +72,9 @@ def enumerate_sequences(n_agents: int) -> list[Sequence_]:
 
 class SequentialPolicy(Frozen):
     """Sparse (state, sequence) -> probability map, plus the implicit uniform
-    mixture over full orderings per state."""
+    mixture over full orderings per state, and each state's total mass."""
 
-    __slots__ = ("n_agents", "n_states", "entries", "uniform_full")
+    __slots__ = ("n_agents", "n_states", "entries", "uniform_full", "mass")
 
     def __init__(
         self,
@@ -114,7 +114,14 @@ class SequentialPolicy(Frozen):
                 uf[s] = p
         object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "uniform_full", MappingProxyType(uf))
-        _, mass = check_feasibility(self)
+        terms: list[list[float]] = [[] for _ in range(self.n_states)]
+        for (s, _), p in clean.items():
+            terms[s].append(p)
+        for s, p in uf.items():
+            terms[s].append(p)
+        # each state's total mass, summed once here for check_feasibility
+        mass = tuple(map(math.fsum, terms))
+        object.__setattr__(self, "mass", mass)
         for s, m in enumerate(mass):
             if m > 1.0 + MASS_SUM_TOL:
                 raise ValueError(f"state {s} carries probability mass above 1")
@@ -143,12 +150,7 @@ def check_feasibility(
     policy: SequentialPolicy, tol: float = DEFAULT_TOL
 ) -> tuple[bool, list[float]]:
     """Per-state masses must each sum to 1 within tol."""
-    terms: list[list[float]] = [[] for _ in range(policy.n_states)]
-    for (s, _), p in policy.entries.items():
-        terms[s].append(p)
-    for s, p in policy.uniform_full.items():
-        terms[s].append(p)
-    mass = list(map(math.fsum, terms))
+    mass = list(policy.mass)
     return all(abs(m - 1.0) <= tol for m in mass), mass
 
 

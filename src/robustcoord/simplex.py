@@ -32,10 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .env import CERT_TOL
+
 PIVOT_TOL = 1e-10
 STALL = 50  # consecutive degenerate pivots before pricing falls back to Bland's rule
 PHASE1_TOL = 1e-8  # residual infeasibility we are willing to call zero
-CERT_TOL = 1e-9  # largest recomputed residual an OPTIMAL answer may carry
 
 
 class BasisCheck(NamedTuple):

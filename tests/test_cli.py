@@ -10,12 +10,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import get_type_hints
 
 import pytest
 
 import robustcoord
 from robustcoord import (
+    Certificate,
     EventOutcome,
     ObedienceReport,
     RealizedEvaluation,
@@ -23,13 +23,13 @@ from robustcoord import (
     WelfareSpec,
     cli,
     design,
+    designer,
     scenarios,
     score,
 )
 from robustcoord.cli import main
 from robustcoord.scenarios import PRESETS, Scenario, build_scenario, load_scenario
 from robustcoord.seqpolicy import check_policy, policy_from_dict
-from robustcoord.simplex import BasisCheck
 
 from test_lp import LP_N6
 
@@ -220,9 +220,10 @@ def test_strict_assumption_failure_exits_1(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_capacity_guard_exits_3(tmp_path, capsys):
-    # a wide-grid-sized instance: 2,000 states and 20 agents give a dense
-    # symmetric-LP tableau of ~8.8e7 cells (~700 MB), above the guard
+def test_lp_certifies_a_grid_past_the_tableau_cap(tmp_path):
+    # a wide-grid-sized instance: 2,000 states and 20 agents would give a
+    # dense symmetric-LP tableau of ~8.8e7 cells, past lp.MAX_TABLEAU_CELLS
+    # (test_lp.py::test_symmetric_lp_capacity_guard); the certificate is O(S*N)
     cfg = {
         "schema": 1,
         "name": "wide",
@@ -241,35 +242,11 @@ def test_capacity_guard_exits_3(tmp_path, capsys):
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(cfg))
-    assert run_cli("lp", str(path), tmp_path / "out") == 3
-    assert "cell cap" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "lp.json").exists()
-
-
-def test_run_past_the_lp_cap_writes_no_artifact(tmp_path, capsys):
-    # 800 states at N = 5 put the symmetric LP's tableau at ~4.5e6 cells,
-    # past the guard; the design mode, listed first, must not write either
-    cfg = {
-        "schema": 1,
-        "name": "past-cap",
-        "n_agents": 5,
-        "grid": {
-            "count": 800,
-            "theta_start": 0.001,
-            "theta_step": 0.001,
-            "b": [0.5, 2.0],
-            "lambda": [0.1, 0.8],
-            "alpha": [6.0, 12.0],
-        },
-        "cost": 2.0,
-        "beta": 1.5,
-        "modes": ["design", "lp"],
-    }
-    path = tmp_path / "past-cap.json"
-    path.write_text(json.dumps(cfg))
-    assert run_cli("run", str(path), tmp_path / "out") == 3
-    assert "cell cap" in capsys.readouterr().err
-    assert list((tmp_path / "out").iterdir()) == []
+    assert run_cli("lp", str(path), tmp_path / "out") == 0
+    lp = json.loads((tmp_path / "out" / "lp.json").read_text())
+    assert lp["status"] == "OPTIMAL"
+    assert lp["n_vars"] == 2000 * 21
+    assert lp["agreement_gap"] <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -435,28 +412,21 @@ def test_json_artifacts_are_their_records_fields(tmp_path):
         assert set(public[mode]) == set(RealizedEvaluation._fields)
         for event in public[mode]["events"]:
             assert set(event) == set(EventOutcome._fields)
-    figures = {k for k, t in get_type_hints(BasisCheck).items() if t is float}
-    assert figures == {"primal_residual", "bound_violation", "dual_violation"}
-    assert set(read("lp.json")) & set(BasisCheck._fields) == figures
+    fields = set(Certificate._fields) - {"dual_value"}
+    extra = {"value", "status", "n_vars", "assignment", "greedy_welfare", "agreement_gap"}
+    assert set(read("lp.json")) == fields | extra
 
 
-def test_lp_json_writes_a_singular_basis_figures_as_null(tmp_path, monkeypatch):
-    solve = cli.solve
+def test_lp_json_writes_a_failed_certificate_as_numerical(tmp_path, monkeypatch):
+    def off_by_one_percent(env, welfare, tp):  # a certificate priced off its mu
+        cert = designer.certify(env, welfare, tp)
+        return designer._certify_at(env, welfare, tp, cert.mu * 1.01)
 
-    def singular(prog):  # the answer a singular final basis gives
-        sol = solve(prog)
-        inf = float("inf")
-        check = sol.check._replace(
-            primal_residual=inf, bound_violation=inf, dual_violation=inf
-        )
-        return sol._replace(status="NUMERICAL", check=check)
-
-    monkeypatch.setattr(cli, "solve", singular)
+    monkeypatch.setattr(cli, "certify", off_by_one_percent)
     assert run_cli("lp", "case1", tmp_path) == 0
     lp = json.loads((tmp_path / "lp.json").read_text())
     assert lp["status"] == "NUMERICAL"
-    for key in ("primal_residual", "bound_violation", "dual_violation"):
-        assert lp[key] is None
+    assert lp["gap"] > 1e-9
     assert lp["agreement_gap"] is None
 
 
@@ -597,19 +567,21 @@ def test_score_matches_design_scores_bit_for_bit(config):
 # state axis); case1's lp.json changed on purpose when `lp` moved to
 # the agent-symmetric LP and began reporting its basis-check residuals, and
 # again when the simplex moved to most-negative pricing (its `iterations`
-# went from 8 to 4, every other field unchanged). When every float sum
-# became math.fsum, the sums that numpy's order had rounded differently
-# moved: case2's obedience.json (so_c) and the grid's design.json,
-# obedience.json and public.json (expected welfare, so_c, posteriors). A
-# change that alters any of these files on purpose updates the digest here
-# and says so in CHANGES.md.
+# went from 8 to 4, every other field unchanged), and again when `lp` came
+# to report the design's dual certificate in place of a simplex solve (mu
+# and gap in, iterations out). When every float sum became math.fsum, the
+# sums that numpy's order had rounded differently moved: case2's
+# obedience.json (so_c) and the grid's design.json, obedience.json and
+# public.json (expected welfare, so_c, posteriors). A change that alters any
+# of these files on purpose updates the digest here and says so in
+# CHANGES.md.
 GOLDEN_DIGESTS = {
     "case1": {
         "comparison.csv": "622058182ae1080a41505e14ac835884521b62118dddb033a598c0ba505b6a18",
         "design.json": "69eed7719cea990137d46fb8910c2c4c8286daf92c578b10353fb49eff3d9f92",
         "figdata_scores.csv": "cafec2bc2ae334a6016e7f054ff3c3785507953291514a78fd1bc81611eb7755",
         "figdata_welfare.csv": "861bc338b1bba0812bc77544d4c75fca58ada1af16b4f0bb8026d78fdb743b00",
-        "lp.json": "55c59710a5a284ec9469098d19d068c09016dc2996ed4bc1d8f75384abe69dc2",
+        "lp.json": "0c3393d1929d471bceaeb408d9b17772f22a66ffdf7483dc52c23a8ab9505344",
         "obedience.json": "4716ceb85c97df5532c635b46516ef08ff23d2a034a7084564330cadb3961899",
         "policy.json": "e2e8874b273465d48555711931bf15b6e76879b58cdf4e13a36bd5d8a4b76d72",
         "public.json": "9c639c532aab72d3357eb554c494b7228a8e74c169a5038691d3a9b9dc6fdc47",
@@ -659,11 +631,12 @@ def test_run_artifacts_match_golden_digests(tmp_path, scenario):
 
 
 # SHA-256 of the lp.json that `lp` writes at the benchmark's sizes: case2's
-# symmetric LP (1,100 columns, 145 pivots, value 4.734782608695652) and the
-# six-agent instance LP_N6 of test_lp.py, run from a scenario file.
+# certificate (1,100 columns priced, value 4.734782608695652) and the
+# six-agent instance LP_N6 of test_lp.py, run from a scenario file. Both
+# changed on purpose when `lp` moved from the simplex to the certificate.
 LP_DIGESTS = {
-    "case2": "96f7e4f025b65847a5d38b90552e850d0d06d2d380e85b1676866f595202f679",
-    "lp-n6": "a3458aaf4e5303f8645d9b344d19117426c15f4b2568e3dc06bf6908d05eebc2",
+    "case2": "f6f37abb4693118dff5dfb35f22eed8d37dc986ce14d7a41fcfc2b09cdcc9e21",
+    "lp-n6": "cd02a2f4fbc308fed24b2f348141b1f2cd73e6d3e69f1a5353e07d2d093acb66",
 }
 
 
@@ -714,23 +687,29 @@ def test_one_blas_thread_unless_the_user_sets_one():
     assert threads(OPENBLAS_NUM_THREADS="2") == 2  # the user's own setting wins
 
 
-def test_blas_thread_count_never_changes_an_artifact(tmp_path):
-    # case2's LP has the package's largest np.linalg.solve calls, in the
-    # simplex's final basis check
-    def artifacts(command, scenario, threads):
-        out = tmp_path / f"{command}-{scenario}-{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "robustcoord.cli", command, "--scenario", scenario, "--out", str(out)],
+def test_blas_thread_count_never_changes_an_artifact():
+    # no command imports numpy, so the one answer that could move is the
+    # library LP's: case2's symmetric LP has the package's largest
+    # np.linalg.solve calls, in the simplex's final basis check
+    code = (
+        "import sys, robustcoord as rc\n"
+        "scn = rc.load_scenario('case2')\n"
+        "sol = rc.solve(rc.build_symmetric_lp(scn.env, scn.welfare))\n"
+        "arrays = (sol.check.x, sol.check.duals_eq, sol.check.duals_ub)\n"
+        "sys.stdout.buffer.write(b''.join(a.tobytes() for a in arrays))\n"
+    )
+
+    def solved(threads):
+        return subprocess.run(
+            [sys.executable, "-c", code],
             env=_child_env(OPENBLAS_NUM_THREADS=threads),
             capture_output=True,
             check=True,
-        )
-        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        ).stdout
 
-    for command, scenario in [("lp", "case2"), ("run", "case1")]:
-        one = artifacts(command, scenario, "1")
-        assert one
-        assert artifacts(command, scenario, "2") == one, (command, scenario)
+    one = solved("1")
+    assert len(one) == 8 * (1100 + 100 + 2)
+    assert solved("2") == one
 
 
 def test_command_process_freezes_its_import_heap(tmp_path):
@@ -812,28 +791,30 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert [json.loads(line) for line in proc.stdout.splitlines()] == [
         # the package alone: dir() lists every export, nothing is loaded
         [[], [], []],
-        [[]],  # robustcoord.cli: numpy comes with lp
-        [0, ["numpy"]],  # after lp
-        [0, ["numpy", "robustcoord.baselines", "robustcoord.equilibrium"]],  # after run
+        [[]],  # robustcoord.cli
+        [0, []],  # after lp: the certificate needs no module beyond designer
+        [0, ["robustcoord.baselines", "robustcoord.equilibrium"]],  # after run
     ]
     assert _digests(tmp_path / "run") == GOLDEN_DIGESTS["case1"]
 
 
-def test_only_a_process_that_runs_the_lp_imports_numpy(tmp_path):
+def test_no_command_imports_numpy_or_the_lp_modules(tmp_path):
     # the benchmark's setup probe (import cli, load a preset and a grid
-    # file), then each command in turn: numpy comes with the first LP
+    # file), then every command in turn, and in a process of its own `run`
+    # on case1, whose scenario enables the lp mode
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(GRID_300))
     code = (
         "import json, sys\n"
         "import robustcoord.cli as cli\n"
+        "watch = ('numpy', 'robustcoord.lp', 'robustcoord.simplex')\n"
         "out, grid, *commands = sys.argv[1:]\n"
         "cli.load_scenario('case2'), cli.load_scenario(grid)\n"
-        "print(json.dumps(['probe', 'numpy' in sys.modules]))\n"
+        "print(json.dumps(['probe', [m for m in watch if m in sys.modules]]))\n"
         "for i, command in enumerate(commands):\n"
         "    name, scenario = command.split()\n"
         "    code = cli.main([name, '--scenario', scenario, '--out', f'{out}/{i}'])\n"
-        "    print(json.dumps([command, code, 'numpy' in sys.modules]))\n"
+        "    print(json.dumps([command, code, [m for m in watch if m in sys.modules]]))\n"
     )
 
     def watch(out, *commands):
@@ -846,14 +827,12 @@ def test_only_a_process_that_runs_the_lp_imports_numpy(tmp_path):
         )
         return [json.loads(line) for line in proc.stdout.splitlines()]
 
-    no_lp = [f"{c} case2" for c in ("design", "check", "compare", "sweep", "evaluate", "run")]
-    assert watch("a", *no_lp, "lp case1") == [
-        ["probe", False],
-        *([command, 0, False] for command in no_lp),
-        ["lp case1", 0, True],
+    commands = [f"{c} case2" for c in cli._COMMANDS]
+    assert watch("a", *commands) == [
+        ["probe", []],
+        *([command, 0, []] for command in commands),
     ]
-    # case1 enables the lp mode, so its run imports numpy too
-    assert watch("b", "run case1")[-1] == ["run case1", 0, True]
+    assert watch("b", "run case1") == [["probe", []], ["run case1", 0, []]]
 
 
 def test_only_the_lp_modules_import_numpy():

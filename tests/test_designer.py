@@ -1,21 +1,28 @@
-"""Threshold-rule designer: fixtures, degeneracy, infeasibility, N-independence."""
+"""Threshold-rule designer: fixtures, degeneracy, infeasibility, N-independence,
+and its LP dual certificate."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from robustcoord import (
+    PRESETS,
     Environment,
     InfeasibleDesignError,
     OpCounter,
     StrictModeError,
     WelfareSpec,
+    certify,
     check_policy,
     design,
+    designer,
+    load_scenario,
     score,
     to_sequential_policy,
 )
+from robustcoord.env import CERT_TOL
 
 
 def test_case1_scores(case1):
@@ -185,3 +192,42 @@ def test_dimension_mismatch(case1):
     wf = WelfareSpec.power(4, np.array([6.0, 12.0]), 1.5)
     with pytest.raises(ValueError, match="dimensions"):
         design(env, wf)
+
+
+def test_case1_certificate_is_the_exact_dual():
+    # from the preset's decimal spellings: V(n) = alpha (n/N)^beta, so V(N)
+    # is alpha, and potential(N) = N(b - c) + lambda N / 2
+    cfg = PRESETS["case1"]
+    n, cost = cfg["n_agents"], Fraction(str(cfg["cost"]))
+    states = [{k: Fraction(str(v)) for k, v in st.items() if k != "label"} for st in cfg["states"]]
+    pot = [n * (st["b"] - cost) + st["lambda"] * n / 2 for st in states]
+    low = min(range(len(states)), key=lambda s: pot[s] / states[s]["alpha"])
+    mu = -states[low]["alpha"] / pot[low]
+    assert mu == Fraction(40, 19)
+    # under convexity a state's best size is 0 or N
+    dual = sum(st["prob"] * max(0, st["alpha"] + mu * f) for st, f in zip(states, pot))
+    assert dual == 6 + Fraction(39, 19)  # the design's welfare: 1/2 * 12 + 1/2 * 13/19 * 6
+
+    scn = load_scenario("case1")
+    cert = certify(scn.env, scn.welfare, design(scn.env, scn.welfare))
+    assert cert.passed
+    assert cert.mu == pytest.approx(float(mu), rel=1e-12)
+    assert cert.dual_value == pytest.approx(float(dual), rel=1e-12)
+
+
+@pytest.mark.parametrize("scenario", ["case1", "case2"])
+@pytest.mark.parametrize("scale", [0.99, 1.01])
+def test_certificate_priced_off_its_mu_fails(scenario, scale):
+    scn = load_scenario(scenario)
+    env, wf = scn.env, scn.welfare
+    tp = design(env, wf)
+    cert = certify(env, wf, tp)
+    assert cert.passed and cert.mu > 0.0
+    moved = designer._certify_at(env, wf, tp, cert.mu * scale)
+    assert not moved.passed
+    assert max(moved.gap, moved.dual_violation) > CERT_TOL
+
+
+def test_certificate_rejects_a_design_of_another_size(case1, case2):
+    with pytest.raises(ValueError, match="design covers 100 states"):
+        certify(*case1, design(*case2))

@@ -1,4 +1,5 @@
-"""Exact LP oracle: agreement with the greedy rule, duality, determinism."""
+"""Exact LP oracle: agreement with the greedy rule and its dual certificate,
+duality, determinism."""
 
 import tracemalloc
 
@@ -12,9 +13,11 @@ from robustcoord import (
     build_lp,
     build_scenario,
     build_symmetric_lp,
+    certify,
     check_policy,
     design,
     extract_policy,
+    load_scenario,
     marginal_gain,
     solve,
 )
@@ -162,6 +165,46 @@ def test_random_instances_match_greedy():
         assert sol.status == "OPTIMAL"
         worst = max(worst, abs(sol.value - tp.expected_welfare))
     assert worst <= 1e-6
+
+
+def _certificate_instances():
+    for name in ("case1", "case2"):
+        scn = load_scenario(name)
+        yield name, scn.env, scn.welfare
+    scn = build_scenario(LP_N6)
+    yield "lp-n6", scn.env, scn.welfare
+    rng = np.random.default_rng(42)  # test_random_instances_match_greedy's 30
+    for i in range(30):
+        yield i, *random_convex_instance(rng)
+
+
+def test_certificate_is_the_symmetric_simplex_dual():
+    count = 0
+    for name, env, wf in _certificate_instances():
+        cert = certify(env, wf, design(env, wf))
+        sol = solve(build_symmetric_lp(env, wf))
+        assert cert.passed and sol.status == "OPTIMAL", name
+        # the simplex prices the invited row, potential / N, at N * mu
+        nu = -float(sol.check.duals_ub[0])
+        assert env.n_agents * cert.mu == pytest.approx(nu, rel=1e-12, abs=1e-12), name
+        assert cert.dual_value == pytest.approx(sol.value, rel=1e-12), name
+        count += 1
+    assert count == 33
+
+
+def test_certificate_reports_non_convex_welfare():
+    # a third of the agents already buy most of state L's welfare, above the
+    # chord: the LP does better than inviting all or none, and the
+    # certificate says so instead of closing
+    env = load_scenario("case1").env
+    wf = WelfareSpec.tabulated([[0.0, 5.0, 5.5, 6.0], [0.0, 4.0, 8.0, 12.0]])
+    tp = design(env, wf)
+    cert = certify(env, wf, tp)
+    assert not cert.passed
+    assert max(cert.gap, cert.dual_violation) > CERT_TOL
+    sol = solve(build_symmetric_lp(env, wf))
+    assert sol.status == "OPTIMAL"
+    assert sol.value > tp.expected_welfare + 0.5
 
 
 def test_lp_row_and_column_names(case1):
@@ -395,7 +438,6 @@ def test_symmetric_lp_shape(case1):
     prog = build_symmetric_lp(env, wf)
     assert prog.n_vars == 8  # sizes 0..3 per state
     assert prog.var_names[:5] == ("p[0|0]", "p[0|1]", "p[0|2]", "p[0|3]", "p[1|0]")
-    assert build_lp(env, wf, symmetric=True).var_names == prog.var_names
     assert prog.eq_matrix.shape == (2, 8) and prog.ineq_matrix.shape == (2, 8)
     assert prog.row_labels == ("mass[L]", "mass[H]", "obey_invited", "stay_out")
     # state L: prior 0.5, b - c = -1, lambda = 0.1, N = 3

@@ -15,6 +15,8 @@ from robustcoord import (
     OpCounter,
     WelfareSpec,
     build_lp,
+    build_symmetric_lp,
+    certify,
     check_assumptions,
     check_policy,
     compare,
@@ -102,6 +104,14 @@ SIGNATURES = {
         ("iterations", E),
         ("basis", E),
         ("check", E),
+    ],
+    "Certificate": [
+        ("mu", E),
+        ("dual_value", E),
+        ("gap", E),
+        ("dual_violation", E),
+        ("primal_residual", E),
+        ("bound_violation", E),
     ],
     "ObedienceReport": [
         ("so_c", E),
@@ -200,7 +210,7 @@ def _case1_records():
     pol = to_sequential_policy(tp, env)
     belief = Belief(env.prior)
     public = evaluate_policy_realized(pol, env, wf, mode=PUBLIC)
-    prog = build_lp(env, wf, symmetric=True)
+    prog = build_symmetric_lp(env, wf)
     sol = solve(prog)
     return [
         scn,
@@ -208,6 +218,7 @@ def _case1_records():
         wf,
         check_assumptions(env, wf),
         tp,
+        certify(env, wf, tp),
         pol,
         check_policy(pol, env),
         belief,
@@ -296,8 +307,8 @@ def test_design_arrays_are_read_only(case1):
 def test_lp_arrays_are_read_only(case1):
     env, wf = case1
     held = []
-    for symmetric in (False, True):
-        prog = build_lp(env, wf, symmetric=symmetric)
+    for build in (build_lp, build_symmetric_lp):
+        prog = build(env, wf)
         sol = solve(prog)
         held += [prog.objective, prog.eq_matrix, prog.ineq_matrix]
         held += [sol.x, sol.eq_residuals, sol.ineq_slacks]
