@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "baselines": "BaselinePolicy ComparisonRecord compare design_bce_optimistic "
-        "evaluate_bce_realized sweep sweep_boundaries",
+        "baselines": "ComparisonRecord compare design_bce_optimistic evaluate_bce_realized "
+        "sweep sweep_boundaries",
         "designer": "Certificate InfeasibleDesignError OpCounter StrictModeError "
         "ThresholdPolicy certify design score to_sequential_policy",
         "env": "POWER TABULATED AssumptionReport Environment WelfareSpec "

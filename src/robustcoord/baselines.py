@@ -6,16 +6,17 @@ trust (everyone assumes everyone else complies). Its realized counterpart
 strips that bootstrap by re-evaluating the same recommendations under
 smallest-equilibrium play. Policies here are symmetric all-or-none: recommend
 cooperation to everyone with a state-dependent probability, which is where the
-one-shot analogue of the threshold rule is exact.
+one-shot analogue of the threshold rule is exact. So the optimistic design is
+the robust designer's ``threshold_scan`` run on the full-trust gain, and its
+record is the same ``ThresholdPolicy``.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import NamedTuple, Sequence
 
-from .designer import InfeasibleDesignError, design, ratio_scores, threshold_scan
+from .designer import InfeasibleDesignError, ThresholdPolicy, design, threshold_scan
 from .env import (
     PROB_TOL,
     WELFARE_TOL,
@@ -34,20 +35,6 @@ from .equilibrium import (
 )
 
 
-class BaselinePolicy(NamedTuple):
-    """All-or-none recommendation policy with one fractional boundary state."""
-
-    invite_probs: tuple[float, ...]
-    mixing_state: int | None
-    mixing_label: str | None
-    mixing_weight: float
-    first_full_state: int | None
-    first_full_label: str | None
-    predicted_welfare: float
-    degenerate: bool
-    notes: tuple[str, ...] = ()
-
-
 class ComparisonRecord(NamedTuple):
     """One cost point: robust optimum against both baseline readings."""
 
@@ -63,51 +50,23 @@ class ComparisonRecord(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> BaselinePolicy:
+def design_bce_optimistic(env: Environment, welfare: WelfareSpec) -> ThresholdPolicy:
     """Optimal all-or-none recommendation under the pooled one-shot constraint.
 
     The robust designer's ``threshold_scan`` with the full-trust gain
     (benefit - cost + complementarity) in place of the potential: rank states
     by gain-to-welfare score, invite from the top, mix at the boundary so the
-    pooled constraint binds exactly.
+    pooled constraint binds exactly. Raises ``InfeasibleDesignError`` when no
+    state has a positive full-trust gain.
     """
     check_dimensions(env, welfare)
-    g_full = gain_column(env, env.n_agents - 1)
-    v_full = welfare_column(welfare, welfare.n_agents)
-    scores = ratio_scores(g_full, v_full)
-    if not max(g_full) > 0.0:
-        return BaselinePolicy(
-            invite_probs=(0.0,) * env.n_states,
-            mixing_state=None,
-            mixing_label=None,
-            mixing_weight=0.0,
-            first_full_state=None,
-            first_full_label=None,
-            predicted_welfare=0.0,
-            degenerate=False,
-            notes=("no state supports cooperation even with full trust",),
-        )
-
-    scan = threshold_scan(env.prior, g_full, scores)
-    q = scan.invite_probs
-    predicted = math.fsum(map(mul, map(mul, env.prior, q), v_full))
-    # the lowest-scored fully invited state; order is stable, so ties go to
-    # the lower index
-    first_full = next((s for s in scan.order if q[s] == 1.0), None)
-    return BaselinePolicy(
-        invite_probs=q,
-        mixing_state=scan.threshold_state,
-        mixing_label=env.labels[scan.threshold_state],
-        mixing_weight=scan.mixing_weight,
-        first_full_state=first_full,
-        first_full_label=None if first_full is None else env.labels[first_full],
-        predicted_welfare=predicted,
-        degenerate=scan.degenerate,
+    return threshold_scan(
+        env, gain_column(env, env.n_agents - 1), welfare_column(welfare, welfare.n_agents)
     )
 
 
 def evaluate_bce_realized(
-    policy: BaselinePolicy, env: Environment, welfare: WelfareSpec
+    policy: ThresholdPolicy, env: Environment, welfare: WelfareSpec
 ) -> RealizedEvaluation:
     """Same recommendations under smallest-equilibrium play: two public
     events (recommend-all, recommend-none), each with its Bayes posterior."""
@@ -127,7 +86,9 @@ def evaluate_bce_realized(
 
 
 def compare(env: Environment, welfare: WelfareSpec) -> ComparisonRecord:
-    """Robust optimum, optimistic prediction, and its realized value."""
+    """Robust optimum, optimistic prediction, and its realized value. Where
+    either design is infeasible its welfare reads 0.0 (all-defect) and a
+    note says so."""
     notes: list[str] = []
     try:
         tp = design(env, welfare)
@@ -140,18 +101,28 @@ def compare(env: Environment, welfare: WelfareSpec) -> ComparisonRecord:
         robust, theta_star, p_star, degenerate = 0.0, None, None, False
         notes.append("robust design infeasible; falling back to all-defect")
 
-    bce = design_bce_optimistic(env, welfare)
-    realized = evaluate_bce_realized(bce, env, welfare)
-    notes.extend(bce.notes)
+    try:
+        bce = design_bce_optimistic(env, welfare)
+    except InfeasibleDesignError:
+        predicted, realized, threshold, first_full = 0.0, 0.0, None, None
+        notes.append("no state supports cooperation even with full trust")
+    else:
+        predicted = bce.expected_welfare
+        realized = evaluate_bce_realized(bce, env, welfare).welfare
+        threshold = bce.threshold_label
+        # the lowest-scored fully invited state; order is stable, so ties go
+        # to the lower index
+        q = bce.invite_probs
+        first_full = next((env.labels[s] for s in bce.order if q[s] == 1.0), None)
     return ComparisonRecord(
         cost=env.cost,
         robust_welfare=robust,
-        bce_predicted=bce.predicted_welfare,
-        bce_realized=realized.welfare,
+        bce_predicted=predicted,
+        bce_realized=realized,
         theta_star=theta_star,
         p_star=p_star,
-        bce_threshold=bce.mixing_label,
-        bce_first_full=bce.first_full_label,
+        bce_threshold=threshold,
+        bce_first_full=first_full,
         robust_degenerate=degenerate,
         notes=tuple(notes),
     )

@@ -32,8 +32,10 @@ from .seqpolicy import SequentialPolicy
 
 
 class InfeasibleDesignError(RuntimeError):
-    """No state admits a positive full-cooperation potential: nothing beyond
-    the all-defect outcome is robustly implementable."""
+    """No state has a positive gain for ``threshold_scan`` to budget: for
+    ``design`` no full-cooperation potential is positive, so nothing beyond
+    the all-defect outcome is robustly implementable; for the optimistic
+    baseline no state supports cooperation even with full trust."""
 
 
 class StrictModeError(ValueError):
@@ -70,68 +72,65 @@ class ThresholdPolicy(NamedTuple):
         return list(self.invite_probs)
 
 
-class ThresholdScan(NamedTuple):
-    """Result of ``threshold_scan``."""
-
-    order: tuple[int, ...]  # state indices, nondecreasing score, stable on ties
-    invite_probs: tuple[float, ...]
-    threshold_state: int
-    mixing_weight: float
-    degenerate: bool
-
-
 def threshold_scan(
-    prior: Sequence[float],
+    env: Environment,
     gains: Sequence[float],
-    scores: Sequence[float],
+    stakes: Sequence[float],
     counter: OpCounter | None = None,
-) -> ThresholdScan:
-    """Greedy invitation scan shared by the robust designer and the optimistic
-    baseline; they differ only in the per-state gain they budget.
+) -> ThresholdPolicy:
+    """The greedy all-or-none design shared by the robust designer and the
+    optimistic baseline; they differ only in the per-state gain they budget
+    against the stake V(N): the potential at N, or the full-trust gain.
 
-    Sorts the states by score (stable, so ties keep input order), drops the
-    -inf states, then scans from the highest score accumulating the
-    prior-weighted gain. States with a nonnegative gain are always invited;
-    the first state whose inclusion would bring the running sum to zero or
-    below becomes the threshold state and receives the fractional mass that
-    balances the sum to exactly zero. If the total is nonnegative every
-    eligible state is invited outright (degenerate). Needs at least one state
-    with a score above -inf.
+    Sorts the states by score gain / stake (stable, so ties keep input
+    order), drops the -inf states, then scans from the highest score
+    accumulating the prior-weighted gain. States with a nonnegative gain are
+    always invited; the first state whose inclusion would bring the running
+    sum to zero or below becomes the threshold state and receives the
+    fractional mass that balances the sum to exactly zero. If the total is
+    nonnegative every eligible state is invited outright (degenerate). Raises
+    ``InfeasibleDesignError`` unless some gain is > 0.0.
 
-    The counter ticks once per state for the sort and once per state the
-    scan visits, the threshold state included.
+    The counter ticks once per state for the sort, once per eligible state
+    for the welfare sum and once per state the scan visits, the threshold
+    state included (none when degenerate).
     """
+    if not max(gains) > 0.0:
+        raise InfeasibleDesignError("no state has a positive full-cooperation gain")
     counter = counter if counter is not None else OpCounter()
-    n_states = len(scores)
+    scores = ratio_scores(gains, stakes)
+    prior, n_states = env.prior, len(scores)
     order = tuple(sorted(range(n_states), key=scores.__getitem__))
-    counter.tick(n_states)
-
     # -inf states come first in the order; they are never invited and
     # never enter the budget
     eligible = order[scores.count(-math.inf) :]
+    counter.tick(n_states + len(eligible))
     steps = [prior[s] * gains[s] for s in eligible]
-    q = [0.0] * n_states
-    if math.fsum(steps) >= 0.0:
-        for s in eligible:
-            q[s] = 1.0
-        return ThresholdScan(order, tuple(q), eligible[0], 1.0, True)
-
-    # from the top, cum is the budget before each state; the scan stops at
-    # the first negative-gain state that would leave it <= 0
+    degenerate = math.fsum(steps) >= 0.0
+    q, t, mix, visited = [0.0] * n_states, eligible[0], 1.0, len(eligible)
+    # from the top, cum is the budget before each state. Unless degenerate,
+    # the total is < 0 and stops the scan at some negative-gain state; were
+    # rounding to carry it past every state, all of them end up invited
     cum = 0.0
     for i, s in enumerate(reversed(eligible)):
         step = steps[-1 - i]
-        if gains[s] < 0.0 and cum + step <= 0.0:
-            counter.tick(i + 1)
-            mix = cum / (-step) if step != 0.0 else 1.0
+        if not degenerate and gains[s] < 0.0 and cum + step <= 0.0:
+            t, mix, visited = s, (cum / (-step) if step != 0.0 else 1.0), i + 1
             q[s] = mix
-            return ThresholdScan(order, tuple(q), s, mix, False)
+            break
         q[s] = 1.0
         cum += step
-    # total < 0 stops the scan at some negative-gain state; were rounding to
-    # carry it past every state, all of them end up invited outright
-    counter.tick(len(eligible))
-    return ThresholdScan(order, tuple(q), eligible[0], 1.0, False)
+    counter.tick(0 if degenerate else visited)
+    return ThresholdPolicy(
+        scores=tuple(scores),
+        order=order,
+        invite_probs=tuple(q),
+        threshold_state=t,
+        threshold_label=env.labels[t],
+        mixing_weight=mix,
+        expected_welfare=math.fsum(map(mul, map(mul, prior, q), stakes)),
+        degenerate=degenerate,
+    )
 
 
 def ratio_scores(gains: Sequence[float], stakes: Sequence[float]) -> list[float]:
@@ -160,53 +159,23 @@ def design(
     strict: bool = False,
     counter: OpCounter | None = None,
 ) -> ThresholdPolicy:
-    """Compute the optimal robust invitation policy.
-
-    Scores every state by potential(N) / V(N), then grants invitation mass
-    with ``threshold_scan`` budgeting the prior-weighted potential. The
-    counter ticks once per state scored, per ``threshold_scan``'s steps and
-    once per eligible state (those the welfare sum can invite), so its total
-    does not depend on N.
+    """Compute the optimal robust invitation policy: ``threshold_scan``
+    budgeting the prior-weighted potential at N against V(N). The counter
+    ticks once per state scored and per ``threshold_scan``'s steps, so its
+    total does not depend on N.
     """
     report = check_assumptions(env, welfare)
-    warnings = report.findings()
-
-    counter = counter if counter is not None else OpCounter()
-    f_vals = potential_column(env, env.n_agents)
     stakes = welfare_column(welfare, welfare.n_agents)
-    scores = ratio_scores(f_vals, stakes)
     if strict:
         s = next((s for s, v in enumerate(stakes) if not v > 0.0), None)
         if s is not None:
-            raise StrictModeError(
-                f"state {s} has zero full-cooperation welfare (strict mode)"
-            )
+            raise StrictModeError(f"state {s} has zero full-cooperation welfare (strict mode)")
+        if not report.passed:
+            raise StrictModeError("; ".join(report.findings()))
+    counter = counter if counter is not None else OpCounter()
     counter.tick(env.n_states)
-
-    if strict and not report.passed:
-        raise StrictModeError("; ".join(warnings))
-
-    if not max(f_vals) > 0.0:
-        raise InfeasibleDesignError(
-            "no state has a positive full-cooperation potential"
-        )
-
-    scan = threshold_scan(env.prior, f_vals, scores, counter)
-    q = scan.invite_probs
-    counter.tick(len(scores) - scores.count(-math.inf))
-    wel = math.fsum(map(mul, map(mul, env.prior, q), stakes))
-
-    return ThresholdPolicy(
-        scores=tuple(scores),
-        order=scan.order,
-        invite_probs=q,
-        threshold_state=scan.threshold_state,
-        threshold_label=env.labels[scan.threshold_state],
-        mixing_weight=scan.mixing_weight,
-        expected_welfare=wel,
-        degenerate=scan.degenerate,
-        warnings=warnings,
-    )
+    tp = threshold_scan(env, potential_column(env, env.n_agents), stakes, counter)
+    return tp._replace(warnings=report.findings())
 
 
 class Certificate(NamedTuple):

@@ -198,9 +198,10 @@ class WelfareSpec(Frozen):
     POWER: V(n, s) = alpha[s] * (n / N) ** beta with alpha > 0, beta >= 1.
     TABULATED: explicit table of shape (n_states, N + 1), V(0, s) = 0 and
     weakly increasing in n. Convexity (V(n, s) <= (n/N) V(N, s)) is an
-    assumption to be *checked*, not enforced at construction. Build one with
-    ``power`` or ``tabulated``, which copy ``alpha`` or the table's rows into
-    tuples of floats and validate them; the constructor keeps what it is given.
+    assumption to be *checked*, not enforced at construction. The
+    constructor copies ``alpha`` or the table's rows into tuples of floats
+    and validates them for its ``kind``; ``power`` and ``tabulated`` are
+    shorthands for it.
     """
 
     __slots__ = ("kind", "n_agents", "alpha", "beta", "table")
@@ -213,6 +214,32 @@ class WelfareSpec(Frozen):
         beta: float = 1.0,
         table: Sequence[Sequence[float]] | None = None,
     ):
+        n_agents = as_number(n_agents, "n_agents", int)
+        if kind == POWER:
+            alpha, beta = owned(alpha, "alpha"), as_number(beta, "beta")
+            if not all(math.isfinite(a) and a > 0 for a in alpha):
+                raise ValueError("power welfare requires finite alpha > 0 for every state")
+            if not (math.isfinite(beta) and beta >= 1.0):
+                raise ValueError(f"power welfare requires beta >= 1, got {beta}")
+        elif kind == TABULATED:
+            table = tuple(owned(row, f"table[{s}]") for s, row in enumerate(table))
+            if n_agents < 2 or not table or any(len(row) != n_agents + 1 for row in table):
+                raise ValueError(
+                    f"welfare table must be (n_states, n_agents + 1), n_agents {n_agents} >= 2"
+                )
+            if not all(math.isfinite(v) for row in table for v in row):
+                raise ValueError("welfare table contains non-finite entries")
+            for s, row in enumerate(table):
+                if row[0] != 0.0:
+                    raise ValueError(f"welfare at zero cooperators must be 0, state {s} is not")
+                for n in range(1, n_agents + 1):
+                    if row[n] < row[n - 1]:
+                        raise ValueError(
+                            f"welfare must be weakly increasing in cooperators, "
+                            f"state {s} decreases at n={n}"
+                        )
+        else:
+            raise ValueError(f"welfare kind must be {POWER!r} or {TABULATED!r}, got {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n_agents", n_agents)
         object.__setattr__(self, "alpha", alpha)
@@ -221,33 +248,11 @@ class WelfareSpec(Frozen):
 
     @classmethod
     def power(cls, n_agents: int, alpha: Sequence[float], beta: float) -> "WelfareSpec":
-        n_agents = as_number(n_agents, "n_agents", int)
-        alpha, beta = owned(alpha, "alpha"), as_number(beta, "beta")
-        if not all(math.isfinite(a) and a > 0 for a in alpha):
-            raise ValueError("power welfare requires finite alpha > 0 for every state")
-        if not (math.isfinite(beta) and beta >= 1.0):
-            raise ValueError(f"power welfare requires beta >= 1, got {beta}")
         return cls(POWER, n_agents, alpha, beta)
 
     @classmethod
     def tabulated(cls, table: Sequence[Sequence[float]]) -> "WelfareSpec":
-        table = tuple(owned(row, f"table[{s}]") for s, row in enumerate(table))
-        width = len(table[0]) if table else 0
-        if width < 3 or any(len(row) != width for row in table):
-            raise ValueError("welfare table must be (n_states, n_agents + 1)")
-        if not all(math.isfinite(v) for row in table for v in row):
-            raise ValueError("welfare table contains non-finite entries")
-        for s, row in enumerate(table):
-            if row[0] != 0.0:
-                raise ValueError(f"welfare at zero cooperators must be 0, state {s} is not")
-        for s, row in enumerate(table):
-            for n in range(1, width):
-                if row[n] < row[n - 1]:
-                    raise ValueError(
-                        f"welfare must be weakly increasing in cooperators, "
-                        f"state {s} decreases at n={n}"
-                    )
-        return cls(TABULATED, width - 1, table=table)
+        return cls(TABULATED, len(table[0]) - 1 if len(table) else 0, table=table)
 
     @property
     def n_states(self) -> int:

@@ -152,6 +152,7 @@ def smallest_equilibrium(
 
     wel = None
     if welfare is not None:
+        check_dimensions(env, welfare)
         wel = math.fsum(map(mul, probs, welfare_column(welfare, count)))
     return EquilibriumOutcome(
         coop_count=count,

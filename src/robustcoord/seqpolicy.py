@@ -25,6 +25,7 @@ from .env import (
     Frozen,
     WelfareSpec,
     as_number,
+    check_dimensions,
     check_tol,
     gain_column,
     potential,
@@ -85,9 +86,10 @@ class SequentialPolicy(Frozen):
     ):
         object.__setattr__(self, "n_agents", as_number(n_agents, "n_agents", int))
         object.__setattr__(self, "n_states", as_number(n_states, "n_states", int))
-        given: dict[tuple[int, Sequence_], list[float]] = {}
-        items = entries.items() if hasattr(entries, "items") else (entries or [])
-        for (s, seq), p in items:
+        if not isinstance(entries or {}, Mapping):
+            raise TypeError(f"entries must be a mapping, got {type(entries).__name__}")
+        clean: dict[tuple[int, Sequence_], float] = {}
+        for (s, seq), p in (entries or {}).items():
             seq = tuple(as_number(a, "sequence agent", int) for a in seq)
             key = (as_number(s, "state", int), seq)
             if not 0 <= key[0] < self.n_states:
@@ -100,8 +102,7 @@ class SequentialPolicy(Frozen):
             if not math.isfinite(p) or p < -PROB_TOL:
                 raise ValueError(f"probability {p} for {key} is invalid")
             if p > 0.0:
-                given.setdefault(key, []).append(p)
-        clean = {key: math.fsum(ps) for key, ps in given.items()}
+                clean[key] = p
         uf: dict[int, float] = {}
         for s, p in (uniform_full or {}).items():
             s = as_number(s, "uniform-full state", int)
@@ -220,6 +221,9 @@ def expected_welfare(
     policy: SequentialPolicy, env: Environment, welfare: WelfareSpec
 ) -> float:
     """Designer value if every invitation is followed (the policy objective)."""
+    check_dimensions(env, welfare)
+    if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
+        raise ValueError("policy does not match the environment's dimensions")
     n, prior = env.n_agents, env.prior
     blocks = [((s, len(seq)), p) for (s, seq), p in policy.entries.items()]
     blocks += [((s, n), p) for s, p in policy.uniform_full.items()]

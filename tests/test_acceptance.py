@@ -140,7 +140,7 @@ def test_criterion_05_smallest_equilibrium_fixtures(case1):
     assert out.coop_count == 0
     assert out.expected_welfare == 0.0
     bce = design_bce_optimistic(env, wf)
-    assert bce.predicted_welfare == pytest.approx(9.0, abs=1e-12)
+    assert bce.expected_welfare == pytest.approx(9.0, abs=1e-12)
     assert evaluate_bce_realized(bce, env, wf).welfare == 0.0
 
 
@@ -191,7 +191,7 @@ def test_criterion_07_case2_design(case2):
     assert tp.threshold_label == "0.56"
     assert tp.mixing_weight == pytest.approx(0.24, abs=0.01)
     bce = design_bce_optimistic(env, wf)
-    assert float(bce.first_full_label) == pytest.approx(0.28, abs=0.01)
+    assert float(compare(env, wf).bce_first_full) == pytest.approx(0.28, abs=0.01)
     assert evaluate_bce_realized(bce, env, wf).welfare == 0.0
     assert best_of_3(lambda: design(env, wf)) < 0.1
 

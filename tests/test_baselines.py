@@ -5,6 +5,7 @@ import pytest
 
 from robustcoord import (
     Environment,
+    InfeasibleDesignError,
     WelfareSpec,
     compare,
     design,
@@ -13,6 +14,7 @@ from robustcoord import (
     sweep,
     sweep_boundaries,
 )
+from robustcoord.env import gain_column, potential_column
 from conftest import random_convex_instance
 
 
@@ -22,10 +24,10 @@ def test_case1_optimistic_saturates(case1):
     env, wf = case1
     bce = design_bce_optimistic(env, wf)
     assert not bce.degenerate
-    assert bce.mixing_label == "L"
+    assert bce.threshold_label == "L"
     assert repr(bce.mixing_weight) == "0.9999999999999999"
     assert bce.invite_probs[1] == 1.0
-    assert bce.predicted_welfare == 9.0
+    assert bce.expected_welfare == 9.0
 
 
 def test_case1_realized_collapses(case1):
@@ -42,9 +44,9 @@ def test_case1_realized_collapses(case1):
 def test_case2_optimistic_threshold(case2):
     env, wf = case2
     bce = design_bce_optimistic(env, wf)
-    assert bce.mixing_label == "0.27"
+    assert bce.threshold_label == "0.27"
     assert repr(bce.mixing_weight) == "0.7245657568238237"
-    assert bce.first_full_label == "0.28"
+    assert compare(env, wf).bce_first_full == "0.28"
     # its predicted welfare is checked against the exact sum of its terms in
     # test_vectorized_equivalence.py::test_case2_sums_are_correctly_rounded
     assert not bce.degenerate
@@ -64,11 +66,53 @@ def test_case2_realized_zero_coop_gain(case2):
 
 def test_optimistic_all_defect_when_hopeless(example3):
     env, wf = example3
-    bce = design_bce_optimistic(env.with_cost(5.0), wf)
-    assert list(bce.invite_probs) == [0.0]
-    assert bce.predicted_welfare == 0.0
-    assert bce.mixing_state is None
-    assert any("no state supports cooperation" in n for n in bce.notes)
+    with pytest.raises(InfeasibleDesignError):
+        design_bce_optimistic(env.with_cost(5.0), wf)
+    rec = compare(env.with_cost(5.0), wf)
+    assert rec.bce_predicted == rec.bce_realized == 0.0
+    assert rec.bce_threshold is None
+    assert any("no state supports cooperation" in n for n in rec.notes)
+
+
+# The rule at zero: a design is feasible only where some gain is > 0.0 in
+# floats. Both designers share one guard, so this pins it for both; making
+# it weak (>= 0.0, ROADMAP item 1) has to flip these tests on purpose.
+
+
+def test_rule_at_zero_on_case1_sweep_costs(case1):
+    env, wf = case1
+    # c = 2.65: H's potential N (b - c + lambda / 2) is exactly 0.0 in floats
+    at = env.with_cost(2.65)
+    assert max(potential_column(at, at.n_agents)) == 0.0
+    with pytest.raises(InfeasibleDesignError):
+        design(at, wf)
+    assert compare(at, wf).robust_welfare == 0.0
+    # c = 2.9: H's full-trust gain b - c + lambda is exactly 0.0 in floats
+    at = env.with_cost(2.9)
+    assert max(gain_column(at, at.n_agents - 1)) == 0.0
+    with pytest.raises(InfeasibleDesignError):
+        design_bce_optimistic(at, wf)
+    rec = compare(at, wf)
+    assert rec.bce_predicted == rec.bce_realized == 0.0
+    assert rec.bce_threshold is None and rec.bce_first_full is None
+
+
+@pytest.mark.parametrize("top, feasible", [(5e-324, True), (0.0, False)])
+def test_both_designers_share_the_rule_at_zero(top, feasible):
+    # with lambda = 0 the potential is N (b - c) and the full-trust gain
+    # b - c, so both designers see one gain column: [-5e-324, top]
+    cost = 5e-324
+    env = Environment(3, ("x", "y"), (0.5, 0.5), (0.0, cost + top), (0.0, 0.0), cost)
+    wf = WelfareSpec.power(3, (1.0, 2.0), 1.0)
+    assert gain_column(env, 2) == [-5e-324, top]
+    if not feasible:
+        for designer in (design, design_bce_optimistic):
+            with pytest.raises(InfeasibleDesignError, match="positive full-cooperation gain"):
+                designer(env, wf)
+        return
+    tp, bce = design(env, wf), design_bce_optimistic(env, wf)
+    assert tp.invite_probs == bce.invite_probs and tp.invite_probs[1] == 1.0
+    assert tp.threshold_state == bce.threshold_state
 
 
 def test_compare_case1(case1):
@@ -199,6 +243,6 @@ def test_zero_complementarity_optimism_equals_robust_design():
         tp = design(env, wf)
         bce = design_bce_optimistic(env, wf)
         assert tp.invite_probabilities() == pytest.approx(bce.invite_probs, abs=1e-12)
-        assert tp.expected_welfare == pytest.approx(bce.predicted_welfare, abs=1e-12)
+        assert tp.expected_welfare == pytest.approx(bce.expected_welfare, abs=1e-12)
         compared += 1
     assert compared >= 200

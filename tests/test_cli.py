@@ -322,7 +322,7 @@ def test_input_errors_exit_2(tmp_path, capsys):
     cfg["cost"] = 3.0
     path.write_text(json.dumps(cfg))
     assert run_cli("design", str(path), tmp_path / "o3") == 2
-    assert "error: no state has a positive full-cooperation potential" in capsys.readouterr().err
+    assert "error: no state has a positive full-cooperation gain" in capsys.readouterr().err
 
 
 def test_non_finite_artifact_exits_2_and_leaves_strict_json(tmp_path, capsys, recwarn):

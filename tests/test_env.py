@@ -105,6 +105,45 @@ def test_welfare_validation():
         WelfareSpec.tabulated(np.array([[0.0, 2.0, 1.0, 4.0]]))
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        # V(1) = 12 (1/3)^0.5 = 6.93 lies above the chord's 4: not convex
+        (("power", 3), dict(alpha=(6.0, 12.0), beta=0.5), "beta >= 1"),
+        (("power", 3), dict(alpha=(6.0, 0.0)), "alpha > 0"),
+        (("power", 3), dict(alpha=(6.0, -1.0), beta=1.5), "alpha > 0"),
+        (("tabulated", 3), dict(table=((0.0, 1.0, 2.0),)), "n_agents \\+ 1"),
+        (("tabulated", 2), dict(table=((0.0, 1.0, 2.0, 3.0),)), "n_agents \\+ 1"),
+        (("tabulated", 3), dict(table=((0.0, 1.0, 2.0, 3.0), (0.0, 1.0))), "n_agents \\+ 1"),
+        (("tabulated", 3), dict(table=((0.0, 3.0, 2.0, 3.0),)), "increasing"),
+        (("tabulated", 3), dict(table=((1.0, 1.0, 2.0, 3.0),)), "zero"),
+        (("convex", 3), dict(alpha=(6.0, 12.0), beta=1.5), "kind must be"),
+    ],
+    ids=[
+        "beta-below-1",
+        "alpha-zero",
+        "alpha-negative",
+        "table-narrow",
+        "table-wide",
+        "table-ragged",
+        "table-decreasing",
+        "table-nonzero-at-0",
+        "unknown-kind",
+    ],
+)
+def test_welfare_constructor_validates(args, kwargs, message):
+    # the constructor itself, not only power and tabulated, checks its input
+    with pytest.raises(ValueError, match=message):
+        WelfareSpec(*args, **kwargs)
+
+
+def test_welfare_constructor_copies_like_its_shorthands():
+    power = WelfareSpec("power", 3, [6, 12.0], 1.5)
+    assert repr(power) == repr(WelfareSpec.power(3, (6.0, 12.0), 1.5))
+    table = [[0, 1, 2, 6]]
+    assert repr(WelfareSpec("tabulated", 3, table=table)) == repr(WelfareSpec.tabulated(table))
+
+
 def test_environment_validation():
     base = dict(
         labels=("a", "b"),

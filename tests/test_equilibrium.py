@@ -42,6 +42,17 @@ def test_prior_gains(case1):
     assert expected_gain(env, bel, 2) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_smallest_equilibrium_checks_the_welfare_dimensions(case1):
+    env, wf = case1
+    belief = Belief(env.prior)
+    assert smallest_equilibrium(env, belief).expected_welfare is None
+    # a spec for 4 agents, and one for 3 states, on case1's 3 agents and 2 states
+    others = (WelfareSpec.power(4, wf.alpha, 1.5), WelfareSpec.power(3, (6.0, 9.0, 12.0), 1.5))
+    for other in others:
+        with pytest.raises(ValueError, match="welfare spec does not match"):
+            smallest_equilibrium(env, belief, welfare=other)
+
+
 def test_prior_equilibria(case1):
     env, wf = case1
     out = smallest_equilibrium(env, Belief(env.prior), welfare=wf)

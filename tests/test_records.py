@@ -12,6 +12,7 @@ from robustcoord import (
     PUBLIC,
     Belief,
     Environment,
+    InfeasibleDesignError,
     OpCounter,
     WelfareSpec,
     build_lp,
@@ -40,17 +41,6 @@ SIGNATURES = {
         ("dominance_witness", E),
         ("convex_welfare", E),
         ("convex_welfare_witness", E),
-    ],
-    "BaselinePolicy": [
-        ("invite_probs", E),
-        ("mixing_state", E),
-        ("mixing_label", E),
-        ("mixing_weight", E),
-        ("first_full_state", E),
-        ("first_full_label", E),
-        ("predicted_welfare", E),
-        ("degenerate", E),
-        ("notes", ()),
     ],
     "Belief": [("probs", E)],
     "ComparisonRecord": [
@@ -294,7 +284,8 @@ def test_design_arrays_are_read_only(case1):
     env, wf = case1
     tp = design(env, wf)
     held = [tp.invite_probs, tp.scores, design_bce_optimistic(env, wf).invite_probs]
-    held.append(design_bce_optimistic(env.with_cost(10.0), wf).invite_probs)  # no gain
+    with pytest.raises(InfeasibleDesignError):  # no gain
+        design_bce_optimistic(env.with_cost(10.0), wf)
     for column in held:
         assert type(column) is tuple and all(type(x) is float for x in column)
         with pytest.raises(TypeError):

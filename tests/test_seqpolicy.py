@@ -11,6 +11,7 @@ import pytest
 from robustcoord import (
     CapacityError,
     SequentialPolicy,
+    WelfareSpec,
     check_policy,
     count_sequences,
     enumerate_sequences,
@@ -54,11 +55,14 @@ def test_enumeration_guard():
 
 
 class TestPolicyConstruction:
-    def test_drops_zero_mass_and_merges_duplicates(self):
-        pol = SequentialPolicy(
-            3, 2, [((0, (0,)), 0.3), ((0, (0,)), 0.2), ((1, ()), 0.0)], {}
-        )
+    def test_drops_zero_mass(self):
+        pol = SequentialPolicy(3, 2, {(0, (0,)): 0.5, (1, ()): 0.0}, {})
         assert pol.entries == {(0, (0,)): 0.5}
+
+    def test_entries_must_be_a_mapping(self):
+        # an iterable of pairs could repeat a key; a mapping cannot
+        with pytest.raises(TypeError, match="entries must be a mapping, got list"):
+            SequentialPolicy(3, 2, [((0, (0,)), 0.3), ((0, (0,)), 0.2)], {})
 
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError, match="state"):
@@ -133,6 +137,19 @@ def test_expected_welfare(case1):
     env, wf = case1
     pol = SequentialPolicy(3, 2, {(0, ()): 1.0}, {1: 1.0})
     assert expected_welfare(pol, env, wf) == pytest.approx(6.0, abs=1e-12)
+
+
+def test_expected_welfare_checks_dimensions(case1):
+    env, wf = case1
+    pol = SequentialPolicy(3, 2, {(0, ()): 1.0}, {1: 1.0})
+    # a spec for 4 agents, and one for 3 states, on case1's 3 agents and 2 states
+    others = (WelfareSpec.power(4, wf.alpha, 1.5), WelfareSpec.power(3, (6.0, 9.0, 12.0), 1.5))
+    for other in others:
+        with pytest.raises(ValueError, match="welfare spec does not match"):
+            expected_welfare(pol, env, other)
+    for other in (SequentialPolicy(4, 2, {}, {1: 1.0}), SequentialPolicy(3, 3, {}, {1: 1.0})):
+        with pytest.raises(ValueError, match="policy does not match"):
+            expected_welfare(other, env, wf)
 
 
 def test_silence_is_obedient_at_any_tolerance(case1):

@@ -118,7 +118,7 @@ def _loop_bce(env, welfare):
         np.where(g_full > 0, math.inf, -math.inf),
     )
     if not np.any(g_full > 0.0):
-        return None
+        raise InfeasibleDesignError("no state has a positive full-trust gain")
     order, q, t_state, mix, degenerate = _loop_threshold_scan(
         env.prior, g_full, scores, OpCounter()
     )
@@ -391,18 +391,20 @@ def test_design_matches_loops():
 def test_optimistic_baseline_matches_loops():
     seen = set()
     for env, wf, _ in _cases():
-        bce = design_bce_optimistic(env, wf)
-        want = _loop_bce(env, wf)
-        if want is None:
-            assert bce.mixing_state is None and bce.predicted_welfare == 0.0
+        try:
+            want = _loop_bce(env, wf)
+        except InfeasibleDesignError:
+            with pytest.raises(InfeasibleDesignError):
+                design_bce_optimistic(env, wf)
             seen.add("hopeless")
             continue
+        bce = design_bce_optimistic(env, wf)
         q, t_state, mix, first_full, predicted, degenerate = want
         assert bits(bce.invite_probs) == bits(q)
-        assert bce.mixing_state == t_state
+        assert bce.threshold_state == t_state
         assert bits(bce.mixing_weight) == bits(mix)
-        assert bce.first_full_state == first_full
-        assert bits(bce.predicted_welfare) == bits(predicted)
+        assert next((s for s in bce.order if bce.invite_probs[s] == 1.0), None) == first_full
+        assert bits(bce.expected_welfare) == bits(predicted)
         assert bce.degenerate == degenerate
         seen.add("degenerate" if degenerate else "mixing")
 
@@ -524,7 +526,7 @@ def test_the_order_of_the_states_does_not_matter(case2):
     assert bits(r_tp.invite_probs) == bits([tp.invite_probs[s] for s in order])
     assert bits(r_report.so_c) == bits(report.so_c)
     assert bits(r_report.so_n) == bits(report.so_n)
-    assert bits(r_bce.predicted_welfare) == bits(bce.predicted_welfare)
+    assert bits(r_bce.expected_welfare) == bits(bce.expected_welfare)
     assert bits(r_realized.welfare) == bits(realized.welfare)
     assert bits(r_public.welfare) == bits(public.welfare)
     events = realized.events + public.events
@@ -551,7 +553,7 @@ def test_case2_sums_are_correctly_rounded(case2):
     assert bits(tp.expected_welfare) == bits(_exact([prior[s] * q[s] * v_full[s] for s in states]))
     bce = design_bce_optimistic(env, wf)
     q = bce.invite_probs
-    assert bits(bce.predicted_welfare) == bits(_exact([prior[s] * q[s] * v_full[s] for s in states]))
+    assert bits(bce.expected_welfare) == bits(_exact([prior[s] * q[s] * v_full[s] for s in states]))
 
     policy = to_sequential_policy(tp, env)
     report = check_policy(policy, env)
