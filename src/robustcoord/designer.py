@@ -22,13 +22,12 @@ from .env import (
     WelfareSpec,
     check_assumptions,
     check_dimensions,
-    gain_column,
     potential,
     potential_column,
     welfare_column,
     welfare_value,
 )
-from .seqpolicy import SequentialPolicy
+from .seqpolicy import SequentialPolicy, check_policy, invited_row
 
 
 class InfeasibleDesignError(RuntimeError):
@@ -87,9 +86,11 @@ def threshold_scan(
     accumulating the prior-weighted gain. States with a nonnegative gain are
     always invited; the first state whose inclusion would bring the running
     sum to zero or below becomes the threshold state and receives the
-    fractional mass that balances the sum to exactly zero. If the total is
-    nonnegative every eligible state is invited outright (degenerate). Raises
-    ``InfeasibleDesignError`` unless some gain is > 0.0.
+    fractional mass that balances the sum to zero: cum / (-step), lowered
+    where the invited row, priced as ``check_policy`` prices it, still sums
+    below 0 (one correction, then at most 8 ulps, else ``ArithmeticError``).
+    If the total is nonnegative every eligible state is invited outright
+    (degenerate). Raises ``InfeasibleDesignError`` unless some gain is > 0.0.
 
     The counter ticks once per state for the sort, once per eligible state
     for the welfare sum and once per state the scan visits, the threshold
@@ -116,10 +117,20 @@ def threshold_scan(
         step = steps[-1 - i]
         if not degenerate and gains[s] < 0.0 and cum + step <= 0.0:
             t, mix, visited = s, (cum / (-step) if step != 0.0 else 1.0), i + 1
-            q[s] = mix
             break
         q[s] = 1.0
         cum += step
+    if not degenerate:  # close the invited row as check_policy sums it
+        n, k = env.n_agents, len(steps) - visited
+        above = [step / n for step in steps[k + 1 :]]  # (prior * 1.0 * gain) / N
+        for i in range(10):  # as scanned, corrected once, then up to 8 ulps lower
+            miss = math.fsum(above + invited_row(env, [(t, mix)], gains))
+            if miss >= 0.0:
+                break
+            mix = mix - miss / (steps[k] / n) if i == 0 else math.nextafter(mix, 0.0)
+        else:
+            raise ArithmeticError(f"the invited row does not close at state {t}")
+        q[t] = mix
     counter.tick(0 if degenerate else visited)
     return ThresholdPolicy(
         scores=tuple(scores),
@@ -203,40 +214,39 @@ def certify(env: Environment, welfare: WelfareSpec, tp: ThresholdPolicy) -> Cert
     mu = -V(t, N) / potential(t, N), or 0 when every state is invited. A
     certificate that ``passed`` proves the design optimal for that LP.
     """
-    check_dimensions(env, welfare)
-    q, n, t = tp.invite_probs, env.n_agents, tp.threshold_state
-    if len(q) != env.n_states:
-        raise ValueError(f"design covers {len(q)} states, environment has {env.n_states}")
-    mu = 0.0 if tp.degenerate else -welfare_column(welfare, n)[t] / potential_column(env, n)[t]
-    return _certify_at(env, welfare, tp, mu)
+    return _certify_at(env, welfare, tp, None)
 
 
 def _certify_at(
-    env: Environment, welfare: WelfareSpec, tp: ThresholdPolicy, mu: float
+    env: Environment, welfare: WelfareSpec, tp: ThresholdPolicy, mu: float | None
 ) -> Certificate:
-    """``certify`` with the invited row priced at ``mu``. Each state's mass
-    row is priced by complementary slackness at the size the design uses:
-    y = prior * (V(N) + mu * potential(N)) where it invites, clipped at 0 at
-    the threshold state, and 0 where it does not. Every column (state, size
-    k = 0..N) is then priced against y, so the cost is O(S * N)."""
-    q, n = tp.invite_probs, env.n_agents
+    """``certify`` with the invited row priced at ``mu`` (None: at t's
+    ratio). Each state's mass row is priced by complementary slackness at
+    the size the design uses: y = prior * (V(N) + mu * potential(N)) where
+    it invites, clipped at 0 at the threshold state, and 0 where it does
+    not. Every column (state, size k = 0..N) is then priced against y, so
+    the cost is O(S * N). The primal side is the design policy's own
+    ``check_policy`` report at tol 0: its invited, stay-out and mass rows."""
+    check_dimensions(env, welfare)
+    report = check_policy(to_sequential_policy(tp, env), env, tol=0.0)
+    q, n, t = tp.invite_probs, env.n_agents, tp.threshold_state
     v_n, f_n = welfare_column(welfare, n), potential_column(env, n)
+    if mu is None:
+        mu = 0.0 if tp.degenerate else -v_n[t] / f_n[t]
     y = [p * (v + mu * f) if x > 0.0 else 0.0 for p, x, v, f in zip(env.prior, q, v_n, f_n)]
-    y[tp.threshold_state] = max(y[tp.threshold_state], 0.0)
+    y[t] = max(y[t], 0.0)
     dual_violation = max(0.0, -mu)
     for k in range(n + 1):
         columns = zip(env.prior, welfare_column(welfare, k), potential_column(env, k), y)
         dual_violation = max(dual_violation, *(p * (v + mu * f) - ys for p, v, f, ys in columns))
-    budget = math.fsum(map(mul, map(mul, env.prior, q), f_n))
-    stay_out = math.fsum(p * (1.0 - x) * g for p, x, g in zip(env.prior, q, gain_column(env, 0)))
-    mass = max(abs(math.fsum((x, 1.0 - x)) - 1.0) for x in q)
+    mass = (abs(m - 1.0) for m in report.state_mass)
     dual_value = math.fsum(y)
     return Certificate(
         mu=mu,
         dual_value=dual_value,
         gap=dual_value - tp.expected_welfare,
         dual_violation=dual_violation,
-        primal_residual=max(0.0, -budget, stay_out, mass),
+        primal_residual=max(0.0, -min(report.so_c), max(report.so_n), *mass),
         bound_violation=max(0.0, *(max(-x, x - 1.0) for x in q)),
     )
 

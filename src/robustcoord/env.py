@@ -200,8 +200,9 @@ class WelfareSpec(Frozen):
     weakly increasing in n. Convexity (V(n, s) <= (n/N) V(N, s)) is an
     assumption to be *checked*, not enforced at construction. The
     constructor copies ``alpha`` or the table's rows into tuples of floats
-    and validates them for its ``kind``; ``power`` and ``tabulated`` are
-    shorthands for it.
+    and validates them for its ``kind``, and stores None for the fields the
+    kind does not use, so the record keeps no object of its caller;
+    ``power`` and ``tabulated`` are shorthands for it.
     """
 
     __slots__ = ("kind", "n_agents", "alpha", "beta", "table")
@@ -221,7 +222,9 @@ class WelfareSpec(Frozen):
                 raise ValueError("power welfare requires finite alpha > 0 for every state")
             if not (math.isfinite(beta) and beta >= 1.0):
                 raise ValueError(f"power welfare requires beta >= 1, got {beta}")
+            table = None
         elif kind == TABULATED:
+            alpha, beta = None, None
             table = tuple(owned(row, f"table[{s}]") for s, row in enumerate(table))
             if n_agents < 2 or not table or any(len(row) != n_agents + 1 for row in table):
                 raise ValueError(

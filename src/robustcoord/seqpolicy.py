@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .env import (
     DEFAULT_TOL,
@@ -28,7 +28,7 @@ from .env import (
     check_dimensions,
     check_tol,
     gain_column,
-    potential,
+    potential_column,
     reject_duplicates,
     welfare_value,
 )
@@ -86,8 +86,9 @@ class SequentialPolicy(Frozen):
     ):
         object.__setattr__(self, "n_agents", as_number(n_agents, "n_agents", int))
         object.__setattr__(self, "n_states", as_number(n_states, "n_states", int))
-        if not isinstance(entries or {}, Mapping):
-            raise TypeError(f"entries must be a mapping, got {type(entries).__name__}")
+        for name, arg in (("entries", entries), ("uniform_full", uniform_full)):
+            if not isinstance(arg or {}, Mapping):
+                raise TypeError(f"{name} must be a mapping, got {type(arg).__name__}")
         clean: dict[tuple[int, Sequence_], float] = {}
         for (s, seq), p in (entries or {}).items():
             seq = tuple(as_number(a, "sequence agent", int) for a in seq)
@@ -120,7 +121,7 @@ class SequentialPolicy(Frozen):
             terms[s].append(p)
         for s, p in uf.items():
             terms[s].append(p)
-        # each state's total mass, summed once here for check_feasibility
+        # each state's total mass, summed once here for check_policy
         mass = tuple(map(math.fsum, terms))
         object.__setattr__(self, "mass", mass)
         for s, m in enumerate(mass):
@@ -147,18 +148,20 @@ class ObedienceReport(NamedTuple):
     tol: float
 
 
-def check_feasibility(
-    policy: SequentialPolicy, tol: float = DEFAULT_TOL
-) -> tuple[bool, list[float]]:
-    """Per-state masses must each sum to 1 within tol."""
-    mass = list(policy.mass)
-    return all(abs(m - 1.0) <= tol for m in mass), mass
+def invited_row(
+    env: Environment, probs: Iterable[tuple[int, float]], column: Sequence[float]
+) -> list[float]:
+    """The agent-symmetric LP's invited row, prior * x * column / N, for each
+    (state, x) of ``probs``: SO_c's terms of uniform full orderings of mass x."""
+    n, prior = env.n_agents, env.prior
+    return [prior[s] * x * column[s] / n for s, x in probs]
 
 
 def _obedience_values(
     policy: SequentialPolicy, env: Environment
 ) -> tuple[list[float], list[float]]:
-    """SO_c and SO_n of every agent."""
+    """SO_c and SO_n of every agent. Every agent no sequence names sees only
+    anonymous mass (uniform-full and empty), so they share one sum of each."""
     n = env.n_agents
     columns: dict[int, list[float]] = {}  # gain_column at each count met
 
@@ -167,22 +170,22 @@ def _obedience_values(
             columns[count] = gain_column(env, count)
         return columns[count][s]
 
-    invited: list[list[float]] = [[] for _ in range(n)]
+    invited: dict[int, list[float]] = {}
     outside: list[tuple[float, tuple[int, ...]]] = []
     for (s, seq), p in policy.entries.items():
         weight = env.prior[s] * p
         for rank, agent in enumerate(seq):
-            invited[agent].append(weight * gain(s, rank))
+            invited.setdefault(agent, []).append(weight * gain(s, rank))
         # full sequences invite everyone, so no agent is ever outside one
         if len(seq) < n:
             outside.append((weight * gain(s, len(seq)), seq))
     # uniform full orderings: position is uniform, so the average gain
     # telescopes to potential(N) / N
-    uniform = [
-        env.prior[s] * p * potential(env, s, n) / n for s, p in policy.uniform_full.items()
-    ]
-    so_c = [math.fsum(invited[i] + uniform) for i in range(n)]
-    so_n = [math.fsum(t for t, seq in outside if i not in seq) for i in range(n)]
+    uniform = invited_row(env, policy.uniform_full.items(), potential_column(env, n))
+    so_c, so_n = [math.fsum(uniform)] * n, [math.fsum(t for t, _ in outside)] * n
+    for i, terms in invited.items():  # an agent some sequence names sums its own
+        so_c[i] = math.fsum(terms + uniform)
+        so_n[i] = math.fsum(t for t, seq in outside if i not in seq)
     return so_c, so_n
 
 
@@ -191,30 +194,20 @@ def check_policy(
 ) -> ObedienceReport:
     """Feasibility plus both obedience halves for every agent.
 
-    ``so_c[i]`` is agent i's prior-weighted gain over all invitations,
-    assuming only the agents sequenced before them cooperate; nonnegative for
-    every agent is the cooperation half of sequential obedience. ``so_n[i]``
-    is their gain from joining uninvited, assuming every invitee cooperates;
-    nonpositive for every agent is the exclusion half. Full sequences invite
-    everyone, so the uniform-full block adds to ``so_c`` only."""
+    Each state's mass must be within tol of 1. ``so_c[i]`` is agent i's
+    prior-weighted gain over all invitations, assuming only the agents
+    sequenced before them cooperate; nonnegative for every agent is the
+    cooperation half of sequential obedience. ``so_n[i]`` is their gain from
+    joining uninvited, assuming every invitee cooperates; nonpositive for
+    every agent is the exclusion half. Full sequences invite everyone, so
+    the uniform-full block adds to ``so_c`` only."""
     check_tol(tol)
     if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
         raise ValueError("policy does not match the environment's dimensions")
-    feasible, mass = check_feasibility(policy, tol)
+    feasible = all(abs(m - 1.0) <= tol for m in policy.mass)
     so_c, so_n = map(tuple, _obedience_values(policy, env))
-    passed = (
-        feasible
-        and all(v >= -tol for v in so_c)
-        and all(v <= tol for v in so_n)
-    )
-    return ObedienceReport(
-        so_c=so_c,
-        so_n=so_n,
-        state_mass=tuple(mass),
-        feasible=feasible,
-        passed=passed,
-        tol=tol,
-    )
+    passed = feasible and all(v >= -tol for v in so_c) and all(v <= tol for v in so_n)
+    return ObedienceReport(so_c, so_n, policy.mass, feasible, passed, tol)
 
 
 def expected_welfare(

@@ -520,6 +520,17 @@ def test_tol_flag_reaches_checker(tmp_path):
     assert run_cli("check", "case1", tmp_path / "zero", "--tol", "0") == 0
 
 
+def test_case2_design_is_obedient_at_tol_zero(tmp_path):
+    # the threshold weight is closed on check_policy's own sum of the invited
+    # row, so no float dust below 0 fails the check or breaks the chain walk
+    assert run_cli("check", "case2", tmp_path / "check", "--tol", "0") == 0
+    assert json.loads((tmp_path / "check" / "obedience.json").read_text())["pass"] is True
+    assert run_cli("evaluate", "case2", tmp_path / "evaluate", "--tol", "0") == 0
+    private = json.loads((tmp_path / "evaluate" / "public.json").read_text())["private_sequential"]
+    assert private["obedient"] is True and private["events"] == []
+    assert private["welfare"] == 4.734782608695652  # the design's expected welfare
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
     for command in ("design", "check", "evaluate"):
@@ -572,7 +583,12 @@ def test_score_matches_design_scores_bit_for_bit(config):
 # and gap in, iterations out). When every float sum became math.fsum, the
 # sums that numpy's order had rounded differently moved: case2's
 # obedience.json (so_c) and the grid's design.json, obedience.json and
-# public.json (expected welfare, so_c, posteriors). A change that alters any
+# public.json (expected welfare, so_c, posteriors). When the threshold
+# weight came to be closed on check_policy's own sum of the invited row, the
+# weight moved in its last bits where the scan's running budget had left
+# that row just below 0: case2's and the grid's design.json and policy.json
+# (the threshold mass), obedience.json (so_c) and the grid's public.json
+# (that state's event probability and posterior). A change that alters any
 # of these files on purpose updates the digest here and says so in
 # CHANGES.md.
 GOLDEN_DIGESTS = {
@@ -590,22 +606,22 @@ GOLDEN_DIGESTS = {
     },
     "case2": {
         "comparison.csv": "cbf3829d146b32f2404ebbd9316104fea8df2c3097b8beaa7746490e4476b0d5",
-        "design.json": "2b02159aa91d8306212693667d6c83b64aca2d56a58b9b1920c9f9dc62f767e6",
+        "design.json": "cb7f2fc6ed24cd65ad8269dcb05e6f97aef0943084f6aabcf78a125e1364970f",
         "figdata_scores.csv": "151b3953395d97d53f09ea31f025ea4298a9063332ce88c02afd5b979596a635",
         "figdata_welfare.csv": "866e832bda82440f61c6418deb6cb57a3e0c6d698929736c09f20db03107a681",
-        "obedience.json": "30c5a2ef134755b865217b5e9866e995dfc251c20f8acc4a553d7bb4ebf8f60c",
-        "policy.json": "ebadf802cad4a4dc7708500949e8bc18a78e301aedff245a076b9b195caf1211",
+        "obedience.json": "9277403bfa59fd4cdb6037f4e002c6729eb86ea2a92d49cd8395ee4bf1cfe1e6",
+        "policy.json": "c1c54a41074701fb2f31df32119eed3df6f46f09587fd216c00b6c5a01cbbd01",
         "sweep.csv": "3d41ab5e54e464c22f62918ce76d3917a293f81029fd10e855bb651bb8d8e4f5",
         "sweep_summary.json": "28ba9f4c01fc8e48bbc117c5d4c461405ad9150c2de1643f9294d4738b979617",
     },
     "grid": {
         "comparison.csv": "b7e943da73de280869a42979501cddf7da3e7e9a2028dafdc40f0f31f7142b12",
-        "design.json": "983de6a1f4367ccd62e79f2cd93979d0e3a256db45b2d24f231fa71bd7c0bf64",
+        "design.json": "a43f4f9be2a2d73267c5043748951b0b9074fa917053d5ffb1d768fa54d3502a",
         "figdata_scores.csv": "d406ae4f68470898cf90840493b779d10f47bf37d66c2807110b0680ffb2decc",
         "figdata_welfare.csv": "e13736f6f441af6fdf04939477601cce28b251d125ff304302c1ed3edaecfa64",
-        "obedience.json": "767406d75db3a8bd6239c3027b3164edb165ee9e423014c1d90ac9e20cc554a0",
-        "policy.json": "8f67bff01e53f708c74f1f21c5aec453ba9c8aa9ad0beb4af720baa82065b49a",
-        "public.json": "efc6ce378b89b15ca810237b554bc2ddc20dbb901ed96018afccc7c7f322ca39",
+        "obedience.json": "e539a965f6b6021c40226b22cddd59493b48e3293fb3434964074be1fae9041c",
+        "policy.json": "b321cb4113243aee1e2cef9215b38019b02f32a75aa2c9d7a4a2a6141f8ce950",
+        "public.json": "3c34c2976d52ad4a7740fee5f2ce6ab66fd43a9c19c3cdc6d738380f1fa69963",
         "sweep.csv": "acc2cf1ca3246d98e7279aa74f52464544240f2feedc13fc801091215edbac3a",
         "sweep_summary.json": "4439692b0119a09eec09595382405f64a03df5113fd8c51a7b6b686236847fea",
     },
@@ -633,9 +649,11 @@ def test_run_artifacts_match_golden_digests(tmp_path, scenario):
 # SHA-256 of the lp.json that `lp` writes at the benchmark's sizes: case2's
 # certificate (1,100 columns priced, value 4.734782608695652) and the
 # six-agent instance LP_N6 of test_lp.py, run from a scenario file. Both
-# changed on purpose when `lp` moved from the simplex to the certificate.
+# changed on purpose when `lp` moved from the simplex to the certificate;
+# case2's again when the threshold weight was closed on check_policy's sum
+# (the threshold masses in `assignment`, and `primal_residual` 2.6e-17 -> 0).
 LP_DIGESTS = {
-    "case2": "f6f37abb4693118dff5dfb35f22eed8d37dc986ce14d7a41fcfc2b09cdcc9e21",
+    "case2": "df0e1c23a22ed6327f79e17ee7ee0663d4ae0064ccf2f27f27f6bab608d740da",
     "lp-n6": "cd02a2f4fbc308fed24b2f348141b1f2cd73e6d3e69f1a5353e07d2d093acb66",
 }
 

@@ -1,8 +1,11 @@
 """Threshold-rule designer: fixtures, degeneracy, infeasibility, N-independence,
 and its LP dual certificate."""
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,16 @@ from robustcoord import (
     PRESETS,
     Environment,
     InfeasibleDesignError,
+    PRIVATE_SEQUENTIAL,
     OpCounter,
     StrictModeError,
     WelfareSpec,
+    build_scenario,
     certify,
     check_policy,
     design,
     designer,
+    evaluate_policy_realized,
     load_scenario,
     score,
     to_sequential_policy,
@@ -58,14 +64,14 @@ def test_case2_design(case2):
     env, wf = case2
     tp = design(env, wf)
     assert tp.threshold_label == "0.56"
-    assert repr(tp.mixing_weight) == "0.23913043478261042"
+    assert repr(tp.mixing_weight) == "0.23913043478260987"
     assert repr(tp.expected_welfare) == "4.734782608695652"
     assert not tp.degenerate
     # no state clears b - c > 0 at cost 2, so the dominance warning rides along
     assert any("dominance" in w for w in tp.warnings)
     q = tp.invite_probabilities()
     assert min(q[56:]) == 1.0 and max(q[:55]) == 0.0
-    assert q[55] == pytest.approx(0.23913043478261042, abs=1e-15)
+    assert q[55] == pytest.approx(0.23913043478260987, abs=1e-15)
 
 
 def test_designed_policy_is_obedient(case1, case2):
@@ -73,6 +79,56 @@ def test_designed_policy_is_obedient(case1, case2):
         pol = to_sequential_policy(design(env, wf), env)
         report = check_policy(pol, env)
         assert report.passed, report
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, read only, with the oracle it imports, both
+    dropped from ``sys.modules`` again after the test."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    for name in ("oracle", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, root / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)  # dataclass looks itself up there
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "scenario, designed",
+    [("case1", 33), ("case2", 29), (0, 15), (5, 15), (7, 14)],
+)
+def test_every_designed_sweep_point_is_obedient_at_tol_zero(monkeypatch, scenario, designed):
+    # the presets' sweeps and the benchmark's wide grid at seeds 0, 5 and 7:
+    # the threshold weight closes the invited row as check_policy sums it, so
+    # the design passes at tol 0 and private play realizes its welfare
+    if isinstance(scenario, str):
+        scn = load_scenario(scenario)
+    else:
+        scn = build_scenario(_benchmark_workloads(monkeypatch).wide_grid_config(scenario))
+    seen = 0
+    for cost in scn.sweep_costs:
+        env = scn.env.with_cost(cost)
+        try:
+            tp = design(env, scn.welfare)
+        except InfeasibleDesignError:
+            continue
+        seen += 1
+        policy = to_sequential_policy(tp, env)
+        report = check_policy(policy, env, tol=0.0)
+        assert report.passed, (cost, min(report.so_c))
+        realized = evaluate_policy_realized(
+            policy, env, scn.welfare, mode=PRIVATE_SEQUENTIAL, obedience_tol=0.0
+        )
+        assert realized.obedient and realized.welfare == tp.expected_welfare, cost
+    assert seen == designed
+
+
+def test_threshold_scan_raises_when_the_row_cannot_close(case1, monkeypatch):
+    # the closing corrects once and steps at most 8 ulps; a row that stays
+    # below 0 past that is an error, not a design that fails its check
+    monkeypatch.setattr(designer, "invited_row", lambda env, probs, column: [-1.0])
+    with pytest.raises(ArithmeticError, match="does not close at state 0"):
+        design(*case1)
 
 
 def test_degenerate_all_invite(example3):
@@ -226,6 +282,32 @@ def test_certificate_priced_off_its_mu_fails(scenario, scale):
     moved = designer._certify_at(env, wf, tp, cert.mu * scale)
     assert not moved.passed
     assert max(moved.gap, moved.dual_violation) > CERT_TOL
+
+
+@pytest.mark.parametrize("scenario", ["case1", "case2"])
+def test_certificate_primal_residual_is_the_policy_check(scenario):
+    # a threshold weight raised by 1e-6 overspends the invited row; the
+    # certificate's primal side is the design policy's own check_policy
+    scn = load_scenario(scenario)
+    env, wf = scn.env, scn.welfare
+    tp = design(env, wf)
+    t = tp.threshold_state
+    raised = tp.mixing_weight + 1e-6
+    probs = tp.invite_probs[:t] + (raised,) + tp.invite_probs[t + 1 :]
+    over = tp._replace(mixing_weight=raised, invite_probs=probs)
+    report = check_policy(to_sequential_policy(over, env), env, tol=0.0)
+    assert min(report.so_c) < 0.0 and max(report.so_n) <= 0.0
+    cert = certify(env, wf, over)
+    assert cert.primal_residual == -min(report.so_c)
+    assert cert.primal_residual > CERT_TOL and not cert.passed
+    assert certify(env, wf, tp).primal_residual == 0.0
+
+
+def test_certificate_rejects_a_design_that_is_no_policy(case1):
+    # the primal side is the design's own policy, which cannot carry mass 1.5
+    tp = design(*case1)
+    with pytest.raises(ValueError, match="mass above 1"):
+        certify(*case1, tp._replace(invite_probs=(1.5, 1.0)))
 
 
 def test_certificate_rejects_a_design_of_another_size(case1, case2):

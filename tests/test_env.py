@@ -144,6 +144,18 @@ def test_welfare_constructor_copies_like_its_shorthands():
     assert repr(WelfareSpec("tabulated", 3, table=table)) == repr(WelfareSpec.tabulated(table))
 
 
+def test_welfare_spec_keeps_no_list_of_its_caller():
+    # the field a kind does not use is stored as None, not as the caller's object
+    alpha, table = [6.0, 12.0], [[0.0, 1.0, 2.0, 6.0]]
+    tabulated = WelfareSpec("tabulated", 3, alpha=alpha, table=table)
+    power = WelfareSpec("power", 3, alpha, 1.5, table=table)
+    alpha.append(9.0)
+    table.append([0.0, 0.0, 0.0, 0.0])
+    assert tabulated.alpha is None and tabulated.beta is None and power.table is None
+    assert power.alpha == (6.0, 12.0) and tabulated.table == ((0.0, 1.0, 2.0, 6.0),)
+    assert tabulated.n_states == 1 and power.n_states == 2
+
+
 def test_environment_validation():
     base = dict(
         labels=("a", "b"),

@@ -19,7 +19,6 @@ from robustcoord import (
     policy_from_dict,
     policy_to_dict,
 )
-from robustcoord.seqpolicy import check_feasibility
 
 
 def expand_uniform_full(policy):
@@ -64,6 +63,10 @@ class TestPolicyConstruction:
         with pytest.raises(TypeError, match="entries must be a mapping, got list"):
             SequentialPolicy(3, 2, [((0, (0,)), 0.3), ((0, (0,)), 0.2)], {})
 
+    def test_uniform_full_must_be_a_mapping(self):
+        with pytest.raises(TypeError, match="uniform_full must be a mapping, got list"):
+            SequentialPolicy(3, 2, {}, [(0, 1.0)])
+
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError, match="state"):
             SequentialPolicy(3, 2, {(2, ()): 1.0}, {})
@@ -83,11 +86,10 @@ class TestPolicyConstruction:
     def test_state_mass_and_feasibility(self, case1):
         env, _ = case1
         pol = SequentialPolicy(3, 2, {(0, ()): 0.4, (1, ()): 1.0}, {0: 0.6})
-        ok, mass = check_feasibility(pol, 1e-9)
-        assert ok and mass == pytest.approx((1.0, 1.0), abs=1e-12)
+        report = check_policy(pol, env, 1e-9)
+        assert report.feasible and report.state_mass == pytest.approx((1.0, 1.0), abs=1e-12)
         short = SequentialPolicy(3, 2, {(0, ()): 0.4, (1, ()): 1.0}, {})
-        ok, _ = check_feasibility(short, 1e-9)
-        assert not ok
+        assert not check_policy(short, env, 1e-9).feasible
 
 
 def test_worked_example_obedience_values(case1):

@@ -51,7 +51,7 @@ def bits(x):
 # ---------------------------------------------------------------- references
 
 
-def _loop_threshold_scan(prior, gains, scores, counter):
+def _loop_threshold_scan(prior, gains, scores, counter, n_agents):
     n_states = len(scores)
     order = tuple(sorted(range(n_states), key=lambda s: scores[s]))
     counter.tick(n_states)
@@ -74,6 +74,20 @@ def _loop_threshold_scan(prior, gains, scores, counter):
             mix = cum / (-step) if step != 0.0 else 1.0
             q[s] = mix
             break
+
+    def invited_row():  # SO_c of the design's policy, as the loops below sum it
+        return math.fsum(prior[s] * q[s] * gains[s] / n_agents for s in eligible if q[s] > 0.0)
+
+    # the closing: if rounding left the invited row below 0, correct the
+    # weight once by the miss, then lower it an ulp at a time
+    if invited_row() < 0.0:
+        mix -= invited_row() / (prior[t_state] * gains[t_state] / n_agents)
+        q[t_state] = mix
+        for _ in range(8):
+            if invited_row() >= 0.0:
+                break
+            mix = q[t_state] = math.nextafter(mix, 0.0)
+        assert invited_row() >= 0.0
     return order, q, int(t_state), float(mix), False
 
 
@@ -92,7 +106,7 @@ def _loop_design(env, welfare):
     if not np.any(f_vals > 0.0):
         raise InfeasibleDesignError("no state has a positive potential")
     order, q, t_state, mix, degenerate = _loop_threshold_scan(
-        env.prior, f_vals, scores, counter
+        env.prior, f_vals, scores, counter, env.n_agents
     )
     terms = []
     for s in order:
@@ -120,7 +134,7 @@ def _loop_bce(env, welfare):
     if not np.any(g_full > 0.0):
         raise InfeasibleDesignError("no state has a positive full-trust gain")
     order, q, t_state, mix, degenerate = _loop_threshold_scan(
-        env.prior, g_full, scores, OpCounter()
+        env.prior, g_full, scores, OpCounter(), env.n_agents
     )
     predicted = math.fsum(env.prior[s] * q[s] * v_full[s] for s in range(n_states))
     first_full = next((s for s in order if q[s] == 1.0), None)
