@@ -18,7 +18,6 @@ from typing import NamedTuple, Sequence
 
 from .designer import InfeasibleDesignError, ThresholdPolicy, design, threshold_scan
 from .env import (
-    PROB_TOL,
     WELFARE_TOL,
     Environment,
     WelfareSpec,
@@ -69,12 +68,13 @@ def evaluate_bce_realized(
     policy: ThresholdPolicy, env: Environment, welfare: WelfareSpec
 ) -> RealizedEvaluation:
     """Same recommendations under smallest-equilibrium play: two public
-    events (recommend-all, recommend-none), each with its Bayes posterior."""
+    events (recommend-all, recommend-none), each with its Bayes posterior,
+    played as the public counterfactual plays them: every event of positive
+    prior mass, however small."""
     q = policy.invite_probs
     events = []
     for label, probs in (("recommend-all", q), ("recommend-none", [1.0 - x for x in q])):
-        # up to PROB_TOL the event is float dust from q near 0 or 1
-        belief = event_posterior(env, probs, PROB_TOL)
+        belief = event_posterior(env, probs)
         if belief is None:
             continue
         out = smallest_equilibrium(env, belief)

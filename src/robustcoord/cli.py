@@ -1,6 +1,6 @@
 """Command line surface: scenario runs, verification, sweeps, figure data.
 
-Each subcommand loads a scenario (preset name or JSON path), runs one
+Each command loads a scenario (preset name or JSON path), runs one
 analysis, and writes artifacts into --out. `run` executes every mode the
 scenario enables plus the cost sweep when one is configured. Artifacts are
 deterministic: rerunning a scenario reproduces byte-identical files except
@@ -225,30 +225,28 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    parser = argparse.ArgumentParser(
+        prog="robustcoord",
+        description="Robust information design for binary-action coordination games.",
+        epilog="commands:\n"
+        + "".join(f"  {name:<10} {help_text}\n" for name, (_, help_text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument(
         "--scenario",
         required=True,
         help="preset name (case1, case2) or path to a scenario JSON file",
     )
-    common.add_argument(
-        "--out", default="artifacts", help="output directory (created if missing)"
-    )
-    common.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="obedience check tolerance"
-    )
-    common.add_argument(
+    parser.add_argument("--out", default="artifacts", help="output directory (created if missing)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="obedience check tolerance")
+    parser.add_argument(
         "--strict",
         action="store_true",
         help="fail (exit 1) on modeling-assumption violations instead of warning",
     )
-    parser = argparse.ArgumentParser(
-        prog="robustcoord",
-        description="Robust information design for binary-action coordination games.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 

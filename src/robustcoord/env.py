@@ -53,7 +53,11 @@ def as_number(value, where: str, kind=float):
     """``kind(value)`` for a real number, or a ValueError naming ``where``
     and the value if it is anything else (a string, a bool, None, ...) or,
     for ``kind=int``, a number with a fractional part: nothing is truncated.
-    numpy registers its scalar types as ``numbers.Real``, so they pass too."""
+    numpy registers its scalar types as ``numbers.Real``, so they pass too.
+    A value whose type is exactly ``kind`` is already that number; a bool or
+    a numpy scalar is a subclass, so it takes the checked conversion."""
+    if type(value) is kind:
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = kind(value)
@@ -92,10 +96,7 @@ def owned(values, name: str) -> tuple[float, ...]:
     """``values`` as a tuple of floats, each read by ``as_number`` (an error
     names ``name`` and the index): a record shares no list with its caller
     and hands out none that can be written."""
-    # a float passes as itself; only other values pay for as_number's checks
-    return tuple(
-        [v if type(v) is float else as_number(v, f"{name}[{i}]") for i, v in enumerate(values)]
-    )
+    return tuple([as_number(v, f"{name}[{i}]") for i, v in enumerate(values)])
 
 
 class Frozen:

@@ -86,22 +86,23 @@ def posterior_from_event(env: Environment, event_probs: Sequence[float]) -> Beli
     if not all(-PROB_TOL <= p <= 1 + MASS_SUM_TOL for p in probs):
         raise ValueError("event probabilities must lie in [0, 1]")
     # clipped to [0, 1]; a -0.0 passes through, as in np.clip
-    weighted = [w * (0.0 if p < 0.0 else 1.0 if p > 1.0 else p) for w, p in zip(env.prior, probs)]
-    total = math.fsum(weighted)
-    if total <= 0.0:
+    belief = event_posterior(env, [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs])
+    if belief is None:
         raise ValueError("event has zero prior probability; posterior undefined")
-    return Belief([w / total for w in weighted])
+    return belief
 
 
-def event_posterior(env: Environment, probs: Sequence[float], skip_at: float) -> Belief | None:
-    """``posterior_from_event``, or None when the event's prior mass is at
-    most ``skip_at``. While every probability lies in [0, 1], that mass is
-    the posterior's normalising total, so it is summed only once, and if it
-    is finite the posterior is finite, nonnegative and sums to 1 up to
-    rounding far below MASS_SUM_TOL: Belief's checks would always pass."""
+def event_posterior(env: Environment, probs: Sequence[float]) -> Belief | None:
+    """``posterior_from_event``, or None when the event's prior mass is not
+    positive: an event that never happens is not played. While every
+    probability lies in [0, 1], that mass is the posterior's normalising
+    total, so it is summed only once, and if it is finite the posterior is
+    finite, nonnegative and sums to 1 up to rounding far below
+    MASS_SUM_TOL: Belief's checks would always pass. Any other event takes
+    ``posterior_from_event``'s checks and clipping."""
     weighted = list(map(mul, env.prior, probs))
     mass = math.fsum(weighted)
-    if mass <= skip_at:
+    if mass <= 0.0:
         return None
     if not (math.isfinite(mass) and min(probs) >= 0.0 and max(probs) <= 1.0):
         return posterior_from_event(env, probs)
@@ -253,7 +254,7 @@ def evaluate_policy_realized(
 
     outcomes = []
     for label, probs, seq in _signal_events(policy, env.n_states):
-        belief = event_posterior(env, probs, 0.0)
+        belief = event_posterior(env, probs)
         if belief is None:
             continue
         if private and seq is not None:

@@ -121,7 +121,7 @@ def _ramp_endpoints(value, where: str) -> tuple[float, float]:
     return as_number(value[0], f"{where}[0]"), as_number(value[1], f"{where}[1]")
 
 
-def _build_explicit(config: dict, n_agents: int, cost: float, beta: float):
+def _explicit_columns(config: dict, n_agents: int) -> tuple:
     states = config["states"]
     if not isinstance(states, list) or not states:
         raise ValueError("states: expected a non-empty list")
@@ -142,18 +142,10 @@ def _build_explicit(config: dict, n_agents: int, cost: float, beta: float):
         benefit.append(_field(st, "b", where))
         comp.append(_field(st, "lambda", where))
         alpha.append(_field(st, "alpha", where))
-    env = Environment(
-        n_agents=n_agents,
-        labels=tuple(labels),
-        prior=prior,
-        benefit=benefit,
-        complementarity=comp,
-        cost=cost,
-    )
-    return env, WelfareSpec.power(n_agents, alpha, beta)
+    return labels, prior, benefit, comp, alpha
 
 
-def _build_grid(config: dict, n_agents: int, cost: float, beta: float):
+def _grid_columns(config: dict, n_agents: int) -> tuple:
     grid = config["grid"]
     _reject_unknown(
         grid, {"count", "theta_start", "theta_step", "b", "lambda", "alpha"}, "grid"
@@ -172,15 +164,8 @@ def _build_grid(config: dict, n_agents: int, cost: float, beta: float):
         lo, hi = _ramp_endpoints(_require(grid, key, "grid"), f"grid.{key}")
         return [lo + (hi - lo) * t for t in theta]
 
-    env = Environment(
-        n_agents=n_agents,
-        labels=tuple(str(d) for d in decs),
-        prior=[1.0 / count] * count,
-        benefit=ramp("b"),
-        complementarity=ramp("lambda"),
-        cost=cost,
-    )
-    return env, WelfareSpec.power(n_agents, ramp("alpha"), beta)
+    # Environment spells each label with str: "0.56", exact
+    return decs, [1.0 / count] * count, ramp("b"), ramp("lambda"), ramp("alpha")
 
 
 def _build_sweep(block: dict) -> tuple[float, ...]:
@@ -218,11 +203,12 @@ def build_scenario(config: dict) -> Scenario:
 
     if ("states" in config) == ("grid" in config):
         raise ValueError("scenario: provide exactly one of 'states' or 'grid'")
-    if "states" in config:
-        env, welfare = _build_explicit(config, n_agents, cost, beta)
-    else:
-        env, welfare = _build_grid(config, n_agents, cost, beta)
-    reject_duplicates(env.labels, "states" if "states" in config else "grid", "label(s)")
+    block = "states" if "states" in config else "grid"
+    columns = _explicit_columns if block == "states" else _grid_columns
+    labels, prior, benefit, comp, alpha = columns(config, n_agents)
+    env = Environment(n_agents, labels, prior, benefit, comp, cost)
+    welfare = WelfareSpec.power(n_agents, alpha, beta)
+    reject_duplicates(env.labels, block, "label(s)")
 
     modes = _require(config, "modes", "scenario")
     if not isinstance(modes, list):

@@ -1,5 +1,7 @@
 """Optimistic persuasion baselines against the robust design."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,13 @@ def test_case1_realized_collapses(case1):
     assert ev.welfare == 0.0
     by_label = {e.label: e for e in ev.events}
     assert by_label["recommend-all"].coop_count == 0
-    # the no-recommendation event carries only float dust and is dropped
-    assert "recommend-none" not in by_label
+    # the no-recommendation event carries only float dust (state L is
+    # recommended with probability 1 - 2**-53, so the event's prior mass is
+    # 5.6e-17), and like every event of positive mass it is played: nobody
+    # cooperates, and it adds nothing
+    none = by_label["recommend-none"]
+    assert math.fsum(w * p for w, p in zip(env.prior, none.probs)) == 0.5 * 2.0**-53
+    assert (none.coop_count, none.welfare_contribution) == (0, 0.0)
 
 
 def test_case2_optimistic_threshold(case2):

@@ -293,6 +293,43 @@ def test_lp_case2_within_guard(tmp_path):
     assert lp["agreement_gap"] <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["design"], "the following arguments are required: --scenario"),
+        (["--out", "x", "design"], "the following arguments are required: --scenario"),
+        (["bogus", "--scenario", "case1"], "invalid choice: 'bogus'"),
+        (["--scenario", "case1"], "the following arguments are required: command"),
+    ],
+)
+def test_parser_errors_exit_2_with_a_usage_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: robustcoord ") and message in err
+
+
+def test_options_parse_the_same_before_or_after_the_command():
+    parse = cli._build_parser().parse_args
+    after = ["check", "--scenario", "case2", "--out", "o", "--tol", "0", "--strict"]
+    before = ["--scenario", "case2", "--out", "o", "--tol", "0", "--strict", "check"]
+    between = ["--tol", "0", "check", "--strict", "--scenario", "case2", "--out", "o"]
+    want = vars(parse(after))
+    assert want == {"command": "check", "scenario": "case2", "out": "o", "tol": 0.0, "strict": True}
+    assert vars(parse(before)) == want and vars(parse(between)) == want
+
+
+def test_help_lists_every_command_with_its_help_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (_, help_text) in cli._COMMANDS.items():
+        assert f"  {name:<10} {help_text}" in lines
+    assert list(cli._COMMANDS) == ["design", "check", "lp", "evaluate", "compare", "sweep", "run"]
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     assert run_cli("design", "nonesuch", tmp_path) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 and the package's named tolerances."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -229,6 +230,23 @@ def test_as_number_reads_numpy_scalars_as_real_numbers():
         as_number(np.bool_(True), "x")
     with pytest.raises(ValueError, match=re.escape("x: expected an integer, got")):
         as_number(np.float64(2.5), "x", int)
+
+
+def test_as_number_returns_a_number_of_its_kind_as_is():
+    # a float for a float, an int for an int: the value itself, and every
+    # other input still converts through the checks (an int read as a float,
+    # a whole float read as an int, a numpy float64 that subclasses float)
+    x, big, nan = 0.1, 10**400, math.nan
+    assert as_number(x, "x") is x and as_number(big, "x", int) is big
+    assert as_number(nan, "x") is nan
+    assert type(as_number(3, "x")) is float and type(as_number(3.0, "x", int)) is int
+    assert type(as_number(np.float64(0.25), "x")) is float
+    for flag in (True, False):
+        for kind in (float, int):
+            with pytest.raises(ValueError, match="expected a number"):
+                as_number(flag, "x", kind)
+    with pytest.raises(ValueError, match="expected an integer"):
+        as_number(2.5, "x", int)
 
 
 # a per-state value that is not a number, by the column and index its error names

@@ -89,25 +89,42 @@ def test_posterior_rejects_a_nan_event_probability(case1):
         with pytest.raises(ValueError, match=r"event probabilities must lie in \[0, 1\]"):
             posterior_from_event(env, probs)
         with pytest.raises(ValueError, match=r"event probabilities must lie in \[0, 1\]"):
-            event_posterior(env, probs, 0.0)
+            event_posterior(env, probs)
 
 
 def test_event_posterior_is_posterior_from_event_or_none(case1):
-    # the in-range branch skips Belief's checks and must give the same bits;
-    # a probability past 1 (within MASS_SUM_TOL, or beyond it) takes the checked path
+    # one Bayes rule: posterior_from_event checks and clips, then normalises
+    # through event_posterior, whose in-range branch skips Belief's checks;
+    # a probability past 1 (within MASS_SUM_TOL, or beyond it) takes the
+    # checked path, and both give the same bits
     env, _ = case1
     rng = np.random.default_rng(3)
     events = [tuple(rng.uniform(0.0, 1.0, 2).tolist()) for _ in range(200)]
     events += [(0.0, 1.0), (1.0, 1.0), (1.95 / 2.85, 1.0), (-0.0, 0.3), (1.0 + 1e-13, 0.5)]
+    events += [(1 + 5e-10, 0.0), (1 + 5e-10, 0.25), (1e-300, 0.0)]
     for probs in events:
-        bel = event_posterior(env, probs, 0.0)
-        assert [x.hex() for x in bel.probs] == [
-            x.hex() for x in posterior_from_event(env, probs).probs
-        ], probs
-    assert event_posterior(env, (0.0, 0.0), 0.0) is None
-    assert event_posterior(env, (1e-13, 0.0), 1e-12) is None
+        bel = event_posterior(env, probs)
+        # Bayes' rule written out here, on the clipped probabilities
+        weighted = [w * min(max(p, 0.0), 1.0) for w, p in zip(env.prior, probs)]
+        want = [x.hex() for x in (w / math.fsum(weighted) for w in weighted)]
+        assert [x.hex() for x in bel.probs] == want, probs
+        assert [x.hex() for x in posterior_from_event(env, probs).probs] == want, probs
+        # the fast path skips Belief's checks; they pass on what it returns
+        assert Belief(bel.probs).probs == bel.probs
+    # the clipped path: a mass past 1 reads as 1, bit for bit
+    assert [x.hex() for x in event_posterior(env, (1 + 5e-10, 0.25)).probs] == [
+        x.hex() for x in event_posterior(env, (1.0, 0.25)).probs
+    ]
+    # an event of zero prior mass is not played, and has no posterior; the
+    # smallest subnormal times the prior 0.5 rounds to a mass of 0 too
+    for probs in ((0.0, 0.0), (-0.0, 0.0), (5e-324, 0.0)):
+        assert event_posterior(env, probs) is None
+        with pytest.raises(ValueError, match="zero prior probability"):
+            posterior_from_event(env, probs)
+    # any positive mass is played, however small
+    assert event_posterior(env, (1e-310, 0.0)).probs == (1.0, 0.0)
     with pytest.raises(ValueError, match="lie in"):
-        event_posterior(env, (1.2, 0.5), 0.0)
+        event_posterior(env, (1.2, 0.5))
 
 
 @pytest.mark.parametrize("mode", [PUBLIC, PRIVATE_SEQUENTIAL])

@@ -169,7 +169,7 @@ def _loop_event(env, welfare, label, probs, tol):
 def _loop_bce_realized(q, env, welfare, tol=1e-12):
     events = []
     for label, probs in (("recommend-all", q), ("recommend-none", 1.0 - q)):
-        if math.fsum(env.prior * probs) <= tol:
+        if math.fsum(env.prior * probs) <= 0.0:  # every event of positive mass is played
             continue
         events.append(_loop_event(env, welfare, label, probs, tol))
     return math.fsum(e[2] for e in events), events
@@ -402,9 +402,11 @@ def test_design_matches_loops():
     assert seen >= {"infeasible", "degenerate", "mixing", "+inf", "-inf", "tie"}
 
 
-def test_optimistic_baseline_matches_loops():
+def test_optimistic_baseline_matches_loops(case1):
+    # case1 first: its recommend-none event has mass 2^-54 (L is recommended
+    # with probability 1 - 2^-53), an event of dust mass that is played
     seen = set()
-    for env, wf, _ in _cases():
+    for env, wf in [case1, *((env, wf) for env, wf, _ in _cases())]:
         try:
             want = _loop_bce(env, wf)
         except InfeasibleDesignError:
@@ -430,7 +432,9 @@ def test_optimistic_baseline_matches_loops():
             for e in realized.events
         ] == [(lab, n, bits(c), bits(post)) for lab, n, c, post in events]
         assert {e.coop_count for e in realized.events} <= {0, env.n_agents}
-    assert seen == {"hopeless", "degenerate", "mixing"}
+        if any(0.0 < math.fsum(env.prior * probs) <= 1e-12 for probs in (q, 1.0 - q)):
+            seen.add("dust")
+    assert seen == {"hopeless", "degenerate", "mixing", "dust"}
 
 
 def test_obedience_values_and_welfare_match_loops():
