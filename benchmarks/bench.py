@@ -7,9 +7,13 @@ process that launched it, so each one is launched by a small ``python -S``
 process (``LAUNCHER``), about 8 MB, not by this script: the ``python -S -c
 pass`` row is that floor.
 
-One round runs every measurement once, forward on even rounds and backward on
-odd ones, so a drift in the machine's speed falls on all of them alike. Each
-figure is the median and quartiles of ``-k`` rounds, with every sample kept.
+It measures one or more source trees, each a directory holding the package
+under ``src/`` (a checkout, or a copy of another commit's), interleaved in
+one invocation. One round runs every measurement of every tree once, a
+command's trees one after another, forward on even rounds and backward on
+odd ones, so a drift in the machine's speed falls on all of them alike and
+not between trees measured one after the other. Each figure is the median
+and quartiles of ``-k`` rounds, with every sample kept.
 
 End to end: ``run`` on case1, case2 and the seed-0 wide grid of
 ``perfbench/workloads.py`` (N=20, S=2000), and ``lp`` on case2. Floors: the
@@ -17,10 +21,13 @@ bare interpreter with and without ``site``, and the import of
 ``robustcoord.cli``, so figures from two machines can be set against what
 every process pays before any command runs.
 
-    python benchmarks/bench.py [-k 15] [--out FILE]
+    python benchmarks/bench.py [TREE ...] [-k 15] [--out FILE]
 
-It measures the checkout it sits in, and writes the file at that checkout's
-root unless ``--out`` names another. Stdlib only.
+With no TREE it measures the checkout it sits in. Each tree is named in the
+record by its git commit (``no-git`` outside a clone) and whether its
+``src/`` has uncommitted edits; the file goes to this checkout's root as
+``BENCH_<tag>.json``, the trees' tags joined by ``_vs_``, unless ``--out``
+names another. Stdlib only.
 """
 
 from __future__ import annotations
@@ -52,12 +59,26 @@ FLOORS = {
 }
 
 
-def _git(*args: str) -> str | None:
+def _git(tree: Path, *args: str) -> str | None:
+    """git's output in ``tree``, or None unless ``tree`` is a clone's root."""
+    if not (tree / ".git").exists():
+        return None
     try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+        out = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
     except OSError:
         return None
     return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _tree(tree: Path) -> dict:
+    head = _git(tree, "rev-parse", "HEAD")
+    dirty = bool(_git(tree, "status", "--porcelain", "--untracked-files=no", "--", "src"))
+    return {
+        "tag": (head[:7] + ("-dirty" if dirty else "")) if head else "no-git",
+        "git_head": head,
+        "src_dirty": dirty,  # HEAD plus uncommitted edits under src/
+        "src_pycache": any((tree / "src").rglob("__pycache__")),
+    }
 
 
 def _wide_grid(path: Path) -> str:
@@ -105,9 +126,14 @@ def _summary(samples: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "samples": samples}
 
 
-def bench(cases: list[str], rounds: int) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
+    """The record of ``rounds`` interleaved rounds; no tree means this checkout."""
+    trees = [Path(t).resolve() for t in trees or [ROOT]]
+    extra = os.environ.get("PYTHONPATH")
+    envs = [
+        {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(t / "src"), extra]))}
+        for t in trees
+    ]
     with tempfile.TemporaryDirectory(prefix="robustcoord-bench-") as tmp:
         tmp = Path(tmp)
         grid = _wide_grid(tmp / "wide-grid.json") if "run-wide-grid" in cases else None
@@ -116,64 +142,73 @@ def bench(cases: list[str], rounds: int) -> dict:
             args = [a.format(grid=grid) for a in CASES[name]]
             out = str(tmp / "out" / name)
             argvs[name] = [sys.executable, "-m", "robustcoord.cli", *args, "--out", out]
-        runs: dict[str, list[tuple[float, float]]] = {name: [] for name in argvs}
-        names = list(argvs)
+        # one command's trees run back to back, so they share the machine's state
+        jobs = [(name, t) for name in argvs for t in range(len(trees))]
+        runs: dict[tuple[str, int], list[tuple[float, float]]] = {job: [] for job in jobs}
         for r in range(rounds):
-            for name in names if r % 2 == 0 else names[::-1]:
-                runs[name].append(_measure(argvs[name], env))
+            for name, t in jobs if r % 2 == 0 else jobs[::-1]:
+                runs[name, t].append(_measure(argvs[name], envs[t]))
 
-    def rows(group) -> dict:
+    def rows(group, t: int) -> dict:
         return {
             name: {
                 "argv": [a.replace(str(tmp), "$TMP") for a in argvs[name][1:]],
-                "cpu_s": _summary([round(cpu, 6) for cpu, _ in runs[name]]),
-                "max_rss_mb": _summary([round(rss, 3) for _, rss in runs[name]]),
+                "cpu_s": _summary([round(cpu, 6) for cpu, _ in runs[name, t]]),
+                "max_rss_mb": _summary([round(rss, 3) for _, rss in runs[name, t]]),
             }
             for name in group
         }
 
-    head = _git("rev-parse", "HEAD")
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no", "--", "src"))
     return {
-        "schema": 1,
-        "tag": (head[:7] + ("-dirty" if dirty else "")) if head else "no-git",
-        "git_head": head,
-        "src_dirty": dirty,  # HEAD plus uncommitted edits under src/
+        "schema": 2,
         "machine": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "platform": platform.platform(),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-            "src_pycache": any((ROOT / "src").rglob("__pycache__")),
         },
         "rounds": rounds,
-        "order": "alternating: forward on even rounds, backward on odd ones",
-        "floors": rows(FLOORS),
-        "end_to_end": rows(cases),
+        "order": "alternating: forward on even rounds, backward on odd ones; "
+        "each command's trees back to back",
+        "trees": [
+            {**_tree(tree), "floors": rows(FLOORS, t), "end_to_end": rows(cases, t)}
+            for t, tree in enumerate(trees)
+        ],
     }
+
+
+def _cell(row: dict) -> str:
+    cpu, rss = row["cpu_s"], row["max_rss_mb"]
+    ms = f"{cpu['median'] * 1e3:.1f} [{cpu['q1'] * 1e3:.1f}, {cpu['q3'] * 1e3:.1f}]"
+    return f"{ms:>22} {rss['median']:7.1f}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "trees", nargs="*", type=Path, help="source trees to measure (default: this checkout)"
+    )
     parser.add_argument("-k", type=int, default=15, help="rounds (default 15)")
     parser.add_argument(
         "--out", type=Path, help="file to write (default: BENCH_<tag>.json at the root)"
     )
-    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.k < 1:
         parser.error("-k must be at least 1")
-    record = {"command": ["python", "benchmarks/bench.py", *argv], **bench(list(CASES), args.k)}
-    out = args.out or ROOT / f"BENCH_{record['tag']}.json"
+    for tree in args.trees:
+        if not (tree / "src" / "robustcoord").is_dir():
+            parser.error(f"{tree} holds no src/robustcoord")
+    record = bench(list(CASES), args.k, args.trees)
+    # a tree is named by its place in "trees", not by where it sat
+    trees = [f"$TREE{i}" for i in range(len(args.trees))]
+    record = {"command": ["python", "benchmarks/bench.py", *trees, "-k", str(args.k)], **record}
+    tag = "_vs_".join(tree["tag"] for tree in record["trees"])
+    out = args.out or ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"{'cpu ms [q1, q3], max-rss MB':<24}", *(f"{t['tag']:>30}" for t in record["trees"]))
     for group in ("floors", "end_to_end"):
-        for name, row in record[group].items():
-            cpu, rss = row["cpu_s"], row["max_rss_mb"]
-            print(
-                f"{name:<24} cpu {cpu['median'] * 1e3:7.1f} ms "
-                f"[{cpu['q1'] * 1e3:.1f}, {cpu['q3'] * 1e3:.1f}]  "
-                f"max-rss {rss['median']:6.1f} MB"
-            )
+        for name in record["trees"][0][group]:
+            print(f"{name:<24}", *(_cell(tree[group][name]) for tree in record["trees"]))
     print(f"wrote {out}")
     return 0
 

@@ -3,17 +3,18 @@
 The optimistic benchmark recommends cooperation state-by-state subject only to
 the pooled one-shot obedience constraint, crediting agents with full mutual
 trust (everyone assumes everyone else complies). Its realized counterpart
-strips that bootstrap by re-evaluating the same recommendations under
-smallest-equilibrium play. Policies here are symmetric all-or-none: recommend
-cooperation to everyone with a state-dependent probability, which is where the
-one-shot analogue of the threshold rule is exact. So the optimistic design is
-the robust designer's ``threshold_scan`` run on the full-trust gain, and its
-record is the same ``ThresholdPolicy``.
+strips that bootstrap by replaying the same recommendations under
+smallest-equilibrium play, through the event loop every policy plays in
+(``equilibrium.play_events``): its two events are the public counterfactual
+of the design as a sequential policy. Policies here are symmetric
+all-or-none: recommend cooperation to everyone with a state-dependent
+probability, which is where the one-shot analogue of the threshold rule is
+exact. So the optimistic design is the robust designer's ``threshold_scan``
+run on the full-trust gain, and its record is the same ``ThresholdPolicy``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 from .designer import InfeasibleDesignError, ThresholdPolicy, design, threshold_scan
@@ -25,13 +26,10 @@ from .env import (
     gain_column,
     welfare_column,
 )
-from .equilibrium import (
-    PUBLIC,
-    RealizedEvaluation,
-    event_outcome,
-    event_posterior,
-    smallest_equilibrium,
-)
+from .equilibrium import RealizedEvaluation, play_events
+
+# unused here: the binding perfbench/spans.py replaces (ROADMAP item 3 drops both)
+from .equilibrium import smallest_equilibrium
 
 
 class ComparisonRecord(NamedTuple):
@@ -69,20 +67,11 @@ def evaluate_bce_realized(
 ) -> RealizedEvaluation:
     """Same recommendations under smallest-equilibrium play: two public
     events (recommend-all, recommend-none), each with its Bayes posterior,
-    played as the public counterfactual plays them: every event of positive
-    prior mass, however small."""
+    played by ``play_events`` as the public counterfactual of
+    ``to_sequential_policy(policy, env)`` plays them."""
     q = policy.invite_probs
-    events = []
-    for label, probs in (("recommend-all", q), ("recommend-none", [1.0 - x for x in q])):
-        belief = event_posterior(env, probs)
-        if belief is None:
-            continue
-        out = smallest_equilibrium(env, belief)
-        events.append(event_outcome(env, welfare, label, probs, belief, out.coop_count))
-    total = math.fsum(e.welfare_contribution for e in events)
-    return RealizedEvaluation(
-        welfare=total, mode=PUBLIC, obedient=None, events=tuple(events)
-    )
+    events = [("recommend-all", q, None), ("recommend-none", [1.0 - x for x in q], None)]
+    return play_events(env, welfare, events)
 
 
 def compare(env: Environment, welfare: WelfareSpec) -> ComparisonRecord:

@@ -66,10 +66,6 @@ class ThresholdPolicy(NamedTuple):
     degenerate: bool  # True when every state is invited outright
     warnings: tuple[str, ...] = ()
 
-    def invite_probabilities(self) -> list[float]:
-        """Per-state invitation probability set by the threshold scan."""
-        return list(self.invite_probs)
-
 
 def threshold_scan(
     env: Environment,

@@ -11,7 +11,7 @@ about how many others cooperate, never which ones.
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple, Sequence
 
 # unused here: the binding perfbench/spans.py replaces (ROADMAP item 3 drops both)
@@ -30,7 +30,7 @@ from .env import (
     owned,
     welfare_column,
 )
-from .seqpolicy import SequentialPolicy, check_policy, expected_welfare
+from .seqpolicy import SequentialPolicy, check_policy, check_policy_dimensions, expected_welfare
 
 PUBLIC = "public"
 PRIVATE_SEQUENTIAL = "private_sequential"
@@ -163,27 +163,6 @@ def smallest_equilibrium(
     )
 
 
-def event_outcome(
-    env: Environment,
-    welfare: WelfareSpec,
-    label: str,
-    probs: Sequence[float],
-    belief: Belief,
-    coop_count: int,
-) -> EventOutcome:
-    """One event's record; its welfare contribution is the prior-weighted
-    value of ``coop_count`` cooperators over the states that send it."""
-    weights = map(mul, env.prior, probs)
-    contrib = math.fsum(map(mul, weights, welfare_column(welfare, coop_count)))
-    return EventOutcome(
-        label=label,
-        probs=tuple(probs),
-        posterior=belief.probs,
-        coop_count=coop_count,
-        welfare_contribution=contrib,
-    )
-
-
 def _signal_events(
     policy: SequentialPolicy, n_states: int
 ) -> list[tuple[str, list[float], tuple[int, ...] | None]]:
@@ -192,10 +171,10 @@ def _signal_events(
     which carries None in place of a sequence."""
     events: list[tuple[str, list[float], tuple[int, ...] | None]] = []
     by_seq: dict[tuple[int, ...], list[float]] = {}
-    for (s, seq), p in policy.canonical_items():
+    for (s, seq), p in policy.entries.items():
         if seq not in by_seq:
             by_seq[seq] = [0.0] * n_states
-        by_seq[seq][s] = p  # canonical items hold each (state, sequence) once
+        by_seq[seq][s] = p  # entries hold each (state, sequence) once
     for seq in sorted(by_seq, key=lambda q: (len(q), q)):
         label = "invite[" + ",".join(map(str, seq)) + "]" if seq else "invite[-]"
         events.append((label, by_seq[seq], seq))
@@ -207,6 +186,37 @@ def _signal_events(
     return events
 
 
+def play_events(
+    env: Environment,
+    welfare: WelfareSpec,
+    events: Sequence[tuple[str, Sequence[float], tuple[int, ...] | None]],
+    interim: tuple[dict, tuple, list] | None = None,
+) -> RealizedEvaluation:
+    """Smallest-equilibrium play of signal events given as (label, per-state
+    probabilities, sequence or None), every event of positive prior mass,
+    however small. Without ``interim`` each event is public: its posterior
+    feeds the smallest equilibrium of the full simultaneous game. With the
+    policy's ``_interim_sums`` an explicit sequence plays its private chain
+    walk instead. An event's welfare contribution is the prior-weighted
+    value of its cooperator count over the states that send it."""
+    outcomes = []
+    for label, probs, seq in events:
+        belief = event_posterior(env, probs)
+        if belief is None:
+            continue
+        if interim is not None and seq is not None:
+            count = _chain_walk(env, seq, *interim)
+        else:
+            count = smallest_equilibrium(env, belief).coop_count
+        weights = map(mul, env.prior, probs)
+        contrib = math.fsum(map(mul, weights, welfare_column(welfare, count)))
+        outcomes.append(EventOutcome(label, tuple(probs), belief.probs, count, contrib))
+    total = math.fsum(e.welfare_contribution for e in outcomes)
+    if interim is None:
+        return RealizedEvaluation(total, PUBLIC, None, tuple(outcomes))
+    return RealizedEvaluation(total, PRIVATE_SEQUENTIAL, False, tuple(outcomes))
+
+
 def evaluate_policy_realized(
     policy: SequentialPolicy,
     env: Environment,
@@ -215,7 +225,7 @@ def evaluate_policy_realized(
     obedience_tol: float = DEFAULT_TOL,
 ) -> RealizedEvaluation:
     """Welfare under adversarial (smallest-equilibrium) play, one event per
-    distinct signal.
+    distinct signal (``play_events``).
 
     PUBLIC: every signal realization is commonly observed; each event's
     posterior feeds the smallest equilibrium of the full simultaneous game.
@@ -239,11 +249,10 @@ def evaluate_policy_realized(
             f"expected a SequentialPolicy, got {type(policy).__name__}; "
             "play a design as to_sequential_policy(tp, env)"
         )
-    if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
-        raise ValueError("policy does not match the environment's dimensions")
+    check_policy_dimensions(policy, env)
 
-    private = mode == PRIVATE_SEQUENTIAL
-    if private:
+    interim = None
+    if mode == PRIVATE_SEQUENTIAL:
         if check_policy(policy, env, tol=obedience_tol).passed:
             return RealizedEvaluation(
                 welfare=expected_welfare(policy, env, welfare),
@@ -251,20 +260,7 @@ def evaluate_policy_realized(
                 obedient=True,
             )
         interim = _interim_sums(policy, env)
-
-    outcomes = []
-    for label, probs, seq in _signal_events(policy, env.n_states):
-        belief = event_posterior(env, probs)
-        if belief is None:
-            continue
-        if private and seq is not None:
-            count = _chain_walk(env, seq, *interim)
-        else:
-            count = smallest_equilibrium(env, belief).coop_count
-        outcomes.append(event_outcome(env, welfare, label, probs, belief, count))
-    total = math.fsum(e.welfare_contribution for e in outcomes)
-    obedient = False if private else None
-    return RealizedEvaluation(total, mode, obedient, tuple(outcomes))
+    return play_events(env, welfare, _signal_events(policy, env.n_states), interim)
 
 
 def _gain(env, sums, k: int) -> float:
@@ -278,33 +274,40 @@ def _gain(env, sums, k: int) -> float:
     return (net + comp * k / (env.n_agents - 1)) / mass
 
 
-def _interim_sums(policy, env) -> tuple[dict, list, list]:
+def _interim_sums(policy, env) -> tuple[dict, tuple, list]:
     """The private information of each interim event as three prior-weighted
     sums over the states that send it: mass, sum of w * (b - c) and sum of
     w * lambda. ``invited[i, k]`` is "agent i invited after k others" and
     ``left_out[i]`` is "agent i not invited". The gain is affine in the
-    count, so these sums give it at every count (``_gain``).
+    count, so these sums give it at every count (``_gain``). Each sum is one
+    ``math.fsum`` of its terms, so it does not depend on the order in which
+    the policy lists its entries.
 
     A uniform ordering puts each agent at each rank with probability 1/N,
-    so its sums, ``uniform``, are the same in every (i, k) cell; ``invited``
-    holds only the cells the explicit entries reach, and ``uniform`` is
-    added to a cell last, when ``_chain_walk`` reads it."""
-    n, zero = env.n_agents, (0.0, 0.0, 0.0)
+    so its terms are the same in every (i, k) cell: ``invited`` holds the
+    cells the explicit entries reach, each summed with the uniform terms,
+    and ``uniform`` is the sum of those terms alone, every other cell's."""
+    n = env.n_agents
     per_state = [(1.0, b - env.cost, lam) for b, lam in zip(env.benefit, env.complementarity)]
-    invited: dict[tuple[int, int], list[float]] = {}
-    left_out = [zero] * n
+    terms: dict[tuple[int, int], list[list[float]]] = {}
+    left_terms: list[list[list[float]]] = [[] for _ in range(n)]
     for (s, seq), p in policy.entries.items():
         w = env.prior[s] * p
         sums = [w * x for x in per_state[s]]
         for rank, agent in enumerate(seq):
-            invited[agent, rank] = list(map(add, invited.get((agent, rank), zero), sums))
+            terms.setdefault((agent, rank), []).append(sums)
         for agent in set(range(n)).difference(seq):
-            left_out[agent] = list(map(add, left_out[agent], sums))
-    uniform = zero
-    for s, p in sorted(policy.uniform_full.items()):
+            left_terms[agent].append(sums)
+    uniform_terms = []
+    for s, p in policy.uniform_full.items():
         w = env.prior[s] * p / n
-        uniform = list(map(add, uniform, [w * x for x in per_state[s]]))
-    return invited, uniform, left_out
+        uniform_terms.append([w * x for x in per_state[s]])
+
+    def total(cell: list[list[float]]) -> tuple[float, float, float]:
+        return tuple(math.fsum(t[j] for t in cell) for j in range(3))
+
+    invited = {key: total(cell + uniform_terms) for key, cell in terms.items()}
+    return invited, total(uniform_terms), list(map(total, left_terms))
 
 
 def _chain_walk(env, seq: tuple[int, ...], invited, uniform, left_out) -> int:
@@ -317,11 +320,7 @@ def _chain_walk(env, seq: tuple[int, ...], invited, uniform, left_out) -> int:
     accepted plus the number of the others whose gain at c is above
     STRICT_TOL."""
     n = env.n_agents
-    zero = (0.0, 0.0, 0.0)
-    ranked = [
-        [a + u for a, u in zip(invited.get((agent, rank), zero), uniform)]
-        for rank, agent in enumerate(seq)
-    ]
+    ranked = [invited.get((agent, rank), uniform) for rank, agent in enumerate(seq)]
     accepted = next(
         (r for r, sums in enumerate(ranked) if not _gain(env, sums, r) > STRICT_TOL), len(seq)
     )

@@ -189,6 +189,11 @@ def _obedience_values(
     return so_c, so_n
 
 
+def check_policy_dimensions(policy: SequentialPolicy, env: Environment) -> None:
+    if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
+        raise ValueError("policy does not match the environment's dimensions")
+
+
 def check_policy(
     policy: SequentialPolicy, env: Environment, tol: float = DEFAULT_TOL
 ) -> ObedienceReport:
@@ -202,8 +207,7 @@ def check_policy(
     every agent is the exclusion half. Full sequences invite everyone, so
     the uniform-full block adds to ``so_c`` only."""
     check_tol(tol)
-    if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
-        raise ValueError("policy does not match the environment's dimensions")
+    check_policy_dimensions(policy, env)
     feasible = all(abs(m - 1.0) <= tol for m in policy.mass)
     so_c, so_n = map(tuple, _obedience_values(policy, env))
     passed = feasible and all(v >= -tol for v in so_c) and all(v <= tol for v in so_n)
@@ -215,8 +219,7 @@ def expected_welfare(
 ) -> float:
     """Designer value if every invitation is followed (the policy objective)."""
     check_dimensions(env, welfare)
-    if policy.n_agents != env.n_agents or policy.n_states != env.n_states:
-        raise ValueError("policy does not match the environment's dimensions")
+    check_policy_dimensions(policy, env)
     n, prior = env.n_agents, env.prior
     blocks = [((s, len(seq)), p) for (s, seq), p in policy.entries.items()]
     blocks += [((s, n), p) for s, p in policy.uniform_full.items()]

@@ -168,7 +168,7 @@ def test_criterion_06_public_signal_counterfactual(case1):
 
     env, wf = case1
     tp = design(env, wf)
-    belief = posterior_from_event(env, tp.invite_probabilities())
+    belief = posterior_from_event(env, tp.invite_probs)
     post_h = float(belief.probs[1])
     assert post_h == pytest.approx(float(post_exact), abs=1e-12), (
         f"invite posterior P(H) is {post_h!r}, not the exact 19/32 = 0.59375"

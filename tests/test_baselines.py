@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 from robustcoord import (
+    PUBLIC,
     Environment,
     InfeasibleDesignError,
     WelfareSpec,
+    build_scenario,
     compare,
     design,
     design_bce_optimistic,
     evaluate_bce_realized,
+    evaluate_policy_realized,
+    load_scenario,
     sweep,
     sweep_boundaries,
+    to_sequential_policy,
 )
 from robustcoord.env import gain_column, potential_column
 from conftest import random_convex_instance
+from test_designer import _benchmark_workloads
 
 
 def test_case1_optimistic_saturates(case1):
@@ -120,6 +126,36 @@ def test_both_designers_share_the_rule_at_zero(top, feasible):
     tp, bce = design(env, wf), design_bce_optimistic(env, wf)
     assert tp.invite_probs == bce.invite_probs and tp.invite_probs[1] == 1.0
     assert tp.threshold_state == bce.threshold_state
+
+
+@pytest.mark.parametrize(
+    "scenario, feasible",
+    [("case1", 38), ("case2", 37), (0, 19), (5, 19), (7, 18)],
+)
+def test_realized_baseline_is_its_public_counterfactual(monkeypatch, scenario, feasible):
+    # the presets' sweeps and the benchmark's wide grid at seeds 0, 5 and 7:
+    # the optimistic design's realized value is the public replay of the
+    # design as a sequential policy, welfare bit for bit and event by event
+    if isinstance(scenario, str):
+        scn = load_scenario(scenario)
+    else:
+        scn = build_scenario(_benchmark_workloads(monkeypatch).wide_grid_config(scenario))
+    seen = 0
+    for cost in scn.sweep_costs:
+        env = scn.env.with_cost(cost)
+        try:
+            bce = design_bce_optimistic(env, scn.welfare)
+        except InfeasibleDesignError:
+            continue
+        seen += 1
+        realized = evaluate_bce_realized(bce, env, scn.welfare)
+        public = evaluate_policy_realized(
+            to_sequential_policy(bce, env), env, scn.welfare, mode=PUBLIC
+        )
+        assert realized.welfare == public.welfare, cost
+        assert (realized.mode, realized.obedient) == (PUBLIC, None)
+        assert sorted(e[1:] for e in realized.events) == sorted(e[1:] for e in public.events)
+    assert seen == feasible
 
 
 def test_compare_case1(case1):
@@ -249,7 +285,7 @@ def test_zero_complementarity_optimism_equals_robust_design():
             continue  # robust design infeasible
         tp = design(env, wf)
         bce = design_bce_optimistic(env, wf)
-        assert tp.invite_probabilities() == pytest.approx(bce.invite_probs, abs=1e-12)
+        assert tp.invite_probs == pytest.approx(bce.invite_probs, abs=1e-12)
         assert tp.expected_welfare == pytest.approx(bce.expected_welfare, abs=1e-12)
         compared += 1
     assert compared >= 200

@@ -1,6 +1,7 @@
 """The benchmark writer, benchmarks/bench.py, on its smallest input."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -26,27 +27,40 @@ def test_summary_is_the_median_and_quartiles_of_its_samples():
     assert got == {"median": 3.0, "q1": 2.0, "q3": 4.0, "samples": [5.0, 1.0, 4.0, 2.0, 3.0]}
 
 
-def test_bench_records_one_round_of_case1():
-    # the record main() writes, less its "command", on one case of CASES
-    record = _load().bench(["run-case1"], 1)
-    assert set(record) == {
-        "schema", "tag", "git_head", "src_dirty", "machine",
-        "rounds", "order", "floors", "end_to_end",
-    }
+def test_bench_records_one_round_of_case1(tmp_path):
+    # the record main() writes, less its "command", on one case of CASES,
+    # for two trees: this checkout and a copy of its src/ outside any clone
+    bench = _load()
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(bench.ROOT / "src", tmp_path / "src", ignore=skip)
+    record = bench.bench(["run-case1"], 1, [bench.ROOT, tmp_path])
+    assert set(record) == {"schema", "machine", "rounds", "order", "trees"}
     assert record["rounds"] == 1
-    assert set(record["machine"]) == {
-        "cpu_count", "python", "platform", "PYTHONDONTWRITEBYTECODE", "src_pycache",
-    }
-    assert list(record["floors"]) == [
-        "python -c pass", "python -S -c pass", "import robustcoord.cli",
-    ]
-    assert list(record["end_to_end"]) == ["run-case1"]
-    assert record["end_to_end"]["run-case1"]["argv"] == [
-        "-m", "robustcoord.cli", "run", "--scenario", "case1", "--out", "$TMP/out/run-case1",
-    ]
-    for row in [*record["floors"].values(), *record["end_to_end"].values()]:
-        for metric in ("cpu_s", "max_rss_mb"):
-            stats = row[metric]
-            assert set(stats) == {"median", "q1", "q3", "samples"}
-            assert len(stats["samples"]) == 1 and stats["samples"][0] > 0
-            assert stats["q1"] == stats["median"] == stats["q3"] == stats["samples"][0]
+    assert set(record["machine"]) == {"cpu_count", "python", "platform", "PYTHONDONTWRITEBYTECODE"}
+    checkout, copy = record["trees"]
+    for tree in (checkout, copy):
+        assert set(tree) == {
+            "tag", "git_head", "src_dirty", "src_pycache", "floors", "end_to_end",
+        }
+    assert copy["tag"] == "no-git" and copy["git_head"] is None and not copy["src_dirty"]
+    assert checkout["git_head"] and checkout["tag"].startswith(checkout["git_head"][:7])
+    for tree in (checkout, copy):
+        assert list(tree["floors"]) == [
+            "python -c pass", "python -S -c pass", "import robustcoord.cli",
+        ]
+        assert list(tree["end_to_end"]) == ["run-case1"]
+        assert tree["end_to_end"]["run-case1"]["argv"] == [
+            "-m", "robustcoord.cli", "run", "--scenario", "case1", "--out", "$TMP/out/run-case1",
+        ]
+        for row in [*tree["floors"].values(), *tree["end_to_end"].values()]:
+            for metric in ("cpu_s", "max_rss_mb"):
+                stats = row[metric]
+                assert set(stats) == {"median", "q1", "q3", "samples"}
+                assert len(stats["samples"]) == 1 and stats["samples"][0] > 0
+                assert stats["q1"] == stats["median"] == stats["q3"] == stats["samples"][0]
+
+
+def test_a_tree_without_the_package_exits_2_before_measuring(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load().main([str(tmp_path), "-k", "1"])
+    assert exc.value.code == 2 and "holds no src/robustcoord" in capsys.readouterr().err

@@ -46,7 +46,7 @@ def test_case1_design(case1):
     assert tp.expected_welfare == pytest.approx(8.052631578947368, abs=1e-12)
     assert not tp.degenerate
     assert tp.order == (0, 1)
-    assert tp.invite_probabilities() == pytest.approx(
+    assert tp.invite_probs == pytest.approx(
         [0.6842105263157894, 1.0], abs=1e-12
     )
     assert tp.warnings == ()
@@ -69,7 +69,7 @@ def test_case2_design(case2):
     assert not tp.degenerate
     # no state clears b - c > 0 at cost 2, so the dominance warning rides along
     assert any("dominance" in w for w in tp.warnings)
-    q = tp.invite_probabilities()
+    q = tp.invite_probs
     assert min(q[56:]) == 1.0 and max(q[:55]) == 0.0
     assert q[55] == pytest.approx(0.23913043478260987, abs=1e-15)
 
@@ -136,7 +136,7 @@ def test_degenerate_all_invite(example3):
     tp = design(env.with_cost(0.5), wf)
     assert tp.degenerate
     assert tp.mixing_weight == 1.0
-    assert tp.invite_probabilities() == pytest.approx([1.0])
+    assert tp.invite_probs == pytest.approx([1.0])
     assert tp.expected_welfare == pytest.approx(1.0, abs=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_strict_mode_on_zero_welfare_state(case1):
     env, _ = case1
     wf = WelfareSpec.tabulated(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 5.0, 12.0]]))
     tp = design(env, wf)  # non-strict: the dead state is simply never invited
-    assert tp.invite_probabilities()[0] == 0.0
+    assert tp.invite_probs[0] == 0.0
     assert math.isinf(tp.scores[0])
     with pytest.raises(StrictModeError, match="zero full-cooperation welfare"):
         design(env, wf, strict=True)
@@ -184,14 +184,14 @@ def test_zero_welfare_positive_potential_scores_plus_inf(case1):
     tp = design(env, wf)
     assert tp.scores[1] == math.inf
     assert score(env, wf, 1) == math.inf
-    assert tp.invite_probabilities()[1] == 1.0
+    assert tp.invite_probs[1] == 1.0
 
 
 def test_mixing_closes_the_budget(case1):
     # the threshold state's mass makes the weighted potentials sum to zero
     env, wf = case1
     tp = design(env, wf)
-    q = tp.invite_probabilities()
+    q = tp.invite_probs
     budget = sum(
         env.prior[s] * q[s] * ((env.benefit[s] - env.cost) * 3 + env.complementarity[s] * 3 / 2)
         for s in range(2)

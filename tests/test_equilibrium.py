@@ -23,7 +23,7 @@ from robustcoord import (
     to_sequential_policy,
 )
 from robustcoord import cli
-from robustcoord.equilibrium import event_posterior
+from robustcoord.equilibrium import _interim_sums, event_posterior
 from conftest import random_convex_instance
 
 
@@ -360,6 +360,43 @@ def test_private_events_include_uniform_block(case1):
     ]
     assert [e.welfare_contribution for e in ev.events] == [6.0, 0.0]
     assert ev.welfare == 6.0
+
+
+def test_private_play_does_not_depend_on_entry_order():
+    # each interim cell is one fsum of its terms; added in turn, the three
+    # states' terms of invitation (0,) at 0.1, 0.3 and 0.7 gave a mass and a
+    # sum of w * lambda that differ in the last bit from the reverse order
+    env = Environment(
+        n_agents=3,
+        labels=("a", "b", "c"),
+        prior=(3 / 7, 1 / 7, 3 / 7),
+        benefit=(0.3, 3.3, 0.1),
+        complementarity=(0.1, 0.2, 0.3),
+        cost=2.0,
+    )
+    wf = WelfareSpec.power(3, np.array([1.0, 2.0, 3.0]), 1.5)
+    cases = [SequentialPolicy(3, 3, {(0, (0,)): 0.1, (1, (0,)): 0.3, (2, (0,)): 0.7})]
+    rng = np.random.default_rng(32)
+    sequences = [(), (0,), (1,), (2,), (0, 1), (1, 0), (2, 0, 1), (1, 2, 0)]
+    for _ in range(200):  # each state's mass 0.9: infeasible, so play walks the chains
+        entries, uniform = {}, {}
+        for s in range(3):
+            picked = rng.choice(len(sequences), size=3, replace=False)
+            *shares, uniform[s] = (0.9 * rng.dirichlet(np.ones(4))).tolist()
+            entries.update({(s, sequences[k]): p for k, p in zip(picked, shares)})
+        cases.append(SequentialPolicy(3, 3, entries, uniform))
+    for policy in cases:
+        # the same entries and uniform masses, inserted in reverse order
+        twin = SequentialPolicy(
+            3,
+            3,
+            dict(reversed(policy.entries.items())),
+            dict(reversed(policy.uniform_full.items())),
+        )
+        assert _interim_sums(twin, env) == _interim_sums(policy, env)
+        played = evaluate_policy_realized(policy, env, wf, mode=PRIVATE_SEQUENTIAL)
+        assert played.obedient is False
+        assert evaluate_policy_realized(twin, env, wf, mode=PRIVATE_SEQUENTIAL) == played
 
 
 def test_unknown_mode_rejected(case1):

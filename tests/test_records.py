@@ -290,7 +290,7 @@ def test_design_arrays_are_read_only(case1):
         assert type(column) is tuple and all(type(x) is float for x in column)
         with pytest.raises(TypeError):
             column[0] = 0.9
-    q = tp.invite_probabilities()
+    q = list(tp.invite_probs)
     q[0] = 0.9  # a writable copy
     assert tp.invite_probs[0] != 0.9
 
