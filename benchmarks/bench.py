@@ -21,6 +21,13 @@ bare interpreter with and without ``site``, and the import of
 ``robustcoord.cli``, so figures from two machines can be set against what
 every process pays before any command runs.
 
+Per layer, in process, on the same wide grid: the wall time of
+``load_scenario``, of ``design`` and ``compare`` at the scenario's cost, and
+of ``sweep`` over its 23 costs. Each round runs one fresh process per tree,
+in the same alternating order, which calls each layer twice and times the
+second call, so imports and first-call work stay out; each row keeps every
+round's sample and the best of them.
+
     python benchmarks/bench.py [TREE ...] [-k 15] [--out FILE]
 
 With no TREE it measures the checkout it sits in. Each tree is named in the
@@ -52,6 +59,8 @@ CASES = {
     "run-wide-grid": ["run", "--scenario", "{grid}"],
     "lp-case2": ["lp", "--scenario", "case2"],
 }
+# the per-layer rows: one process per tree and round, timing each layer in it
+LAYERS = "layers-wide-grid"
 FLOORS = {
     "python -c pass": ["-c", "pass"],
     "python -S -c pass": ["-S", "-c", "pass"],
@@ -99,6 +108,37 @@ def _wide_grid(path: Path) -> str:
     return str(path)
 
 
+# loads the scenario file argv[1] and prints the wall seconds of the second of
+# two calls of each layer, as JSON
+LAYER_TIMER = """import json, sys, time
+from robustcoord import compare, design, load_scenario, sweep
+scn = load_scenario(sys.argv[1])
+calls = {
+    "load": lambda: load_scenario(sys.argv[1]),
+    "design": lambda: design(scn.env, scn.welfare),
+    "compare": lambda: compare(scn.env, scn.welfare),
+    "sweep": lambda: sweep(scn.env, scn.welfare, scn.sweep_costs),
+}
+times = {}
+for name, call in calls.items():
+    call()
+    start = time.perf_counter()
+    call()
+    times[name] = time.perf_counter() - start
+print(json.dumps(times))
+"""
+
+
+def _layers(grid: str, env: dict) -> dict[str, float]:
+    """One fresh process's per-layer wall seconds on the scenario ``grid``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYER_TIMER, grid], env=env, capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"per-layer timing failed: {proc.stderr}")
+    return json.loads(proc.stdout)
+
+
 # spawns argv[1:] with its stdout discarded, waits, prints exit code, CPU s, max RSS KiB
 LAUNCHER = """import os, sys
 out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
@@ -127,7 +167,9 @@ def _summary(samples: list[float]) -> dict:
 
 
 def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
-    """The record of ``rounds`` interleaved rounds; no tree means this checkout."""
+    """The record of ``rounds`` interleaved rounds; no tree means this
+    checkout. ``cases`` names rows of CASES, and LAYERS for the per-layer
+    rows."""
     trees = [Path(t).resolve() for t in trees or [ROOT]]
     extra = os.environ.get("PYTHONPATH")
     envs = [
@@ -136,18 +178,24 @@ def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
     ]
     with tempfile.TemporaryDirectory(prefix="robustcoord-bench-") as tmp:
         tmp = Path(tmp)
-        grid = _wide_grid(tmp / "wide-grid.json") if "run-wide-grid" in cases else None
+        wide = {"run-wide-grid", LAYERS}.intersection(cases)
+        grid = _wide_grid(tmp / "wide-grid.json") if wide else None
+        commands = [name for name in cases if name != LAYERS]
         argvs = {name: [sys.executable, *args] for name, args in FLOORS.items()}
-        for name in cases:
+        for name in commands:
             args = [a.format(grid=grid) for a in CASES[name]]
             out = str(tmp / "out" / name)
             argvs[name] = [sys.executable, "-m", "robustcoord.cli", *args, "--out", out]
         # one command's trees run back to back, so they share the machine's state
-        jobs = [(name, t) for name in argvs for t in range(len(trees))]
-        runs: dict[tuple[str, int], list[tuple[float, float]]] = {job: [] for job in jobs}
+        names = [*argvs, LAYERS] if LAYERS in cases else list(argvs)
+        jobs = [(name, t) for name in names for t in range(len(trees))]
+        runs: dict[tuple[str, int], list] = {job: [] for job in jobs}
         for r in range(rounds):
             for name, t in jobs if r % 2 == 0 else jobs[::-1]:
-                runs[name, t].append(_measure(argvs[name], envs[t]))
+                if name == LAYERS:
+                    runs[name, t].append(_layers(grid, envs[t]))
+                else:
+                    runs[name, t].append(_measure(argvs[name], envs[t]))
 
     def rows(group, t: int) -> dict:
         return {
@@ -159,8 +207,15 @@ def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
             for name in group
         }
 
+    def layer_rows(t: int) -> dict:
+        timed, layers = runs.get((LAYERS, t), []), {}
+        for name in timed[0] if timed else []:
+            samples = [round(x[name], 6) for x in timed]
+            layers[name] = {"wall_s": {"best": min(samples), **_summary(samples)}}
+        return layers
+
     return {
-        "schema": 2,
+        "schema": 3,
         "machine": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
@@ -171,7 +226,12 @@ def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
         "order": "alternating: forward on even rounds, backward on odd ones; "
         "each command's trees back to back",
         "trees": [
-            {**_tree(tree), "floors": rows(FLOORS, t), "end_to_end": rows(cases, t)}
+            {
+                **_tree(tree),
+                "floors": rows(FLOORS, t),
+                "end_to_end": rows(commands, t),
+                "per_layer": layer_rows(t),
+            }
             for t, tree in enumerate(trees)
         ],
     }
@@ -198,7 +258,7 @@ def main(argv=None) -> int:
     for tree in args.trees:
         if not (tree / "src" / "robustcoord").is_dir():
             parser.error(f"{tree} holds no src/robustcoord")
-    record = bench(list(CASES), args.k, args.trees)
+    record = bench([*CASES, LAYERS], args.k, args.trees)
     # a tree is named by its place in "trees", not by where it sat
     trees = [f"$TREE{i}" for i in range(len(args.trees))]
     record = {"command": ["python", "benchmarks/bench.py", *trees, "-k", str(args.k)], **record}
@@ -209,6 +269,10 @@ def main(argv=None) -> int:
     for group in ("floors", "end_to_end"):
         for name in record["trees"][0][group]:
             print(f"{name:<24}", *(_cell(tree[group][name]) for tree in record["trees"]))
+    print(f"{'wide grid, best ms':<24}")
+    for name in record["trees"][0]["per_layer"]:
+        best = (tree["per_layer"][name]["wall_s"]["best"] * 1e3 for tree in record["trees"])
+        print(f"{name:<24}", *(f"{ms:>30.2f}" for ms in best))
     print(f"wrote {out}")
     return 0
 

@@ -13,7 +13,9 @@ independent of the number of agents.
 from __future__ import annotations
 
 import math
-from operator import mul
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import neg
 from typing import NamedTuple, Sequence
 
 from .env import (
@@ -87,6 +89,8 @@ def threshold_scan(
     below 0 (one correction, then at most 8 ulps, else ``ArithmeticError``).
     If the total is nonnegative every eligible state is invited outright
     (degenerate). Raises ``InfeasibleDesignError`` unless some gain is > 0.0.
+    The running sums are one ``accumulate``, and the stop is found by
+    ``_stop`` without visiting the states one by one.
 
     The counter ticks once per state for the sort, once per eligible state
     for the welfare sum and once per state the scan visits, the threshold
@@ -100,24 +104,29 @@ def threshold_scan(
     order = tuple(sorted(range(n_states), key=scores.__getitem__))
     # -inf states come first in the order; they are never invited and
     # never enter the budget
-    eligible = order[scores.count(-math.inf) :]
+    eligible = order[bisect_right(order, -math.inf, key=scores.__getitem__) :]
     counter.tick(n_states + len(eligible))
     steps = [prior[s] * gains[s] for s in eligible]
     degenerate = math.fsum(steps) >= 0.0
-    q, t, mix, visited = [0.0] * n_states, eligible[0], 1.0, len(eligible)
-    # from the top, cum is the budget before each state. Unless degenerate,
-    # the total is < 0 and stops the scan at some negative-gain state; were
-    # rounding to carry it past every state, all of them end up invited
-    cum = 0.0
-    for i, s in enumerate(reversed(eligible)):
-        step = steps[-1 - i]
-        if not degenerate and gains[s] < 0.0 and cum + step <= 0.0:
-            t, mix, visited = s, (cum / (-step) if step != 0.0 else 1.0), i + 1
-            break
+    # k: the threshold state's place in eligible; every state after it is
+    # invited. Unless degenerate, the total is < 0 and stops the scan at some
+    # negative-gain state; were rounding to carry it past every state, all
+    # of them end up invited and the lowest is the threshold at weight 1
+    k, mix, visited = 0, 1.0, len(eligible)
+    if not degenerate:
+        # from the top, cum[i] is the budget before the i-th state
+        cum = list(accumulate(reversed(steps), initial=0.0))
+        i = _stop(eligible, scores, gains, cum)
+        if i < len(eligible):
+            k, visited = len(eligible) - 1 - i, i + 1
+            mix = cum[i] / (-steps[k]) if steps[k] != 0.0 else 1.0
+    t = eligible[k]
+    invited = eligible if degenerate else eligible[k + 1 :]
+    q = [0.0] * n_states
+    for s in invited:
         q[s] = 1.0
-        cum += step
     if not degenerate:  # close the invited row as check_policy sums it
-        n, k = env.n_agents, len(steps) - visited
+        n = float(env.n_agents)
         above = [step / n for step in steps[k + 1 :]]  # (prior * 1.0 * gain) / N
         for i in range(10):  # as scanned, corrected once, then up to 8 ulps lower
             miss = math.fsum(above + invited_row(env, [(t, mix)], gains))
@@ -128,6 +137,11 @@ def threshold_scan(
             raise ArithmeticError(f"the invited row does not close at state {t}")
         q[t] = mix
     counter.tick(0 if degenerate else visited)
+    # prior * q * V(N) summed over the states with q > 0: the others' terms
+    # are zeros, which do not move an exact sum
+    terms = [prior[s] * stakes[s] for s in invited]  # prior * 1.0 * V(N)
+    if not degenerate:
+        terms.append(prior[t] * mix * stakes[t])
     return ThresholdPolicy(
         scores=tuple(scores),
         order=order,
@@ -135,9 +149,29 @@ def threshold_scan(
         threshold_state=t,
         threshold_label=env.labels[t],
         mixing_weight=mix,
-        expected_welfare=math.fsum(map(mul, map(mul, prior, q), stakes)),
+        expected_welfare=math.fsum(terms),
         degenerate=degenerate,
     )
+
+
+def _stop(
+    eligible: Sequence[int], scores: Sequence[float], gains: Sequence[float], cum: list[float]
+) -> int:
+    """Where the scan from the top stops: the first place i whose state has
+    a negative gain and brings the running budget, cum[i + 1], to zero or
+    below; len(eligible) if none does. A negative score is a negative gain
+    and a positive score a positive one, so only the states scored exactly
+    0 (a gain of 0 or one that underflows) are tested one by one. Below
+    them every step is <= 0, so cum never rises there and the stop is
+    bisected."""
+    n, score = len(eligible), scores.__getitem__
+    zero = n - bisect_right(eligible, 0.0, key=score)  # the first place scored 0 or below
+    tail = n - bisect_left(eligible, 0.0, key=score)  # the first place scored below 0
+    for i in range(zero, tail):
+        if gains[eligible[n - 1 - i]] < 0.0 and cum[i + 1] <= 0.0:
+            return i
+    # the first cum[j] <= 0 past the tail's start, where -cum never falls
+    return bisect_left(cum, 0.0, tail + 1, n + 1, key=neg) - 1
 
 
 def ratio_scores(gains: Sequence[float], stakes: Sequence[float]) -> list[float]:

@@ -81,15 +81,58 @@ def _check_at_cost(env: Environment) -> Environment:
     """Reject a non-finite cost, and primitives whose potential at N
     overflows. That column bounds every value derived from them: each term
     of a potential or a gain, (b - c) * n and lambda * n * (n - 1), is
-    largest at n = N, so once it is finite nothing downstream overflows."""
+    largest at n = N, so once it is finite nothing downstream overflows.
+
+    Rounding is monotone and every lambda-term is >= 0, so each state's
+    potential at N, computed by the same operations, lies between
+    (min b - c) * N and (max b - c) * N plus the largest lambda-term. When
+    both bounds are finite, so is every intermediate of every state's, and
+    no state is walked. Otherwise each state is, and the first whose
+    potential overflows is named."""
     if not math.isfinite(env.cost):
         raise ValueError("cost must be finite")
+    fixed, n = env._fixed, float(env.n_agents)
+    low = (fixed.benefit_low - env.cost) * n
+    high = (fixed.benefit_high - env.cost) * n + fixed.comp_potential_high
+    if math.isfinite(low) and math.isfinite(high):
+        return env
     for s, value in enumerate(potential_column(env, env.n_agents)):
         if not math.isfinite(value):
             raise ValueError(
                 f"state {s} ({env.labels[s]}): the potential at N overflows to {value}"
             )
     return env
+
+
+class _CostFree(NamedTuple):
+    """What an environment's primitives fix at every cost, built once and
+    shared by its ``with_cost`` copies: the extremes ``_check_at_cost``
+    bounds with, and the lambda-terms of the potential at N and of the
+    full-trust gain (N - 1 others), which ``potential_column`` and
+    ``gain_column`` add to b - c."""
+
+    benefit_low: float
+    benefit_high: float
+    comp_potential_high: float  # the largest lambda's term in the potential at N
+    comp_potential: tuple[float, ...]  # lambda * N * (N - 1) / (2 (N - 1))
+    comp_full: tuple[float, ...]  # lambda * (N - 1) / (N - 1)
+
+
+def _net(env: Environment) -> tuple[float, ...]:
+    c = env.cost
+    return tuple([b - c for b in env.benefit])
+
+
+def _cost_free(env: Environment) -> _CostFree:
+    n, less, pairs = float(env.n_agents), float(env.n_agents - 1), float(2 * (env.n_agents - 1))
+    comp = env.complementarity
+    return _CostFree(
+        benefit_low=min(env.benefit),
+        benefit_high=max(env.benefit),
+        comp_potential_high=max(comp) * n * less / pairs,
+        comp_potential=tuple([lam * n * less / pairs for lam in comp]),
+        comp_full=tuple([lam * less / less for lam in comp]),
+    )
 
 
 def owned(values, name: str) -> tuple[float, ...]:
@@ -116,8 +159,10 @@ class Frozen:
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+    def __repr__(self) -> str:  # a private slot is a cache, not a field
+        fields = ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self.__slots__ if not n.startswith("_")
+        )
         return f"{type(self).__name__}({fields})"
 
 
@@ -126,7 +171,9 @@ class Environment(Frozen):
 
     States are indexed 0..n_states-1 in input order; outputs elsewhere refer to
     states by index plus label. The per-state columns are tuples of floats,
-    copied from the input.
+    copied from the input. Two private slots hold what the columns derive:
+    ``_fixed``, the cost-free part (``_CostFree``), and ``_net``, b - c at
+    this cost (``net_column``).
     """
 
     __slots__ = (
@@ -136,6 +183,8 @@ class Environment(Frozen):
         "benefit",
         "complementarity",
         "cost",
+        "_fixed",
+        "_net",
     )
 
     def __init__(
@@ -176,6 +225,8 @@ class Environment(Frozen):
                     raise ValueError(f"{name} must be nonnegative, state {s} is {value}")
             if name == "prior" and abs(math.fsum(column) - 1.0) > PRIOR_SUM_TOL:
                 raise ValueError(f"prior must sum to 1, got {math.fsum(column)!r}")
+        object.__setattr__(self, "_fixed", _cost_free(self))
+        object.__setattr__(self, "_net", _net(self))
         _check_at_cost(self)
 
     @property
@@ -184,12 +235,14 @@ class Environment(Frozen):
 
     def with_cost(self, cost: float) -> "Environment":
         """Same environment at a different action cost (used by cost sweeps).
-        It shares this one's validated tuples and labels, so only the new
-        cost, and the potentials at N it moves, are checked."""
+        It shares this one's validated tuples, labels and cost-free columns,
+        so only the new cost is checked, in O(1) unless a potential at N
+        may overflow (``_check_at_cost``)."""
         env = object.__new__(Environment)
         for name in self.__slots__:
             object.__setattr__(env, name, getattr(self, name))
         object.__setattr__(env, "cost", as_number(cost, "cost"))
+        object.__setattr__(env, "_net", _net(env))
         return _check_at_cost(env)
 
 
@@ -317,23 +370,34 @@ def welfare_value(welfare: WelfareSpec, state: int, n: int) -> float:
     return float(welfare.table[state][n])
 
 
+def net_column(env: Environment) -> tuple[float, ...]:
+    """b - c of every state, built with ``env`` (each cost is its own
+    environment), so the potentials, the gains and every belief's mean gain
+    at one cost share one pass over the states."""
+    return env._net
+
+
 def gain_column(env: Environment, count: int) -> list[float]:
     """``marginal_gain`` of every state at one count, as one list."""
     if not 0 <= count <= env.n_agents - 1:
         raise ValueError(f"count must be in 0..{env.n_agents - 1}, got {count}")
+    if count == env.n_agents - 1:  # the full-trust gain
+        return [x + y for x, y in zip(net_column(env), env._fixed.comp_full)]
     # the whole numbers as floats up front: float * int converts every time
-    c, k, others = env.cost, float(count), float(env.n_agents - 1)
-    return [b - c + lam * k / others for b, lam in zip(env.benefit, env.complementarity)]
+    k, others = float(count), float(env.n_agents - 1)
+    return [x + lam * k / others for x, lam in zip(net_column(env), env.complementarity)]
 
 
 def potential_column(env: Environment, n: int) -> list[float]:
     """``potential`` of every state at n cooperators, as one list."""
     if not 0 <= n <= env.n_agents:
         raise ValueError(f"n must be in 0..{env.n_agents}, got {n}")
-    c, n, less, pairs = env.cost, float(n), float(n - 1), float(2 * (env.n_agents - 1))
-    return [
-        (b - c) * n + lam * n * less / pairs for b, lam in zip(env.benefit, env.complementarity)
-    ]
+    net = net_column(env)
+    if n == env.n_agents:
+        n = float(n)
+        return [x * n + y for x, y in zip(net, env._fixed.comp_potential)]
+    n, less, pairs = float(n), float(n - 1), float(2 * (env.n_agents - 1))
+    return [x * n + lam * n * less / pairs for x, lam in zip(net, env.complementarity)]
 
 
 def welfare_column(welfare: WelfareSpec, n: int) -> list[float]:

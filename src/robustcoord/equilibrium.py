@@ -27,6 +27,7 @@ from .env import (
     check_dimensions,
     check_tol,
     gain_column,
+    net_column,
     owned,
     welfare_column,
 )
@@ -94,20 +95,25 @@ def posterior_from_event(env: Environment, event_probs: Sequence[float]) -> Beli
 
 def event_posterior(env: Environment, probs: Sequence[float]) -> Belief | None:
     """``posterior_from_event``, or None when the event's prior mass is not
-    positive: an event that never happens is not played. While every
-    probability lies in [0, 1], that mass is the posterior's normalising
-    total, so it is summed only once, and if it is finite the posterior is
-    finite, nonnegative and sums to 1 up to rounding far below
-    MASS_SUM_TOL: Belief's checks would always pass. Any other event takes
-    ``posterior_from_event``'s checks and clipping."""
-    weighted = list(map(mul, env.prior, probs))
-    mass = math.fsum(weighted)
+    positive: an event that never happens is not played."""
+    return _bayes(env, probs, list(map(mul, env.prior, probs)))
+
+
+def _bayes(env: Environment, probs: Sequence[float], weights: list[float]) -> Belief | None:
+    """``event_posterior`` from the event's prior weights, prior * probs.
+    While every probability lies in [0, 1], the weights' sum is the event's
+    mass and the posterior's normalising total, so it is summed only once,
+    and if it is finite the posterior is finite, nonnegative and sums to 1
+    up to rounding far below MASS_SUM_TOL: Belief's checks would always
+    pass. Any other event takes ``posterior_from_event``'s checks and
+    clipping."""
+    mass = math.fsum(weights)
     if mass <= 0.0:
         return None
     if not (math.isfinite(mass) and min(probs) >= 0.0 and max(probs) <= 1.0):
         return posterior_from_event(env, probs)
     belief = object.__new__(Belief)
-    object.__setattr__(belief, "probs", tuple([w / mass for w in weighted]))
+    object.__setattr__(belief, "probs", tuple([w / mass for w in weights]))
     return belief
 
 
@@ -141,7 +147,7 @@ def smallest_equilibrium(
     probs, n = belief.probs, env.n_agents
     if len(probs) != env.n_states:
         raise ValueError("belief does not match the state count")
-    mean_net = math.fsum(map(mul, probs, [b - env.cost for b in env.benefit]))
+    mean_net = math.fsum(map(mul, probs, net_column(env)))
     mean_comp = math.fsum(map(mul, probs, env.complementarity))
     gains = [_gain(env, (1.0, mean_net, mean_comp), k) for k in range(n)]
     equilibria = [
@@ -198,17 +204,23 @@ def play_events(
     feeds the smallest equilibrium of the full simultaneous game. With the
     policy's ``_interim_sums`` an explicit sequence plays its private chain
     walk instead. An event's welfare contribution is the prior-weighted
-    value of its cooperator count over the states that send it."""
+    value of its cooperator count over the states that send it. An event
+    whose probabilities do not cover the environment's states raises
+    ``ValueError`` naming both counts."""
     outcomes = []
     for label, probs, seq in events:
-        belief = event_posterior(env, probs)
+        if len(probs) != env.n_states:
+            raise ValueError(
+                f"event {label} covers {len(probs)} states, environment has {env.n_states}"
+            )
+        weights = list(map(mul, env.prior, probs))  # for the mass, posterior and value
+        belief = _bayes(env, probs, weights)
         if belief is None:
             continue
         if interim is not None and seq is not None:
             count = _chain_walk(env, seq, *interim)
         else:
             count = smallest_equilibrium(env, belief).coop_count
-        weights = map(mul, env.prior, probs)
         contrib = math.fsum(map(mul, weights, welfare_column(welfare, count)))
         outcomes.append(EventOutcome(label, tuple(probs), belief.probs, count, contrib))
     total = math.fsum(e.welfare_contribution for e in outcomes)
@@ -288,7 +300,7 @@ def _interim_sums(policy, env) -> tuple[dict, tuple, list]:
     cells the explicit entries reach, each summed with the uniform terms,
     and ``uniform`` is the sum of those terms alone, every other cell's."""
     n = env.n_agents
-    per_state = [(1.0, b - env.cost, lam) for b, lam in zip(env.benefit, env.complementarity)]
+    per_state = [(1.0, x, lam) for x, lam in zip(net_column(env), env.complementarity)]
     terms: dict[tuple[int, int], list[list[float]]] = {}
     left_terms: list[list[list[float]]] = [[] for _ in range(n)]
     for (s, seq), p in policy.entries.items():

@@ -214,16 +214,71 @@ def test_mid_band_values(case2):
     assert rec.bce_predicted == pytest.approx(0.12, abs=1e-9)
 
 
-def test_sweep_is_ordered_and_matches_serial(case1):
-    env, wf = case1
-    costs = [2.4, 1.0, 3.0, 2.0]
-    recs = sweep(env, wf, costs)
-    assert [r.cost for r in recs] == costs
-    for r, c in zip(recs, costs):
-        solo = compare(env.with_cost(c), wf)
-        assert r.robust_welfare == solo.robust_welfare
-        assert r.bce_predicted == solo.bce_predicted
-        assert r.bce_realized == solo.bce_realized
+def test_sweep_is_ordered_and_matches_serial(monkeypatch):
+    # whole records, notes included, on both presets and the benchmark's
+    # wide grid at seeds 0, 5 and 7, at each sweep cost given out of order
+    # (and the scenario's own cost once more)
+    workloads = _benchmark_workloads(monkeypatch)
+    for scenario in ["case1", "case2", 0, 5, 7]:
+        if isinstance(scenario, str):
+            scn = load_scenario(scenario)
+        else:
+            scn = build_scenario(workloads.wide_grid_config(scenario))
+        env, wf = scn.env, scn.welfare
+        costs = [*reversed(scn.sweep_costs[::2]), *scn.sweep_costs[1::2], env.cost]
+        recs = sweep(env, wf, costs)
+        assert [r.cost for r in recs] == costs
+        for r, c in zip(recs, costs):
+            assert repr(r) == repr(compare(env.with_cost(c), wf)), (scenario, c)
+
+
+def test_sweep_work_per_point(monkeypatch, case2):
+    # per cost: with_cost checks the cost without walking the states (its
+    # bound on the potential at N is finite), b - c is built once, each
+    # designer builds its one gain column and runs its one scan, and the
+    # optimistic design's events of positive mass are played
+    from robustcoord import baselines, designer, env as env_module, equilibrium
+
+    calls = {}
+
+    def count(module, name):
+        original, key = getattr(module, name), f"{module.__name__[12:]}.{name}"
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(env_module, "potential_column")  # the walk of _check_at_cost
+    count(designer, "potential_column")
+    count(baselines, "gain_column")
+    count(designer, "threshold_scan")
+    count(baselines, "threshold_scan")
+    count(equilibrium, "smallest_equilibrium")
+    base, wf = case2
+    envs = [base.with_cost(c) for c in (1.0, 2.0, 2.6, 2.9)]
+    assert calls == {}
+    nets = [env_module.net_column(e) for e in envs]
+    assert len({id(net) for net in nets}) == len(envs)
+    for e, net in zip(envs, nets):
+        compare(e, wf)
+        assert env_module.net_column(e) is net
+    # 1.0: degenerate, so the recommend-none event has no mass; 2.0: two
+    # events; 2.6: the robust scan raises, two events; 2.9: both scans raise
+    assert calls == {
+        "designer.potential_column": 4,
+        "baselines.gain_column": 4,
+        "designer.threshold_scan": 4,
+        "baselines.threshold_scan": 4,
+        "equilibrium.smallest_equilibrium": 5,
+    }
+
+
+def test_realized_baseline_rejects_a_design_of_another_state_count(case1, case2):
+    bce = design_bce_optimistic(*case2)
+    with pytest.raises(ValueError, match="covers 100 states, environment has 2"):
+        evaluate_bce_realized(bce, *case1)
 
 
 def test_sweep_boundaries_case2(case2):

@@ -35,13 +35,14 @@ def test_bench_records_one_round_of_case1(tmp_path):
     shutil.copytree(bench.ROOT / "src", tmp_path / "src", ignore=skip)
     record = bench.bench(["run-case1"], 1, [bench.ROOT, tmp_path])
     assert set(record) == {"schema", "machine", "rounds", "order", "trees"}
-    assert record["rounds"] == 1
+    assert record["schema"] == 3 and record["rounds"] == 1
     assert set(record["machine"]) == {"cpu_count", "python", "platform", "PYTHONDONTWRITEBYTECODE"}
     checkout, copy = record["trees"]
     for tree in (checkout, copy):
         assert set(tree) == {
-            "tag", "git_head", "src_dirty", "src_pycache", "floors", "end_to_end",
+            "tag", "git_head", "src_dirty", "src_pycache", "floors", "end_to_end", "per_layer",
         }
+        assert tree["per_layer"] == {}  # not asked for
     assert copy["tag"] == "no-git" and copy["git_head"] is None and not copy["src_dirty"]
     assert checkout["git_head"] and checkout["tag"].startswith(checkout["git_head"][:7])
     for tree in (checkout, copy):
@@ -58,6 +59,21 @@ def test_bench_records_one_round_of_case1(tmp_path):
                 assert set(stats) == {"median", "q1", "q3", "samples"}
                 assert len(stats["samples"]) == 1 and stats["samples"][0] > 0
                 assert stats["q1"] == stats["median"] == stats["q3"] == stats["samples"][0]
+
+
+def test_bench_times_each_layer_of_the_wide_grid_in_process():
+    # one round on this checkout: one process, which times each layer's
+    # second call on the seed-0 wide grid
+    bench = _load()
+    record = bench.bench([bench.LAYERS], 1, [bench.ROOT])
+    (tree,) = record["trees"]
+    assert tree["end_to_end"] == {}
+    assert list(tree["per_layer"]) == ["load", "design", "compare", "sweep"]
+    for row in tree["per_layer"].values():
+        stats = row["wall_s"]
+        assert set(stats) == {"best", "median", "q1", "q3", "samples"}
+        assert len(stats["samples"]) == 1 and stats["samples"][0] > 0
+        assert stats["best"] == stats["median"] == stats["samples"][0]
 
 
 def test_a_tree_without_the_package_exits_2_before_measuring(tmp_path, capsys):

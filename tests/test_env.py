@@ -3,6 +3,7 @@ and the package's named tolerances."""
 
 import ast
 import math
+import random
 import re
 from pathlib import Path
 
@@ -300,6 +301,57 @@ def test_with_cost_rejects_a_cost_that_overflows(recwarn):
     with pytest.raises(ValueError, match=re.escape("state 0 (a): the potential at N")):
         huge.with_cost(-1e308)
     assert not recwarn.list
+
+
+def test_with_cost_walks_the_states_only_where_its_bound_overflows(monkeypatch):
+    # the bound adds the largest b - c and the largest lambda-term, which
+    # sit in different states: it overflows, the walk finds no state that
+    # does, and the environment stands
+    from robustcoord import env as env_module
+
+    walked = []
+    potential_column = env_module.potential_column
+    monkeypatch.setattr(
+        env_module, "potential_column", lambda *a: walked.append(a) or potential_column(*a)
+    )
+    env = Environment(3, ("a", "b"), [0.5, 0.5], [5e307, 0.0], [0.0, 2.5e307], cost=0.0)
+    assert len(walked) == 1
+    assert all(map(math.isfinite, potential_column(env, 3)))
+    env.with_cost(-1.0)
+    assert len(walked) == 2
+    env.with_cost(1e307)  # (5e307 - 1e307) * 3 + 2.5e307 * 6 / 4 is finite
+    assert len(walked) == 2
+
+
+def test_with_cost_rejects_exactly_what_the_walk_rejects():
+    # near the overflow, the O(1) bound must accept every cost whose
+    # potentials at N are all finite and reject, naming the first state
+    # that overflows, every other
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(2000):
+        n_states = rng.randint(1, 4)
+        big = [rng.choice([0.0, 1.0, 1e306, 3e307, 6e307, 1e308]) for _ in range(2 * n_states)]
+        benefit = [b * rng.choice([1.0, -1.0]) for b in big[:n_states]]
+        comp = big[n_states:]
+        labels = [f"s{k}" for k in range(n_states)]
+        n_agents = rng.randint(2, 4)
+        try:
+            env = Environment(n_agents, labels, [1 / n_states] * n_states, benefit, comp, 0.0)
+        except ValueError:
+            continue
+        cost = rng.choice([0.0, 1e307, -1e307, 5e307, -5e307, 1e308, -1e308])
+        c, n, less, pairs = cost, float(n_agents), float(n_agents - 1), float(2 * (n_agents - 1))
+        walk = [(b - c) * n + lam * n * less / pairs for b, lam in zip(benefit, comp)]
+        bad = next((s for s, v in enumerate(walk) if not math.isfinite(v)), None)
+        if bad is None:
+            assert env.with_cost(cost).cost == cost
+            seen.add("accepted")
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"state {bad} ({labels[bad]}):")):
+                env.with_cost(cost)
+            seen.add("rejected")
+    assert seen == {"accepted", "rejected"}
 
 
 def test_with_cost_returns_new_environment(case1):
