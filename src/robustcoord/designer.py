@@ -284,11 +284,8 @@ def _certify_at(
 def to_sequential_policy(tp: ThresholdPolicy, env: Environment) -> SequentialPolicy:
     """Materialize the threshold policy: invited mass rides the uniform mixture
     over full orderings, the rest sits on the empty sequence."""
+    check_design(tp, env)
     q = tp.invite_probs
-    if len(q) != env.n_states:
-        raise ValueError(
-            f"design covers {len(q)} states, environment has {env.n_states}"
-        )
     entries: dict[tuple[int, tuple[int, ...]], float] = {}
     uniform_full: dict[int, float] = {}
     for s, p in enumerate(q):
@@ -297,3 +294,13 @@ def to_sequential_policy(tp: ThresholdPolicy, env: Environment) -> SequentialPol
         if p < 1.0:
             entries[(s, ())] = 1.0 - p
     return SequentialPolicy(env.n_agents, env.n_states, entries, uniform_full)
+
+
+def check_design(tp: ThresholdPolicy, env: Environment) -> None:
+    """Raise ``ValueError`` unless the design has one invitation probability
+    per state of ``env`` and its threshold state is one of them."""
+    k, t = len(tp.invite_probs), tp.threshold_state
+    if k != env.n_states:
+        raise ValueError(f"design covers {k} states, environment has {env.n_states}")
+    if not 0 <= t < k:
+        raise ValueError(f"threshold state {t} is not a state of 0..{k - 1}")

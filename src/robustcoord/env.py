@@ -269,21 +269,23 @@ class WelfareSpec(Frozen):
         beta: float = 1.0,
         table: Sequence[Sequence[float]] | None = None,
     ):
+        if kind not in (POWER, TABULATED):
+            raise ValueError(f"welfare kind must be {POWER!r} or {TABULATED!r}, got {kind!r}")
         n_agents = as_number(n_agents, "n_agents", int)
+        k = len(alpha if kind == POWER else table)
+        if n_agents < 2 or k < 1:
+            raise ValueError(f"welfare needs n_agents >= 2 and >= 1 state, got {n_agents} and {k}")
         if kind == POWER:
-            alpha, beta = owned(alpha, "alpha"), as_number(beta, "beta")
+            alpha, beta, table = owned(alpha, "alpha"), as_number(beta, "beta"), None
             if not all(math.isfinite(a) and a > 0 for a in alpha):
                 raise ValueError("power welfare requires finite alpha > 0 for every state")
             if not (math.isfinite(beta) and beta >= 1.0):
                 raise ValueError(f"power welfare requires beta >= 1, got {beta}")
-            table = None
-        elif kind == TABULATED:
+        else:
             alpha, beta = None, None
             table = tuple(owned(row, f"table[{s}]") for s, row in enumerate(table))
-            if n_agents < 2 or not table or any(len(row) != n_agents + 1 for row in table):
-                raise ValueError(
-                    f"welfare table must be (n_states, n_agents + 1), n_agents {n_agents} >= 2"
-                )
+            if any(len(row) != n_agents + 1 for row in table):
+                raise ValueError("welfare table must be (n_states, n_agents + 1)")
             if not all(math.isfinite(v) for row in table for v in row):
                 raise ValueError("welfare table contains non-finite entries")
             for s, row in enumerate(table):
@@ -295,8 +297,6 @@ class WelfareSpec(Frozen):
                             f"welfare must be weakly increasing in cooperators, "
                             f"state {s} decreases at n={n}"
                         )
-        else:
-            raise ValueError(f"welfare kind must be {POWER!r} or {TABULATED!r}, got {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n_agents", n_agents)
         object.__setattr__(self, "alpha", alpha)

@@ -86,32 +86,20 @@ def posterior_from_event(env: Environment, event_probs: Sequence[float]) -> Beli
     # a NaN fails both bounds
     if not all(-PROB_TOL <= p <= 1 + MASS_SUM_TOL for p in probs):
         raise ValueError("event probabilities must lie in [0, 1]")
-    # clipped to [0, 1]; a -0.0 passes through, as in np.clip
-    belief = event_posterior(env, [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs])
+    # Bayes' rule on the probabilities clipped to [0, 1]; a -0.0 passes through
+    belief = _bayes([w * min(max(p, 0.0), 1.0) for w, p in zip(env.prior, probs)])
     if belief is None:
         raise ValueError("event has zero prior probability; posterior undefined")
     return belief
 
 
-def event_posterior(env: Environment, probs: Sequence[float]) -> Belief | None:
-    """``posterior_from_event``, or None when the event's prior mass is not
-    positive: an event that never happens is not played."""
-    return _bayes(env, probs, list(map(mul, env.prior, probs)))
-
-
-def _bayes(env: Environment, probs: Sequence[float], weights: list[float]) -> Belief | None:
-    """``event_posterior`` from the event's prior weights, prior * probs.
-    While every probability lies in [0, 1], the weights' sum is the event's
-    mass and the posterior's normalising total, so it is summed only once,
-    and if it is finite the posterior is finite, nonnegative and sums to 1
-    up to rounding far below MASS_SUM_TOL: Belief's checks would always
-    pass. Any other event takes ``posterior_from_event``'s checks and
-    clipping."""
+def _bayes(weights: list[float]) -> Belief | None:
+    """Bayes' rule on an event's prior weights, prior * probs, or None when
+    their sum, the event's mass, is not > 0. The weights are trusted to be
+    finite and nonnegative, so Belief's checks would always pass."""
     mass = math.fsum(weights)
-    if mass <= 0.0:
+    if not mass > 0.0:
         return None
-    if not (math.isfinite(mass) and min(probs) >= 0.0 and max(probs) <= 1.0):
-        return posterior_from_event(env, probs)
     belief = object.__new__(Belief)
     object.__setattr__(belief, "probs", tuple([w / mass for w in weights]))
     return belief
@@ -204,17 +192,14 @@ def play_events(
     feeds the smallest equilibrium of the full simultaneous game. With the
     policy's ``_interim_sums`` an explicit sequence plays its private chain
     walk instead. An event's welfare contribution is the prior-weighted
-    value of its cooperator count over the states that send it. An event
-    whose probabilities do not cover the environment's states raises
-    ``ValueError`` naming both counts."""
+    value of its cooperator count over the states that send it. The events
+    are trusted, one probability per state in [0, 1 + MASS_SUM_TOL]: their
+    sources, a ``SequentialPolicy`` and a design checked by
+    ``evaluate_bce_realized``, are checked where they are made."""
     outcomes = []
     for label, probs, seq in events:
-        if len(probs) != env.n_states:
-            raise ValueError(
-                f"event {label} covers {len(probs)} states, environment has {env.n_states}"
-            )
         weights = list(map(mul, env.prior, probs))  # for the mass, posterior and value
-        belief = _bayes(env, probs, weights)
+        belief = _bayes(weights)
         if belief is None:
             continue
         if interim is not None and seq is not None:

@@ -281,6 +281,17 @@ def test_realized_baseline_rejects_a_design_of_another_state_count(case1, case2)
         evaluate_bce_realized(bce, *case1)
 
 
+def test_realized_baseline_rejects_a_design_outside_the_unit_interval(case1):
+    # the event loop trusts its events, so the design is checked once, up
+    # front: 1 + 1e-13 would make a recommend-none probability of -1e-13
+    env, wf = case1
+    bce = design_bce_optimistic(env, wf)
+    for x in (1 + 1e-13, -1e-13, math.nan):
+        for q in ((x, 1.0), (1.0, x)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                evaluate_bce_realized(bce._replace(invite_probs=q), env, wf)
+
+
 def test_sweep_boundaries_case2(case2):
     env, wf = case2
     costs = [round(1.0 + 0.05 * k, 2) for k in range(45)]

@@ -23,6 +23,7 @@ from robustcoord import (
     check_policy,
     design,
     designer,
+    evaluate_bce_realized,
     evaluate_policy_realized,
     load_scenario,
     score,
@@ -313,3 +314,18 @@ def test_certificate_rejects_a_design_that_is_no_policy(case1):
 def test_certificate_rejects_a_design_of_another_size(case1, case2):
     with pytest.raises(ValueError, match="design covers 100 states"):
         certify(*case1, design(*case2))
+
+
+@pytest.mark.parametrize("t", [-1, 100])
+def test_a_threshold_outside_the_states_is_rejected(case2, t):
+    # an unchecked index would wrap at -1 and overrun at S
+    env, wf = case2
+    tp = design(env, wf)._replace(threshold_state=t)
+    calls = (
+        lambda: certify(env, wf, tp),
+        lambda: to_sequential_policy(tp, env),
+        lambda: evaluate_bce_realized(tp, env, wf),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"threshold state {t} is not a state of 0\.\.99"):
+            call()

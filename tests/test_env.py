@@ -108,6 +108,32 @@ def test_welfare_validation():
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: WelfareSpec.power(0, [1.0], 1.5),
+        lambda: WelfareSpec.power(1, [1.0], 1.5),
+        lambda: WelfareSpec.power(3, [], 1.5),
+        lambda: WelfareSpec.tabulated([[0.0, 1.0]]),
+        lambda: WelfareSpec.tabulated([]),
+        lambda: WelfareSpec("tabulated", 3, table=[]),
+    ],
+    ids=[
+        "power-0-agents",
+        "power-1-agent",
+        "power-no-state",
+        "table-1-agent",
+        "table-empty",
+        "table-no-state",
+    ],
+)
+def test_welfare_counts_are_checked_alike_for_both_kinds(make):
+    # as Environment: at least 2 agents and 1 state, whatever the kind; a
+    # power spec for 0 agents used to divide by zero in welfare_value
+    with pytest.raises(ValueError, match=r"^welfare needs n_agents >= 2 and >= 1 state, got "):
+        make()
+
+
+@pytest.mark.parametrize(
     "args, kwargs, message",
     [
         # V(1) = 12 (1/3)^0.5 = 6.93 lies above the chord's 4: not convex

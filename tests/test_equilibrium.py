@@ -23,7 +23,8 @@ from robustcoord import (
     to_sequential_policy,
 )
 from robustcoord import cli
-from robustcoord.equilibrium import _interim_sums, event_posterior
+from robustcoord.env import welfare_column
+from robustcoord.equilibrium import _bayes, _interim_sums, play_events
 from conftest import random_convex_instance
 
 
@@ -88,49 +89,84 @@ def test_posterior_rejects_a_nan_event_probability(case1):
     for probs in ((math.nan, 0.5), (0.5, math.nan)):
         with pytest.raises(ValueError, match=r"event probabilities must lie in \[0, 1\]"):
             posterior_from_event(env, probs)
-        with pytest.raises(ValueError, match=r"event probabilities must lie in \[0, 1\]"):
-            event_posterior(env, probs)
+    # the event loop trusts its events, so their sources reject it: a
+    # policy's mass here, the optimistic design's q in test_baselines
+    with pytest.raises(ValueError, match="is invalid"):
+        SequentialPolicy(3, 2, {(0, ()): math.nan, (1, ()): 1.0}, {})
+    with pytest.raises(ValueError, match="is invalid"):
+        SequentialPolicy(3, 2, {(1, ()): 1.0}, {0: math.nan})
 
 
-def test_event_posterior_is_posterior_from_event_or_none(case1):
-    # one Bayes rule: posterior_from_event checks and clips, then normalises
-    # through event_posterior, whose in-range branch skips Belief's checks;
-    # a probability past 1 (within MASS_SUM_TOL, or beyond it) takes the
-    # checked path, and both give the same bits
-    env, _ = case1
+def _played_posterior(env, wf, probs):
+    """The posterior the event loop gives one public event, or None when it
+    does not play it."""
+    events = play_events(env, wf, [("e", probs, None)]).events
+    return events[0].posterior if events else None
+
+
+def test_posterior_from_event_is_bayes_on_the_clipped_event(case1):
+    # one Bayes rule: posterior_from_event checks and clips, then applies
+    # _bayes, which the event loop applies to the events it trusts; on an
+    # event in [0, 1] both give the bits of Bayes' rule written out here
+    env, wf = case1
     rng = np.random.default_rng(3)
     events = [tuple(rng.uniform(0.0, 1.0, 2).tolist()) for _ in range(200)]
-    events += [(0.0, 1.0), (1.0, 1.0), (1.95 / 2.85, 1.0), (-0.0, 0.3), (1.0 + 1e-13, 0.5)]
-    events += [(1 + 5e-10, 0.0), (1 + 5e-10, 0.25), (1e-300, 0.0)]
-    for probs in events:
-        bel = event_posterior(env, probs)
-        # Bayes' rule written out here, on the clipped probabilities
+    events += [(0.0, 1.0), (1.0, 1.0), (1.95 / 2.85, 1.0), (-0.0, 0.3), (1e-300, 0.0)]
+    clipped = [(1.0 + 1e-13, 0.5), (1 + 5e-10, 0.0), (1 + 5e-10, 0.25)]
+    for probs in events + clipped:
         weighted = [w * min(max(p, 0.0), 1.0) for w, p in zip(env.prior, probs)]
         want = [x.hex() for x in (w / math.fsum(weighted) for w in weighted)]
+        bel = posterior_from_event(env, probs)
         assert [x.hex() for x in bel.probs] == want, probs
-        assert [x.hex() for x in posterior_from_event(env, probs).probs] == want, probs
-        # the fast path skips Belief's checks; they pass on what it returns
-        assert Belief(bel.probs).probs == bel.probs
+        if probs in events:
+            played = _played_posterior(env, wf, probs)
+            assert [x.hex() for x in played] == want, probs
+            # the trusted path skips Belief's checks; they pass on what it returns
+            assert Belief(played).probs == played
     # the clipped path: a mass past 1 reads as 1, bit for bit
-    assert [x.hex() for x in event_posterior(env, (1 + 5e-10, 0.25)).probs] == [
-        x.hex() for x in event_posterior(env, (1.0, 0.25)).probs
+    assert [x.hex() for x in posterior_from_event(env, (1 + 5e-10, 0.25)).probs] == [
+        x.hex() for x in posterior_from_event(env, (1.0, 0.25)).probs
     ]
     # an event of zero prior mass is not played, and has no posterior; the
     # smallest subnormal times the prior 0.5 rounds to a mass of 0 too
     for probs in ((0.0, 0.0), (-0.0, 0.0), (5e-324, 0.0)):
-        assert event_posterior(env, probs) is None
+        assert _bayes([w * p for w, p in zip(env.prior, probs)]) is None
+        assert _played_posterior(env, wf, probs) is None
         with pytest.raises(ValueError, match="zero prior probability"):
             posterior_from_event(env, probs)
     # any positive mass is played, however small
-    assert event_posterior(env, (1e-310, 0.0)).probs == (1.0, 0.0)
+    assert _played_posterior(env, wf, (1e-310, 0.0)) == (1.0, 0.0)
+    assert posterior_from_event(env, (1e-310, 0.0)).probs == (1.0, 0.0)
     with pytest.raises(ValueError, match="lie in"):
-        event_posterior(env, (1.2, 0.5))
+        posterior_from_event(env, (1.2, 0.5))
+
+
+def test_an_event_past_mass_one_is_played_on_its_own_weights(case1):
+    # a policy may give a state mass up to 1 + MASS_SUM_TOL; the event loop
+    # trusts it and takes the posterior, the mass and the contribution from
+    # the same weights, prior * probs, without clipping
+    env, wf = case1
+    seq = (0, 1, 2)
+    policy = SequentialPolicy(3, 2, {(0, seq): 1 + 5e-10, (1, seq): 0.25, (1, ()): 0.75}, {})
+    assert check_policy(policy, env).feasible
+    got = evaluate_policy_realized(policy, env, wf, mode=PUBLIC)
+    (event,) = [e for e in got.events if e.label == "invite[0,1,2]"]
+    assert event.probs == (1 + 5e-10, 0.25)
+    weights = [w * p for w, p in zip(env.prior, event.probs)]
+    want = [w / math.fsum(weights) for w in weights]
+    assert [x.hex() for x in event.posterior] == [x.hex() for x in want]
+    assert Belief(event.posterior).probs == event.posterior
+    assert event.posterior != posterior_from_event(env, event.probs).probs
+    contrib = math.fsum(w * v for w, v in zip(weights, welfare_column(wf, event.coop_count)))
+    assert event.welfare_contribution == contrib
+    assert got.welfare == math.fsum(e.welfare_contribution for e in got.events)
 
 
 @pytest.mark.parametrize("mode", [PUBLIC, PRIVATE_SEQUENTIAL])
 def test_state_mass_within_mass_sum_tol_evaluates_as_mass_one(case1, mode):
     # SequentialPolicy lets a state's mass exceed 1 by MASS_SUM_TOL, so an
-    # event probability may too; the posterior clips it to 1
+    # event probability may too; alone in its event, its posterior is (1, 0)
+    # clipped or not
     env, wf = case1
     over = SequentialPolicy(3, 2, {(0, (0, 1, 2)): 1 + 5e-10, (1, ()): 1.0}, {})
     exact = SequentialPolicy(3, 2, {(0, (0, 1, 2)): 1.0, (1, ()): 1.0}, {})
