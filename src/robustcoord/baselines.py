@@ -107,9 +107,12 @@ def compare(env: Environment, welfare: WelfareSpec) -> ComparisonRecord:
         realized = evaluate_bce_realized(bce, env, welfare).welfare
         threshold = bce.threshold_label
         # the lowest-scored fully invited state; order is stable, so ties go
-        # to the lower index
-        q = bce.invite_probs
-        first_full = next((env.labels[s] for s in bce.order if q[s] == 1.0), None)
+        # to the lower index. threshold_scan invites in full every state
+        # after the threshold state t in order, none before it, and t itself
+        # when its weight is 1
+        t, order = bce.threshold_state, bce.order
+        i = order.index(t) + (bce.invite_probs[t] != 1.0)
+        first_full = env.labels[order[i]] if i < len(order) else None
     return ComparisonRecord(
         cost=env.cost,
         robust_welfare=robust,

@@ -19,7 +19,8 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 from .designer import InfeasibleDesignError, StrictModeError, certify, design, to_sequential_policy
@@ -59,9 +60,58 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _flat(values) -> bool:
+    """No value is a non-empty container (json writes an empty one as "[]" or
+    "{}"), in C passes over ``values``, which must be re-iterable. The
+    values' types settle the common case, no container at all."""
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+        return True
+    return not any(compress(values, map(isinstance, values, repeat(_CONTAINERS))))
+
+
+@cache
+def _encoder(depth: int):
+    """json's C encoder, whose item separator starts a line at ``depth``."""
+    item = ",\n" + "  " * depth
+    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(item, ": ")).encode
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` for
+    ``obj`` at ``depth``, with json's C encoder doing the flat parts. With
+    ``indent`` set json runs its pure-Python encoder, which walks every
+    value; here a flat container, and a list of non-empty flat dicts, is one
+    C call whose brackets are then indented. An encoded string holds no raw
+    newline, so in such a list "},\\n" and the item indent before "{" occur
+    only between items."""
+    if not (isinstance(obj, _CONTAINERS) and obj):
+        return _encoder(depth)(obj)
+    is_dict = isinstance(obj, dict)
+    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if _flat(obj.values() if is_dict else obj):
+        text = _encoder(depth + 1)(obj)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if is_dict:
+        if not all(isinstance(key, str) for key in obj):  # json's own key rules
+            return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False).replace("\n", pad)
+        quote = json.encoder.encode_basestring_ascii
+        body = [f"{quote(key)}: {_dumps(v, depth + 1)}" for key, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if set(map(type, obj)) == {dict} and all(obj):
+        if _flat([*chain.from_iterable(map(dict.values, obj))]):
+            item = "\n" + "  " * (depth + 2)
+            text = _encoder(depth + 2)(obj)[2:-2]
+            text = text.replace("}," + item + "{", inner + "}," + inner + "{" + item)
+            return "[" + inner + "{" + item + text + inner + "}" + pad + "]"
+    return "[" + inner + ("," + inner).join([_dumps(v, depth + 1) for v in obj]) + pad + "]"
+
+
 def _write_json(path: Path, obj) -> None:
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _dumps(obj) + "\n"
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise ValueError(f"{path.name}: {exc}") from exc
     path.write_text(text)
@@ -69,7 +119,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
-from operator import neg
+from itertools import accumulate, repeat
+from operator import add, le, neg, sub
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .env import (
@@ -283,17 +284,36 @@ def _certify_at(
 
 def to_sequential_policy(tp: ThresholdPolicy, env: Environment) -> SequentialPolicy:
     """Materialize the threshold policy: invited mass rides the uniform mixture
-    over full orderings, the rest sits on the empty sequence."""
+    over full orderings, the rest sits on the empty sequence.
+
+    A design whose probabilities are all floats in [0, 1], as ``design``
+    makes them, passes every check of ``SequentialPolicy``, so its record is
+    built here from those values: each state's mass is (1 - q) + q, which is
+    the ``math.fsum`` of its one or two terms (a sum of two floats rounds
+    once, correctly), within an ulp of 1. Any other design goes through the
+    validating constructor, which accepts or rejects it."""
     check_design(tp, env)
     q = tp.invite_probs
-    entries: dict[tuple[int, tuple[int, ...]], float] = {}
-    uniform_full: dict[int, float] = {}
-    for s, p in enumerate(q):
-        if p > 0.0:
-            uniform_full[s] = p
-        if p < 1.0:
-            entries[(s, ())] = 1.0 - p
-    return SequentialPolicy(env.n_agents, env.n_states, entries, uniform_full)
+    uniform_full = {s: p for s, p in enumerate(q) if p > 0.0}
+    entries = {(s, ()): 1.0 - p for s, p in enumerate(q) if p < 1.0}
+    # C passes; a NaN fails the range
+    if not (
+        {float}.issuperset(map(type, q))
+        and all(map(le, repeat(0.0), q))
+        and all(map(le, q, repeat(1.0)))
+    ):
+        return SequentialPolicy(env.n_agents, env.n_states, entries, uniform_full)
+    policy = object.__new__(SequentialPolicy)
+    fields = {
+        "n_agents": env.n_agents,
+        "n_states": env.n_states,
+        "entries": MappingProxyType(entries),
+        "uniform_full": MappingProxyType(uniform_full),
+        "mass": tuple(map(add, map(sub, repeat(1.0), q), q)),
+    }
+    for name, value in fields.items():
+        object.__setattr__(policy, name, value)
+    return policy
 
 
 def check_design(tp: ThresholdPolicy, env: Environment) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
+from itertools import compress, count, repeat
+from operator import gt
 from typing import NamedTuple, Sequence
 
 # welfare kinds
@@ -138,7 +140,12 @@ def _cost_free(env: Environment) -> _CostFree:
 def owned(values, name: str) -> tuple[float, ...]:
     """``values`` as a tuple of floats, each read by ``as_number`` (an error
     names ``name`` and the index): a record shares no list with its caller
-    and hands out none that can be written."""
+    and hands out none that can be written. When every value is a float,
+    which ``as_number`` returns as it is, one C pass over their types
+    settles it and no index is formatted."""
+    values = tuple(values)
+    if {float}.issuperset(map(type, values)):
+        return values
     return tuple([as_number(v, f"{name}[{i}]") for i, v in enumerate(values)])
 
 
@@ -256,10 +263,12 @@ class WelfareSpec(Frozen):
     constructor copies ``alpha`` or the table's rows into tuples of floats
     and validates them for its ``kind``, and stores None for the fields the
     kind does not use, so the record keeps no object of its caller;
-    ``power`` and ``tabulated`` are shorthands for it.
+    ``power`` and ``tabulated`` are shorthands for it. The private slot
+    ``_ends`` holds the columns V(0) and V(N), which every design, played
+    event and objective at those counts reads (``welfare_column``).
     """
 
-    __slots__ = ("kind", "n_agents", "alpha", "beta", "table")
+    __slots__ = ("kind", "n_agents", "alpha", "beta", "table", "_ends")
 
     def __init__(
         self,
@@ -302,6 +311,8 @@ class WelfareSpec(Frozen):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "table", table)
+        ends = (_welfare_at(self, 0), _welfare_at(self, n_agents))
+        object.__setattr__(self, "_ends", tuple(map(tuple, ends)))
 
     @classmethod
     def power(cls, n_agents: int, alpha: Sequence[float], beta: float) -> "WelfareSpec":
@@ -401,9 +412,17 @@ def potential_column(env: Environment, n: int) -> list[float]:
 
 
 def welfare_column(welfare: WelfareSpec, n: int) -> list[float]:
-    """V(n, s) of every state s, as one list."""
+    """V(n, s) of every state s, as a new list: at n = 0 and n = N a copy of
+    the spec's cached column, at any other count built here."""
     if not 0 <= n <= welfare.n_agents:
         raise ValueError(f"n must be in 0..{welfare.n_agents}, got {n}")
+    if n == 0 or n == welfare.n_agents:
+        return list(welfare._ends[n > 0])
+    return _welfare_at(welfare, n)
+
+
+def _welfare_at(welfare: WelfareSpec, n: int) -> list[float]:
+    """V(n, s) of every state s, built from the spec's fields."""
     if welfare.kind == POWER:
         frac = (n / welfare.n_agents) ** welfare.beta
         return [a * frac for a in welfare.alpha]
@@ -419,11 +438,9 @@ def check_assumptions(env: Environment, welfare: WelfareSpec) -> AssumptionRepor
     so the designer's operation count stays independent of N.
     """
     check_dimensions(env, welfare)
-    # b - c > 0 exactly when b > c: finite floats that differ never
-    # subtract to 0
-    dom_witness = None
-    if max(env.benefit) > env.cost:
-        dom_witness = next(s for s, b in enumerate(env.benefit) if b > env.cost)
+    # the first state with b > c, in one C pass; b - c > 0 exactly when
+    # b > c: finite floats that differ never subtract to 0
+    dom_witness = next(compress(count(), map(gt, env.benefit, repeat(env.cost))), None)
 
     cw_witness = None
     if welfare.kind == TABULATED:

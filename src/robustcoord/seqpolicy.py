@@ -30,7 +30,7 @@ from .env import (
     gain_column,
     potential_column,
     reject_duplicates,
-    welfare_value,
+    welfare_column,
 )
 
 # hard cap on explicit sequence enumeration (and on LP columns)
@@ -221,9 +221,11 @@ def expected_welfare(
     check_dimensions(env, welfare)
     check_policy_dimensions(policy, env)
     n, prior = env.n_agents, env.prior
-    blocks = [((s, len(seq)), p) for (s, seq), p in policy.entries.items()]
-    blocks += [((s, n), p) for s, p in policy.uniform_full.items()]
-    return math.fsum(prior[s] * p * welfare_value(welfare, s, k) for (s, k), p in blocks)
+    blocks = [(s, len(seq), p) for (s, seq), p in policy.entries.items()]
+    blocks += [(s, n, p) for s, p in policy.uniform_full.items()]
+    # one welfare column per count the blocks reach, not one value per block
+    columns = {k: welfare_column(welfare, k) for k in {k for _, k, _ in blocks}}
+    return math.fsum([prior[s] * p * columns[k][s] for s, k, p in blocks])
 
 
 def policy_to_dict(policy: SequentialPolicy, labels: Iterable[str] | None = None) -> dict:

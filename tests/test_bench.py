@@ -2,6 +2,7 @@
 
 import importlib.util
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -27,13 +28,24 @@ def test_summary_is_the_median_and_quartiles_of_its_samples():
     assert got == {"median": 3.0, "q1": 2.0, "q3": 4.0, "samples": [5.0, 1.0, 4.0, 2.0, 3.0]}
 
 
+def _git(tree, *args):
+    identity = ["-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run(["git", *identity, "-c", "commit.gpgsign=false", *args], cwd=tree, check=True)
+
+
 def test_bench_records_one_round_of_case1(tmp_path):
     # the record main() writes, less its "command", on one case of CASES,
-    # for two trees: this checkout and a copy of its src/ outside any clone
+    # for two copies of this checkout's src/: one committed to a clone of
+    # its own, so the test needs no git tree around it, and one outside any
     bench = _load()
     skip = shutil.ignore_patterns("__pycache__")
-    shutil.copytree(bench.ROOT / "src", tmp_path / "src", ignore=skip)
-    record = bench.bench(["run-case1"], 1, [bench.ROOT, tmp_path])
+    clone, copy = tmp_path / "clone", tmp_path / "copy"
+    for tree in (clone, copy):
+        shutil.copytree(bench.ROOT / "src", tree / "src", ignore=skip)
+    _git(clone, "init", "-q")
+    _git(clone, "add", "src")
+    _git(clone, "commit", "-q", "-m", "src")
+    record = bench.bench(["run-case1"], 1, [clone, copy])
     assert set(record) == {"schema", "machine", "rounds", "order", "trees"}
     assert record["schema"] == 3 and record["rounds"] == 1
     assert set(record["machine"]) == {"cpu_count", "python", "platform", "PYTHONDONTWRITEBYTECODE"}

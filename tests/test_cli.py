@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -972,3 +973,84 @@ def test_runners_call_the_names_bound_on_cli(tmp_path, monkeypatch):
     assert _digests(tmp_path) == GOLDEN_DIGESTS["case1"]
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
+
+
+def _random_json(rng, depth=0):
+    """A seeded nested object of every kind json writes: keys that hold
+    brackets, quotes, newlines and non-ASCII text, empty containers and
+    tuples, -0.0, 1e-300, ints, bools and None, and lists of flat dicts."""
+    keys = ["a", "b]", "c}", 'd"', "e\n", "ü", "{", "", "},\n  {", "z"]
+    scalars = [0, -3, 10**20, 1.5, -0.0, 1e-300, True, False, None, "s", "a\nb", "é}", '"]']
+    kind = rng.random()
+    if depth > 4 or kind < 0.45:
+        return rng.choice([*scalars, rng.random()])
+    if kind < 0.6:
+        return rng.choice([[], {}, ()])
+    if kind < 0.7:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(1, 5))]
+    if kind < 0.75:
+        return tuple(_random_json(rng, depth + 1) for _ in range(rng.randrange(1, 4)))
+    if kind < 0.9:  # a list of flat dicts, some values empty containers
+        flat = [*scalars, [], {}, ()]
+        return [
+            {rng.choice(keys): rng.choice(flat) for _ in range(rng.randrange(1, 4))}
+            for _ in range(rng.randrange(1, 4))
+        ]
+    return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(rng.randrange(1, 5))}
+
+
+def _written_by_json(path, obj):
+    cli._write_json(path, obj)
+    return path.read_text() == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_write_json_writes_what_json_dumps_writes(tmp_path):
+    rng = random.Random(0)
+    objs = [_random_json(rng) for _ in range(2000)]
+    objs += [{1: [1], 2.5: [2]}, {"x": {True: [[1]]}}, [{"a": {}}, {"b": 1}], [{}, {"a": 1}]]
+    assert all(_written_by_json(tmp_path / "x.json", obj) for obj in objs)
+
+
+def test_write_json_writes_every_record_of_run_as_json_does(tmp_path, monkeypatch):
+    # every JSON record run writes on both presets and the wide grid
+    from test_designer import _benchmark_workloads
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(_benchmark_workloads(monkeypatch).wide_grid_config(0)))
+    records = []
+    original = cli._write_json
+
+    def recorded(path, obj):
+        records.append((path.name, obj))
+        original(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    for i, scenario in enumerate(("case1", "case2", str(grid))):
+        assert run_cli("run", scenario, tmp_path / f"out{i}") == 0
+    every = ["design.json", "policy.json", "obedience.json", "sweep_summary.json", "manifest.json"]
+    # case1 runs lp and public-counterfactual too, the wide grid the latter
+    want = [*every, "lp.json", "public.json", *every, *every, "public.json"]
+    assert sorted(name for name, _ in records) == sorted(want)
+    monkeypatch.undo()  # the writer is cli's own again
+    assert all(_written_by_json(tmp_path / "x.json", obj) for _, obj in records)
+
+
+def test_run_builds_each_cost_free_welfare_column_once(tmp_path, monkeypatch):
+    # V(N) once per WelfareSpec, however many designs, events and
+    # objectives at N a wide-grid run reads it in
+    from test_designer import _benchmark_workloads
+    from robustcoord import env as env_module
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(_benchmark_workloads(monkeypatch).wide_grid_config(0)))
+    built = []
+    original = env_module._welfare_at
+
+    def counted(welfare, n):
+        if n == welfare.n_agents:
+            built.append(id(welfare))
+        return original(welfare, n)
+
+    monkeypatch.setattr(env_module, "_welfare_at", counted)
+    assert run_cli("run", str(grid), tmp_path / "out") == 0
+    assert len(built) == 1

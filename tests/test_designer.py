@@ -3,6 +3,7 @@ and its LP dual certificate."""
 
 import importlib.util
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from robustcoord import (
     to_sequential_policy,
 )
 from robustcoord.env import CERT_TOL
+from robustcoord.seqpolicy import SequentialPolicy
 
 
 def test_case1_scores(case1):
@@ -329,3 +331,46 @@ def test_a_threshold_outside_the_states_is_rejected(case2, t):
     for call in calls:
         with pytest.raises(ValueError, match=rf"threshold state {t} is not a state of 0\.\.99"):
             call()
+
+
+def _constructed(tp, env):
+    """The design's policy as the validating constructor builds it: the
+    reference ``to_sequential_policy`` must equal, or its exception."""
+    q = tp.invite_probs
+    uniform_full = {s: p for s, p in enumerate(q) if p > 0.0}
+    entries = {(s, ()): 1.0 - p for s, p in enumerate(q) if p < 1.0}
+    return SequentialPolicy(env.n_agents, env.n_states, entries, uniform_full)
+
+
+def _same_policy(got, want):
+    for field in SequentialPolicy.__slots__:
+        a, b = getattr(got, field), getattr(want, field)
+        if field in ("entries", "uniform_full"):  # in the same order, too
+            assert type(a) is type(b) and list(a.items()) == list(b.items())
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("scenario", ["case1", "case2", 0, 5, 7])
+def test_design_policy_equals_the_validating_constructors(scenario, monkeypatch):
+    if isinstance(scenario, str):
+        scn = load_scenario(scenario)
+    else:
+        scn = build_scenario(_benchmark_workloads(monkeypatch).wide_grid_config(scenario))
+    tp = design(scn.env, scn.welfare)
+    _same_policy(to_sequential_policy(tp, scn.env), _constructed(tp, scn.env))
+
+
+@pytest.mark.parametrize(
+    "q", [1.5, 1 + 5e-10, -1e-13, math.nan, math.inf, -math.inf, 0.25, 1, np.float64(0.5)]
+)
+def test_a_hand_built_design_gets_what_the_constructor_gives_it(case1, q):
+    env, wf = case1
+    tp = design(env, wf)._replace(invite_probs=(q, 1.0))
+    try:
+        want = _constructed(tp, env)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            to_sequential_policy(tp, env)
+    else:
+        _same_policy(to_sequential_policy(tp, env), want)

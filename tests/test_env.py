@@ -20,7 +20,7 @@ from robustcoord import (
     potential,
     welfare_value,
 )
-from robustcoord.env import as_number
+from robustcoord.env import as_number, welfare_column
 
 
 def utility(env, agent, profile, state):
@@ -486,3 +486,37 @@ def test_float_sums_are_fsum():
                     builtin_sums.append((path.stem, owners[-1] if owners else None))
     assert reduces == []
     assert builtin_sums == [("equilibrium", "_chain_walk")]
+
+
+@pytest.mark.parametrize("kind", ["power", "tabulated"])
+def test_welfare_column_hands_out_a_new_list_each_call(kind):
+    # V(0) and V(N) come from the spec's cache; no caller can write it
+    if kind == "power":
+        wf = WelfareSpec.power(3, [1.0, 2.5], 1.5)
+    else:
+        wf = WelfareSpec.tabulated([[0.0, 1.0, 2.0, 6.0], [-0.0, 0.5, 3.0, 4.0]])
+    for n in range(4):
+        first = welfare_column(wf, n)
+        want = [welfare_value(wf, s, n) for s in range(2)]
+        assert repr(first) == repr(want)
+        first[0] = 99.0
+        second = welfare_column(wf, n)
+        assert second is not first and repr(second) == repr(want)
+
+
+def test_certify_leaves_only_the_cost_free_columns_cached():
+    # certify reads V(k) at every k = 0..N; only V(0) and V(N) are kept
+    from robustcoord import certify, design
+
+    n = 1000
+    env = Environment(n, ("a", "b", "c"), [0.2, 0.3, 0.5], [1.5, 0.5, 2.5], [0.4, 0.2, 0.1], 1.0)
+    wf = WelfareSpec.power(n, [1.0, 2.0, 3.0], 1.5)
+    ends = wf._ends
+    assert certify(env, wf, design(env, wf)).passed
+    assert wf._ends is ends and [len(column) for column in ends] == [3, 3]
+    assert ends == (tuple(welfare_column(wf, 0)), tuple(welfare_column(wf, n)))
+
+
+def test_owned_names_the_column_and_index_of_a_bad_value():
+    with pytest.raises(ValueError, match=r"^prior\[3\]: expected a number, got 'x'$"):
+        Environment(2, "abcd", [0.25, 0.25, 0.25, "x"], [1.0] * 4, [0.0] * 4, 0.5)
