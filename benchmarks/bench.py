@@ -21,6 +21,14 @@ bare interpreter with and without ``site``, and the import of
 ``robustcoord.cli``, so figures from two machines can be set against what
 every process pays before any command runs.
 
+Every process runs with ``PYTHONDONTWRITEBYTECODE=1``, so it compiles the
+source it imports and never writes ``__pycache__`` into a measured tree.
+The import floor and each command run a second time, in the same rounds,
+from a copy of the tree's ``src/`` in a temporary directory, byte-compiled
+there with ``compileall``: the rows ``<name> (bytecode)``. A row and its
+twin differ only in compiling the package, which is what each line of it
+costs every process that imports it.
+
 Per layer, in process, on the same wide grid: the wall time of
 ``load_scenario``, of ``design`` and ``compare`` at the scenario's cost, and
 of ``sweep`` over its 23 costs. Each round runs one fresh process per tree,
@@ -40,10 +48,12 @@ names another. Stdlib only.
 from __future__ import annotations
 
 import argparse
+import compileall
 import importlib.util
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -66,6 +76,8 @@ FLOORS = {
     "python -S -c pass": ["-S", "-c", "pass"],
     "import robustcoord.cli": ["-c", "import robustcoord.cli"],
 }
+# the suffix of a row run from a byte-compiled copy of the tree's src/
+BYTECODE = " (bytecode)"
 
 
 def _git(tree: Path, *args: str) -> str | None:
@@ -129,6 +141,14 @@ print(json.dumps(times))
 """
 
 
+def _compiled(tree: Path, dest: Path) -> Path:
+    """A copy of ``tree``'s src/ at ``dest``, byte-compiled there."""
+    shutil.copytree(tree / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    if not compileall.compile_dir(dest, quiet=1):
+        raise RuntimeError(f"byte-compiling a copy of {tree / 'src'} failed")
+    return dest
+
+
 def _layers(grid: str, env: dict) -> dict[str, float]:
     """One fresh process's per-layer wall seconds on the scenario ``grid``."""
     proc = subprocess.run(
@@ -172,12 +192,15 @@ def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
     rows."""
     trees = [Path(t).resolve() for t in trees or [ROOT]]
     extra = os.environ.get("PYTHONPATH")
-    envs = [
-        {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(t / "src"), extra]))}
-        for t in trees
-    ]
+
+    def env(src: Path) -> dict:
+        path = os.pathsep.join(filter(None, [str(src), extra]))
+        return {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+
     with tempfile.TemporaryDirectory(prefix="robustcoord-bench-") as tmp:
         tmp = Path(tmp)
+        envs = [env(t / "src") for t in trees]
+        bytecode_envs = [env(_compiled(t, tmp / f"bytecode-{i}")) for i, t in enumerate(trees)]
         wide = {"run-wide-grid", LAYERS}.intersection(cases)
         grid = _wide_grid(tmp / "wide-grid.json") if wide else None
         commands = [name for name in cases if name != LAYERS]
@@ -186,8 +209,14 @@ def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
             args = [a.format(grid=grid) for a in CASES[name]]
             out = str(tmp / "out" / name)
             argvs[name] = [sys.executable, "-m", "robustcoord.cli", *args, "--out", out]
+        # the import floor and each command again, from the compiled copy,
+        # each twin right after the row it repeats
+        imports = ["import robustcoord.cli", *commands]
+        argvs.update({name + BYTECODE: argvs[name] for name in imports})
+        floors = [*FLOORS, imports[0] + BYTECODE]
+        commands = [twin for name in commands for twin in (name, name + BYTECODE)]
         # one command's trees run back to back, so they share the machine's state
-        names = [*argvs, LAYERS] if LAYERS in cases else list(argvs)
+        names = [*floors, *commands, LAYERS] if LAYERS in cases else [*floors, *commands]
         jobs = [(name, t) for name in names for t in range(len(trees))]
         runs: dict[tuple[str, int], list] = {job: [] for job in jobs}
         for r in range(rounds):
@@ -195,7 +224,8 @@ def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
                 if name == LAYERS:
                     runs[name, t].append(_layers(grid, envs[t]))
                 else:
-                    runs[name, t].append(_measure(argvs[name], envs[t]))
+                    child = bytecode_envs[t] if name.endswith(BYTECODE) else envs[t]
+                    runs[name, t].append(_measure(argvs[name], child))
 
     def rows(group, t: int) -> dict:
         return {
@@ -228,7 +258,7 @@ def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
         "trees": [
             {
                 **_tree(tree),
-                "floors": rows(FLOORS, t),
+                "floors": rows(floors, t),
                 "end_to_end": rows(commands, t),
                 "per_layer": layer_rows(t),
             }
@@ -265,14 +295,14 @@ def main(argv=None) -> int:
     tag = "_vs_".join(tree["tag"] for tree in record["trees"])
     out = args.out or ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"{'cpu ms [q1, q3], max-rss MB':<24}", *(f"{t['tag']:>30}" for t in record["trees"]))
+    print(f"{'cpu ms [q1, q3], max-rss MB':<34}", *(f"{t['tag']:>30}" for t in record["trees"]))
     for group in ("floors", "end_to_end"):
         for name in record["trees"][0][group]:
-            print(f"{name:<24}", *(_cell(tree[group][name]) for tree in record["trees"]))
-    print(f"{'wide grid, best ms':<24}")
+            print(f"{name:<34}", *(_cell(tree[group][name]) for tree in record["trees"]))
+    print(f"{'wide grid, best ms':<34}")
     for name in record["trees"][0]["per_layer"]:
         best = (tree["per_layer"][name]["wall_s"]["best"] * 1e3 for tree in record["trees"])
-        print(f"{name:<24}", *(f"{ms:>30.2f}" for ms in best))
+        print(f"{name:<34}", *(f"{ms:>30.2f}" for ms in best))
     print(f"wrote {out}")
     return 0
 

@@ -15,8 +15,6 @@ run on the full-trust gain, and its record is the same ``ThresholdPolicy``.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import le
 from typing import NamedTuple, Sequence
 
 from .designer import InfeasibleDesignError, ThresholdPolicy, check_design, design, threshold_scan
@@ -70,13 +68,11 @@ def evaluate_bce_realized(
     """Same recommendations under smallest-equilibrium play: two public
     events (recommend-all, recommend-none), each with its Bayes posterior,
     played by ``play_events`` as the public counterfactual of
-    ``to_sequential_policy(policy, env)`` plays them. The design is checked
-    here, once: it covers ``env``'s states, and every q lies in [0, 1]."""
+    ``to_sequential_policy(policy, env)`` plays them. The design is held to
+    ``check_design`` here, once, and the welfare spec to ``env``'s size."""
     check_design(policy, env)
+    check_dimensions(env, welfare)
     q = policy.invite_probs
-    # two passes in C; a NaN fails the first
-    if not (all(map(le, repeat(0.0), q)) and all(map(le, q, repeat(1.0)))):
-        raise ValueError("design invitation probabilities must lie in [0, 1]")
     events = [("recommend-all", q, None), ("recommend-none", [1.0 - x for x in q], None)]
     return play_events(env, welfare, events)
 

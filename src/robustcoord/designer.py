@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
-from operator import add, le, neg, sub
-from types import MappingProxyType
+from operator import le, neg
 from typing import NamedTuple, Sequence
 
 from .env import (
@@ -25,12 +24,13 @@ from .env import (
     WelfareSpec,
     check_assumptions,
     check_dimensions,
+    owned,
     potential,
     potential_column,
     welfare_column,
     welfare_value,
 )
-from .seqpolicy import SequentialPolicy, check_policy, invited_row
+from .seqpolicy import SequentialPolicy, all_or_none, check_policy, invited_row
 
 
 class InfeasibleDesignError(RuntimeError):
@@ -188,8 +188,7 @@ def score(env: Environment, welfare: WelfareSpec, state: int) -> float:
     """Potential-to-welfare score of one state; +/-inf when the stake is 0.
     Built from the scalar ``potential`` and ``welfare_value``, so it checks
     ``design``'s score column instead of sharing its code."""
-    if not 0 <= state < env.n_states:
-        raise ValueError(f"state {state} out of range")
+    check_dimensions(env, welfare)
     gain = potential(env, state, env.n_agents)
     return ratio_scores([gain], [welfare_value(welfare, state, welfare.n_agents)])[0]
 
@@ -284,43 +283,25 @@ def _certify_at(
 
 def to_sequential_policy(tp: ThresholdPolicy, env: Environment) -> SequentialPolicy:
     """Materialize the threshold policy: invited mass rides the uniform mixture
-    over full orderings, the rest sits on the empty sequence.
-
-    A design whose probabilities are all floats in [0, 1], as ``design``
-    makes them, passes every check of ``SequentialPolicy``, so its record is
-    built here from those values: each state's mass is (1 - q) + q, which is
-    the ``math.fsum`` of its one or two terms (a sum of two floats rounds
-    once, correctly), within an ulp of 1. Any other design goes through the
-    validating constructor, which accepts or rejects it."""
+    over full orderings, the rest sits on the empty sequence. Each q is read
+    as a float (``owned``: an int or a numpy float converts, a bool or a
+    string raises naming ``invite_probs[i]``), the design is held to
+    ``check_design``, and ``seqpolicy.all_or_none`` builds the record."""
+    q = owned(tp.invite_probs, "invite_probs")
     check_design(tp, env)
-    q = tp.invite_probs
-    uniform_full = {s: p for s, p in enumerate(q) if p > 0.0}
-    entries = {(s, ()): 1.0 - p for s, p in enumerate(q) if p < 1.0}
-    # C passes; a NaN fails the range
-    if not (
-        {float}.issuperset(map(type, q))
-        and all(map(le, repeat(0.0), q))
-        and all(map(le, q, repeat(1.0)))
-    ):
-        return SequentialPolicy(env.n_agents, env.n_states, entries, uniform_full)
-    policy = object.__new__(SequentialPolicy)
-    fields = {
-        "n_agents": env.n_agents,
-        "n_states": env.n_states,
-        "entries": MappingProxyType(entries),
-        "uniform_full": MappingProxyType(uniform_full),
-        "mass": tuple(map(add, map(sub, repeat(1.0), q), q)),
-    }
-    for name, value in fields.items():
-        object.__setattr__(policy, name, value)
-    return policy
+    return all_or_none(env, q)
 
 
 def check_design(tp: ThresholdPolicy, env: Environment) -> None:
-    """Raise ``ValueError`` unless the design has one invitation probability
-    per state of ``env`` and its threshold state is one of them."""
-    k, t = len(tp.invite_probs), tp.threshold_state
-    if k != env.n_states:
-        raise ValueError(f"design covers {k} states, environment has {env.n_states}")
-    if not 0 <= t < k:
-        raise ValueError(f"threshold state {t} is not a state of 0..{k - 1}")
+    """The one rule for a design, which every reader of one holds it to:
+    raise ``ValueError`` unless it has one invitation probability per state
+    of ``env``, each in [0, 1] (a NaN fails), and its threshold state is one
+    of those states."""
+    q, t = tp.invite_probs, tp.threshold_state
+    if len(q) != env.n_states:
+        raise ValueError(f"design covers {len(q)} states, environment has {env.n_states}")
+    # two passes in C; a NaN fails the first
+    if not (all(map(le, repeat(0.0), q)) and all(map(le, q, repeat(1.0)))):
+        raise ValueError("design invitation probabilities must lie in [0, 1]")
+    if not 0 <= t < len(q):
+        raise ValueError(f"threshold state {t} is not a state of 0..{len(q) - 1}")

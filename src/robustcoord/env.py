@@ -351,6 +351,8 @@ class AssumptionReport(NamedTuple):
 
 def marginal_gain(env: Environment, state: int, count: int) -> float:
     """Gain from cooperating when ``count`` other agents cooperate."""
+    if not 0 <= state < env.n_states:
+        raise ValueError(f"state {state} out of range")
     if not 0 <= count <= env.n_agents - 1:
         raise ValueError(f"count must be in 0..{env.n_agents - 1}, got {count}")
     return float(
@@ -363,6 +365,8 @@ def marginal_gain(env: Environment, state: int, count: int) -> float:
 def potential(env: Environment, state: int, n: int) -> float:
     """Exact potential at n cooperators; successive differences are the
     marginal gains, so the closed form below telescopes them."""
+    if not 0 <= state < env.n_states:
+        raise ValueError(f"state {state} out of range")
     if not 0 <= n <= env.n_agents:
         raise ValueError(f"n must be in 0..{env.n_agents}, got {n}")
     b = env.benefit[state] - env.cost

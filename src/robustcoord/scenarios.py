@@ -101,6 +101,13 @@ def _field(block: dict, key: str, where: str, kind=float):
     return as_number(_require(block, key, where), f"{where}.{key}", kind)
 
 
+def _string(block: dict, key: str, where: str) -> str:
+    value = _require(block, key, where)
+    if not isinstance(value, str):
+        raise ValueError(f"{where}.{key}: expected a string, got {value!r}")
+    return value
+
+
 def _decimal(block: dict, key: str, where: str) -> Decimal:
     """A finite number as an exact decimal, read from its JSON spelling."""
     if not math.isfinite(_field(block, key, where)):
@@ -130,7 +137,7 @@ def _explicit_columns(config: dict, n_agents: int) -> tuple:
     for k, st in enumerate(states):
         where = f"states[{k}]"
         _reject_unknown(st, {"label", "prob", "b", "lambda", "alpha"}, where)
-        label = str(_require(st, "label", where))
+        label = _string(st, "label", where)
         # labels go unquoted into the CSV artifacts; grid labels are decimal strings
         if any(ch in label for ch in ',"\r\n'):
             raise ValueError(
@@ -193,10 +200,10 @@ def build_scenario(config: dict) -> Scenario:
         {"schema", "name", "n_agents", "states", "grid", "cost", "beta", "sweep", "modes"},
         "scenario",
     )
-    schema = _require(config, "schema", "scenario")
+    schema = _field(config, "schema", "scenario", int)
     if schema != SCHEMA_VERSION:
         raise ValueError(f"scenario.schema: expected {SCHEMA_VERSION}, got {schema!r}")
-    name = str(_require(config, "name", "scenario"))
+    name = _string(config, "name", "scenario")
     n_agents = _field(config, "n_agents", "scenario", int)
     cost = _field(config, "cost", "scenario")
     beta = _field(config, "beta", "scenario")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -135,6 +136,27 @@ class SequentialPolicy(Frozen):
     def canonical_items(self) -> list[tuple[tuple[int, Sequence_], float]]:
         # length-prefixed sequence ordering gives a stable, canonical listing
         return sorted(self.entries.items(), key=lambda kv: (kv[0][0], len(kv[0][1]), kv[0][1]))
+
+
+def all_or_none(env: Environment, q: Sequence[float]) -> SequentialPolicy:
+    """The policy that invites all N agents in a uniform order with
+    probability q[s] in state s and nobody otherwise, for floats q in
+    [0, 1], one per state (``designer.check_design`` holds a design to
+    that): the record the constructor makes of the same entries, without
+    its per-entry checks, which such q always pass. Each state's mass is
+    (1 - q) + q, the ``math.fsum`` of its one or two terms (a sum of two
+    floats rounds once, correctly), within an ulp of 1."""
+    policy = object.__new__(SequentialPolicy)
+    fields = {
+        "n_agents": env.n_agents,
+        "n_states": env.n_states,
+        "entries": MappingProxyType({(s, ()): 1.0 - p for s, p in enumerate(q) if p < 1.0}),
+        "uniform_full": MappingProxyType({s: p for s, p in enumerate(q) if p > 0.0}),
+        "mass": tuple(map(add, map(sub, itertools.repeat(1.0), q), q)),
+    }
+    for name, value in fields.items():
+        object.__setattr__(policy, name, value)
+    return policy
 
 
 class ObedienceReport(NamedTuple):

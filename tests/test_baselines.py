@@ -320,10 +320,22 @@ def test_sweep_boundaries_case1(case1):
 
 
 def test_dimension_mismatch(case1):
-    env, _ = case1
+    env, good = case1
     wf = WelfareSpec.power(3, np.array([6.0]), 1.5)
     with pytest.raises(ValueError, match="dimensions"):
         design_bce_optimistic(env, wf)
+    # realized play reads the spec it is handed: one state, five agents or
+    # three states would give 3.0, 4.18 and 9.0 at c = 1.2, not raise
+    env = env.with_cost(1.2)
+    bce = design_bce_optimistic(env, good)
+    assert evaluate_bce_realized(bce, env, good).welfare == 9.0
+    for wf in (
+        WelfareSpec.power(3, [6.0], 1.5),
+        WelfareSpec.power(5, [6.0, 12.0], 1.5),
+        WelfareSpec.power(3, [6.0, 12.0, 9.0], 1.5),
+    ):
+        with pytest.raises(ValueError, match="dimensions"):
+            evaluate_bce_realized(bce, env, wf)
 
 
 def test_zero_complementarity_optimism_equals_robust_design():

@@ -45,7 +45,10 @@ def test_bench_records_one_round_of_case1(tmp_path):
     _git(clone, "init", "-q")
     _git(clone, "add", "src")
     _git(clone, "commit", "-q", "-m", "src")
+    measured = (clone, copy)
     record = bench.bench(["run-case1"], 1, [clone, copy])
+    # the twin rows ran from byte-compiled copies, not from these trees
+    assert not any(path for tree in measured for path in tree.rglob("__pycache__"))
     assert set(record) == {"schema", "machine", "rounds", "order", "trees"}
     assert record["schema"] == 3 and record["rounds"] == 1
     assert set(record["machine"]) == {"cpu_count", "python", "platform", "PYTHONDONTWRITEBYTECODE"}
@@ -60,11 +63,14 @@ def test_bench_records_one_round_of_case1(tmp_path):
     for tree in (checkout, copy):
         assert list(tree["floors"]) == [
             "python -c pass", "python -S -c pass", "import robustcoord.cli",
+            "import robustcoord.cli (bytecode)",
         ]
-        assert list(tree["end_to_end"]) == ["run-case1"]
-        assert tree["end_to_end"]["run-case1"]["argv"] == [
-            "-m", "robustcoord.cli", "run", "--scenario", "case1", "--out", "$TMP/out/run-case1",
-        ]
+        assert list(tree["end_to_end"]) == ["run-case1", "run-case1 (bytecode)"]
+        for name in tree["end_to_end"]:
+            assert tree["end_to_end"][name]["argv"] == [
+                "-m", "robustcoord.cli", "run", "--scenario", "case1",
+                "--out", "$TMP/out/run-case1",
+            ]
         for row in [*tree["floors"].values(), *tree["end_to_end"].values()]:
             for metric in ("cpu_s", "max_rss_mb"):
                 stats = row[metric]

@@ -411,6 +411,31 @@ def test_label_breaking_csv_exits_2(tmp_path, capsys, label):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("schema", True, "scenario.schema: expected a number, got True"),
+        ("name", None, "scenario.name: expected a string, got None"),
+        ("label", None, "states[1].label: expected a string, got None"),
+        ("label", ["x"], "states[1].label: expected a string, got ['x']"),
+    ],
+    ids=["schema-true", "name-null", "label-null", "label-list"],
+)
+def test_a_field_of_another_json_type_exits_2(tmp_path, capsys, field, value, message):
+    # str() would read these as schema 1, the run "None", the label "['x']"
+    cfg = json.loads(json.dumps(PRESETS["case1"]))
+    if field == "label":
+        cfg["states"][1]["label"] = value
+    else:
+        cfg[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("run", str(path), out) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_write_json_refuses_non_finite_values(tmp_path, value):
     # the backstop behind the overflow check: no artifact holds Infinity or NaN

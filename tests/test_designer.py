@@ -3,7 +3,6 @@ and its LP dual certificate."""
 
 import importlib.util
 import math
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -251,6 +250,9 @@ def test_dimension_mismatch(case1):
     wf = WelfareSpec.power(4, np.array([6.0, 12.0]), 1.5)
     with pytest.raises(ValueError, match="dimensions"):
         design(env, wf)
+    # unchecked, a five-agent spec scores state H 0.1625, as the matching one does
+    with pytest.raises(ValueError, match="dimensions"):
+        score(env, WelfareSpec.power(5, [6.0, 12.0], 1.5), 1)
 
 
 def test_case1_certificate_is_the_exact_dual():
@@ -307,9 +309,9 @@ def test_certificate_primal_residual_is_the_policy_check(scenario):
 
 
 def test_certificate_rejects_a_design_that_is_no_policy(case1):
-    # the primal side is the design's own policy, which cannot carry mass 1.5
+    # the primal side is the design's own policy, and q = 1.5 makes none
     tp = design(*case1)
-    with pytest.raises(ValueError, match="mass above 1"):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         certify(*case1, tp._replace(invite_probs=(1.5, 1.0)))
 
 
@@ -362,15 +364,33 @@ def test_design_policy_equals_the_validating_constructors(scenario, monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "q", [1.5, 1 + 5e-10, -1e-13, math.nan, math.inf, -math.inf, 0.25, 1, np.float64(0.5)]
+    "q", [0, 0.25, 1, np.float64(0.5), 1.5, 1 + 5e-10, -1e-13, math.nan, math.inf, -math.inf]
 )
 def test_a_hand_built_design_gets_what_the_constructor_gives_it(case1, q):
+    # a q in [0, 1], an int or a numpy float too, gets the validating
+    # constructor's record; any other q is refused by every reader of a
+    # design, with check_design's message, however close to [0, 1] it lies
     env, wf = case1
     tp = design(env, wf)._replace(invite_probs=(q, 1.0))
-    try:
-        want = _constructed(tp, env)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            to_sequential_policy(tp, env)
-    else:
-        _same_policy(to_sequential_policy(tp, env), want)
+    if 0 <= q <= 1:
+        _same_policy(to_sequential_policy(tp, env), _constructed(tp, env))
+        return
+    calls = (
+        lambda: certify(env, wf, tp),
+        lambda: to_sequential_policy(tp, env),
+        lambda: evaluate_bce_realized(tp, env, wf),
+    )
+    for call in calls:
+        with pytest.raises(
+            ValueError, match=r"^design invitation probabilities must lie in \[0, 1\]$"
+        ):
+            call()
+
+
+@pytest.mark.parametrize("q", [True, "0.5"])
+def test_a_design_whose_q_is_no_number_is_refused(case1, q):
+    env, wf = case1
+    tp = design(env, wf)._replace(invite_probs=(q, 1.0))
+    for call in (lambda: certify(env, wf, tp), lambda: to_sequential_policy(tp, env)):
+        with pytest.raises(ValueError, match=r"^invite_probs\[0\]: expected a number"):
+            call()

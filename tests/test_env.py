@@ -49,6 +49,9 @@ def test_case1_marginal_gains(case1):
         marginal_gain(env, 0, 3)
     with pytest.raises(ValueError, match="count"):
         marginal_gain(env, 0, -1)
+    for state in (-1, 2):  # -1 would read state H's gain
+        with pytest.raises(ValueError, match=f"state {state} out of range"):
+            marginal_gain(env, state, 0)
 
 
 def test_case1_potentials(case1):
@@ -56,6 +59,9 @@ def test_case1_potentials(case1):
     assert abs(potential(env, 0, 3) - (-2.85)) <= 1e-12
     assert abs(potential(env, 1, 3) - 1.95) <= 1e-12
     assert potential(env, 0, 0) == 0.0
+    for state in (-1, 2):  # -1 would read state H's potential
+        with pytest.raises(ValueError, match=f"state {state} out of range"):
+            potential(env, state, 3)
 
 
 def test_potential_difference_identity():

@@ -109,6 +109,8 @@ def test_schema_version_checked():
     del cfg["schema"]
     with pytest.raises(ValueError, match="schema"):
         build_scenario(cfg)
+    cfg["schema"] = 1.0  # a whole number, as "n_agents": 3.0 is
+    assert build_scenario(cfg).name == "tiny"
 
 
 def test_states_xor_grid():
