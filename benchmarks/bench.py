@@ -36,7 +36,13 @@ in the same alternating order, which calls each layer twice and times the
 second call, so imports and first-call work stay out; each row keeps every
 round's sample and the best of them.
 
-    python benchmarks/bench.py [TREE ...] [-k 15] [--out FILE]
+With ``--scale``, the N x S table as well: ``design``, ``check``, ``lp``,
+``evaluate`` and ``compare`` on ramped grids of N agents and S states at
+S * N = 10^6, the loader's cap (``SCALE_SHAPES``), each a row named
+``<command> <N>x<S>`` measured like the end-to-end rows, without a bytecode
+twin. They take seconds a round, so they are not run by default.
+
+    python benchmarks/bench.py [TREE ...] [-k 15] [--scale] [--out FILE]
 
 With no TREE it measures the checkout it sits in. Each tree is named in the
 record by its git commit (``no-git`` outside a clone) and whether its
@@ -78,6 +84,9 @@ FLOORS = {
 }
 # the suffix of a row run from a byte-compiled copy of the tree's src/
 BYTECODE = " (bytecode)"
+# the scale rows: each command on each (N, S) grid of _scale_grid
+SCALE_COMMANDS = ("design", "check", "lp", "evaluate", "compare")
+SCALE_SHAPES = ((1_000, 1_000), (10_000, 100), (100_000, 10), (1_000_000, 1))
 
 
 def _git(tree: Path, *args: str) -> str | None:
@@ -117,6 +126,30 @@ def _wide_grid(path: Path) -> str:
         sys.modules.pop("workloads", None)
         sys.modules.pop("oracle", None)
     path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    return str(path)
+
+
+def _scale_grid(path: Path, n_agents: int, n_states: int) -> str:
+    """A grid of ``n_states`` states at the midpoints of (0, 1) in theta,
+    on case2's ramps (b 0.5-2.0, lambda 0.1-0.8, alpha 6-12), with c = 1.0
+    and beta = 1.5."""
+    config = {
+        "schema": 1,
+        "name": f"scale-{n_agents}x{n_states}",
+        "n_agents": n_agents,
+        "grid": {
+            "count": n_states,
+            "theta_start": 1 / (2 * n_states),
+            "theta_step": 1 / n_states,
+            "b": [0.5, 2.0],
+            "lambda": [0.1, 0.8],
+            "alpha": [6.0, 12.0],
+        },
+        "cost": 1.0,
+        "beta": 1.5,
+        "modes": ["design"],
+    }
+    path.write_text(json.dumps(config, indent=2) + "\n")
     return str(path)
 
 
@@ -186,10 +219,10 @@ def _summary(samples: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "samples": samples}
 
 
-def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
+def bench(cases: list[str], rounds: int, trees: list[Path], shapes=()) -> dict:
     """The record of ``rounds`` interleaved rounds; no tree means this
     checkout. ``cases`` names rows of CASES, and LAYERS for the per-layer
-    rows."""
+    rows; ``shapes`` lists the (N, S) grids of the scale rows."""
     trees = [Path(t).resolve() for t in trees or [ROOT]]
     extra = os.environ.get("PYTHONPATH")
 
@@ -215,6 +248,13 @@ def bench(cases: list[str], rounds: int, trees: list[Path]) -> dict:
         argvs.update({name + BYTECODE: argvs[name] for name in imports})
         floors = [*FLOORS, imports[0] + BYTECODE]
         commands = [twin for name in commands for twin in (name, name + BYTECODE)]
+        for n, s in shapes:
+            scenario = _scale_grid(tmp / f"scale-{n}x{s}.json", n, s)
+            for command in SCALE_COMMANDS:
+                name, out = f"{command} {n}x{s}", str(tmp / "out" / f"{command}-{n}x{s}")
+                argvs[name] = [sys.executable, "-m", "robustcoord.cli", command]
+                argvs[name] += ["--scenario", scenario, "--out", out]
+                commands.append(name)
         # one command's trees run back to back, so they share the machine's state
         names = [*floors, *commands, LAYERS] if LAYERS in cases else [*floors, *commands]
         jobs = [(name, t) for name in names for t in range(len(trees))]
@@ -280,6 +320,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("-k", type=int, default=15, help="rounds (default 15)")
     parser.add_argument(
+        "--scale", action="store_true", help="add the N x S table (SCALE_SHAPES); seconds a round"
+    )
+    parser.add_argument(
         "--out", type=Path, help="file to write (default: BENCH_<tag>.json at the root)"
     )
     args = parser.parse_args(argv)
@@ -288,10 +331,11 @@ def main(argv=None) -> int:
     for tree in args.trees:
         if not (tree / "src" / "robustcoord").is_dir():
             parser.error(f"{tree} holds no src/robustcoord")
-    record = bench([*CASES, LAYERS], args.k, args.trees)
+    record = bench([*CASES, LAYERS], args.k, args.trees, SCALE_SHAPES if args.scale else ())
     # a tree is named by its place in "trees", not by where it sat
     trees = [f"$TREE{i}" for i in range(len(args.trees))]
-    record = {"command": ["python", "benchmarks/bench.py", *trees, "-k", str(args.k)], **record}
+    command = ["python", "benchmarks/bench.py", *trees, "-k", str(args.k)]
+    record = {"command": command + ["--scale"] * args.scale, **record}
     tag = "_vs_".join(tree["tag"] for tree in record["trees"])
     out = args.out or ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")

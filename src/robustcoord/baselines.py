@@ -70,9 +70,8 @@ def evaluate_bce_realized(
     played by ``play_events`` as the public counterfactual of
     ``to_sequential_policy(policy, env)`` plays them. The design is held to
     ``check_design`` here, once, and the welfare spec to ``env``'s size."""
-    check_design(policy, env)
+    q = check_design(policy, env)
     check_dimensions(env, welfare)
-    q = policy.invite_probs
     events = [("recommend-all", q, None), ("recommend-none", [1.0 - x for x in q], None)]
     return play_events(env, welfare, events)
 

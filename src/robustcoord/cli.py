@@ -173,7 +173,9 @@ def _run_lp(scn: Scenario, out: Path, args, dsn: _Designed) -> list[str]:
     payload = {
         "status": "OPTIMAL" if cert.passed else "NUMERICAL",
         "value": value,
-        "n_vars": env.n_states * (env.n_agents + 1),  # the columns the certificate priced
+        # the LP's S * (N + 1) columns, each bounded by the certificate: with
+        # power welfare its end columns k = 0 and N bound the rest
+        "n_vars": env.n_states * (env.n_agents + 1),
         "assignment": [
             {"state": label, "size": size, "prob": p}
             for label, x in zip(env.labels, tp.invite_probs)

@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .env import (
     CERT_TOL,
+    POWER,
     Environment,
     WelfareSpec,
     check_assumptions,
@@ -254,9 +255,14 @@ def _certify_at(
     ratio). Each state's mass row is priced by complementary slackness at
     the size the design uses: y = prior * (V(N) + mu * potential(N)) where
     it invites, clipped at 0 at the threshold state, and 0 where it does
-    not. Every column (state, size k = 0..N) is then priced against y, so
-    the cost is O(S * N). The primal side is the design policy's own
-    ``check_policy`` report at tol 0: its invited, stay-out and mass rows."""
+    not. The LP's columns (state, size k = 0..N) are then priced against y.
+    With power welfare and mu >= 0 only k = 0 and k = N are: V = alpha *
+    (k / N) ** beta with beta >= 1 and the potential (lambda >= 0) are
+    convex in k, so each state's reduced cost prior * (V + mu * potential)
+    - y is too, and its two ends bound it, in O(S). Tabulated welfare, or a
+    hand-built design whose mu is < 0, has every k priced, in O(S * N).
+    The primal side is the design policy's own ``check_policy`` report at
+    tol 0: its invited, stay-out and mass rows."""
     check_dimensions(env, welfare)
     report = check_policy(to_sequential_policy(tp, env), env, tol=0.0)
     q, n, t = tp.invite_probs, env.n_agents, tp.threshold_state
@@ -266,7 +272,7 @@ def _certify_at(
     y = [p * (v + mu * f) if x > 0.0 else 0.0 for p, x, v, f in zip(env.prior, q, v_n, f_n)]
     y[t] = max(y[t], 0.0)
     dual_violation = max(0.0, -mu)
-    for k in range(n + 1):
+    for k in (0, n) if welfare.kind == POWER and mu >= 0.0 else range(n + 1):
         columns = zip(env.prior, welfare_column(welfare, k), potential_column(env, k), y)
         dual_violation = max(dual_violation, *(p * (v + mu * f) - ys for p, v, f, ys in columns))
     mass = (abs(m - 1.0) for m in report.state_mass)
@@ -283,21 +289,21 @@ def _certify_at(
 
 def to_sequential_policy(tp: ThresholdPolicy, env: Environment) -> SequentialPolicy:
     """Materialize the threshold policy: invited mass rides the uniform mixture
-    over full orderings, the rest sits on the empty sequence. Each q is read
-    as a float (``owned``: an int or a numpy float converts, a bool or a
-    string raises naming ``invite_probs[i]``), the design is held to
-    ``check_design``, and ``seqpolicy.all_or_none`` builds the record."""
-    q = owned(tp.invite_probs, "invite_probs")
-    check_design(tp, env)
-    return all_or_none(env, q)
+    over full orderings, the rest sits on the empty sequence. The design is
+    held to ``check_design``, and ``seqpolicy.all_or_none`` builds the record
+    from the floats it returns."""
+    return all_or_none(env, check_design(tp, env))
 
 
-def check_design(tp: ThresholdPolicy, env: Environment) -> None:
+def check_design(tp: ThresholdPolicy, env: Environment) -> tuple[float, ...]:
     """The one rule for a design, which every reader of one holds it to:
     raise ``ValueError`` unless it has one invitation probability per state
-    of ``env``, each in [0, 1] (a NaN fails), and its threshold state is one
-    of those states."""
-    q, t = tp.invite_probs, tp.threshold_state
+    of ``env``, each a number in [0, 1] (a NaN fails), and its threshold
+    state is one of those states. Returns the probabilities as floats. Each
+    is read by ``owned``: one C pass over their types when all are floats,
+    else an int or a numpy float converts, and a bool or a string raises
+    naming ``invite_probs[i]``."""
+    q, t = owned(tp.invite_probs, "invite_probs"), tp.threshold_state
     if len(q) != env.n_states:
         raise ValueError(f"design covers {len(q)} states, environment has {env.n_states}")
     # two passes in C; a NaN fails the first
@@ -305,3 +311,4 @@ def check_design(tp: ThresholdPolicy, env: Environment) -> None:
         raise ValueError("design invitation probabilities must lie in [0, 1]")
     if not 0 <= t < len(q):
         raise ValueError(f"threshold state {t} is not a state of 0..{len(q) - 1}")
+    return q

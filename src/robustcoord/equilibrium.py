@@ -11,6 +11,7 @@ about how many others cooperate, never which ones.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -117,7 +118,7 @@ def smallest_equilibrium(
     belief: Belief,
     welfare: WelfareSpec | None = None,
 ) -> EquilibriumOutcome:
-    """Iterated best response from zero cooperators, read off one gain table.
+    """Iterated best response from zero cooperators, bisected on the gain.
 
     A defector joins only when the gain is strictly above STRICT_TOL;
     cooperation therefore never starts unless the zero-cooperator gain is
@@ -130,19 +131,22 @@ def smallest_equilibrium(
     response stops, and ``rounds`` is the climb 0, 1, ..., coop_count.
 
     The gain is affine in the count, E[b - c] + E[lambda] * k / (N - 1), so
-    two belief means give all N gains (``_gain`` at mass 1).
+    two belief means give it at every count (``_gain`` at mass 1). E[lambda]
+    >= 0 and each float step is monotone, so the gain never falls as k
+    rises: ``hold``, the first k whose gain is >= -STRICT_TOL, and ``join``,
+    the first whose gain is > STRICT_TOL, are each one bisection. The
+    equilibria are 0 (if join > 0), every k with hold < k < join, and N (if
+    hold < N); best response stops at the first of them, 0 or N.
     """
     probs, n = belief.probs, env.n_agents
     if len(probs) != env.n_states:
         raise ValueError("belief does not match the state count")
     mean_net = math.fsum(map(mul, probs, net_column(env)))
     mean_comp = math.fsum(map(mul, probs, env.complementarity))
-    gains = [_gain(env, (1.0, mean_net, mean_comp), k) for k in range(n)]
-    equilibria = [
-        k
-        for k in range(n + 1)
-        if (k == 0 or gains[k - 1] >= -STRICT_TOL) and (k == n or gains[k] <= STRICT_TOL)
-    ]
+    sums = (1.0, mean_net, mean_comp)
+    hold = bisect_left(range(n), True, key=lambda k: _gain(env, sums, k) >= -STRICT_TOL)
+    join = bisect_left(range(n), True, key=lambda k: _gain(env, sums, k) > STRICT_TOL)
+    equilibria = [0] * (join > 0) + [*range(max(1, hold + 1), min(n, join))] + [n] * (hold < n)
     count = equilibria[0]
 
     wel = None
@@ -315,7 +319,9 @@ def _chain_walk(env, seq: tuple[int, ...], invited, uniform, left_out) -> int:
     information. Every gain rises with the count (slope sum of w * lambda
     >= 0), so that climb stops at the least count c >= accepted that is
     accepted plus the number of the others whose gain at c is above
-    STRICT_TOL."""
+    STRICT_TOL. It climbs in best-response rounds, each setting c to that
+    number at the last c, from c = accepted: the rounds never fall, never
+    pass the least such c, and stop on it (or at N)."""
     n = env.n_agents
     ranked = [invited.get((agent, rank), uniform) for rank, agent in enumerate(seq)]
     accepted = next(
@@ -323,7 +329,8 @@ def _chain_walk(env, seq: tuple[int, ...], invited, uniform, left_out) -> int:
     )
     members = set(seq)
     others = ranked[accepted:] + [left_out[i] for i in range(n) if i not in members]
-    for c in range(accepted, n):
-        if accepted + sum(_gain(env, sums, c) > STRICT_TOL for sums in others) == c:
-            return c
-    return n
+    count, joined = -1, accepted
+    while count < joined < n:  # one round: the others re-decide at count
+        count = joined
+        joined = accepted + sum(_gain(env, sums, count) > STRICT_TOL for sums in others)
+    return joined

@@ -232,7 +232,7 @@ def check_policy(
     check_policy_dimensions(policy, env)
     feasible = all(abs(m - 1.0) <= tol for m in policy.mass)
     so_c, so_n = map(tuple, _obedience_values(policy, env))
-    passed = feasible and all(v >= -tol for v in so_c) and all(v <= tol for v in so_n)
+    passed = feasible and min(so_c) >= -tol and max(so_n) <= tol
     return ObedienceReport(so_c, so_n, policy.mass, feasible, passed, tol)
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from robustcoord import load_scenario
+
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks" / "bench.py"
 
 
@@ -98,3 +100,22 @@ def test_a_tree_without_the_package_exits_2_before_measuring(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         _load().main([str(tmp_path), "-k", "1"])
     assert exc.value.code == 2 and "holds no src/robustcoord" in capsys.readouterr().err
+
+
+def test_bench_times_each_command_on_a_scale_grid(tmp_path):
+    # one round on this checkout, of one tiny shape in place of SCALE_SHAPES
+    bench = _load()
+    scn = load_scenario(bench._scale_grid(tmp_path / "grid.json", 10, 4))
+    assert scn.env.n_agents == 10 and scn.env.cost == 1.0 and scn.welfare.beta == 1.5
+    assert scn.env.labels == ("0.125", "0.375", "0.625", "0.875")
+    record = bench.bench([], 1, [bench.ROOT], [(4, 3)])
+    (tree,) = record["trees"]
+    assert tree["per_layer"] == {}
+    assert list(tree["end_to_end"]) == [f"{command} 4x3" for command in bench.SCALE_COMMANDS]
+    for command in bench.SCALE_COMMANDS:
+        row = tree["end_to_end"][f"{command} 4x3"]
+        assert row["argv"] == [
+            "-m", "robustcoord.cli", command, "--scenario", "$TMP/scale-4x3.json",
+            "--out", f"$TMP/out/{command}-4x3",
+        ]
+        assert len(row["cpu_s"]["samples"]) == 1 and row["cpu_s"]["samples"][0] > 0

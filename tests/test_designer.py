@@ -3,6 +3,7 @@ and its LP dual certificate."""
 
 import importlib.util
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,8 +30,10 @@ from robustcoord import (
     score,
     to_sequential_policy,
 )
-from robustcoord.env import CERT_TOL
+from robustcoord.env import CERT_TOL, potential_column, welfare_column
 from robustcoord.seqpolicy import SequentialPolicy
+from conftest import random_convex_instance
+from test_lp import LP_N6
 
 
 def test_case1_scores(case1):
@@ -308,6 +311,115 @@ def test_certificate_primal_residual_is_the_policy_check(scenario):
     assert certify(env, wf, tp).primal_residual == 0.0
 
 
+def _every_column_violation(env, wf, tp, mu):
+    """The certificate's dual violation with every column (state, size k =
+    0..N) of the agent-symmetric LP priced against the design's mass-row
+    duals: the reference ``certify``'s end columns must equal."""
+    n, t = env.n_agents, tp.threshold_state
+    v_n, f_n = welfare_column(wf, n), potential_column(env, n)
+    q = tp.invite_probs
+    y = [p * (v + mu * f) if x > 0.0 else 0.0 for p, x, v, f in zip(env.prior, q, v_n, f_n)]
+    y[t] = max(y[t], 0.0)
+    worst = max(0.0, -mu)
+    for k in range(n + 1):
+        columns = zip(env.prior, welfare_column(wf, k), potential_column(env, k), y)
+        worst = max(worst, *(p * (v + mu * f) - ys for p, v, f, ys in columns))
+    return worst
+
+
+def _designs(scn):
+    """(environment, welfare, design) at the scenario's cost and each of its
+    sweep costs that has a design."""
+    for cost in (scn.env.cost, *scn.sweep_costs):
+        env = scn.env.with_cost(cost)
+        try:
+            yield env, scn.welfare, design(env, scn.welfare)
+        except InfeasibleDesignError:
+            pass
+
+
+def test_end_columns_price_the_certificate_as_every_column_does(monkeypatch):
+    # power welfare and mu >= 0: each state's reduced cost is convex in k,
+    # so its two ends bound it; on these inputs they give the same bits
+    workloads = _benchmark_workloads(monkeypatch)
+    configs = [LP_N6]
+    for seed in range(10):  # the lp-oracle workload's instances
+        rng = random.Random(f"lp-oracle/{seed}")
+        configs.extend(workloads.lp_instance(rng, n) for n in (3, 4, 5))
+    scenarios = map(build_scenario, configs)
+    cases = [(scn.env, scn.welfare, design(scn.env, scn.welfare)) for scn in scenarios]
+    for scn in (load_scenario("case1"), load_scenario("case2")):
+        cases.extend(_designs(scn))
+    cases.extend(_designs(build_scenario(workloads.wide_grid_config(0))))
+    assert len(cases) == 111
+    for env, wf, tp in cases:
+        cert = certify(env, wf, tp)
+        assert cert.mu >= 0.0
+        want = _every_column_violation(env, wf, tp, cert.mu)
+        assert cert.dual_violation.hex() == want.hex(), (env.cost, env.n_states)
+
+
+def test_end_columns_agree_with_every_column_on_random_instances():
+    # a design at its own mu leaves no column above its dual, so each draw
+    # is also priced at other mu >= 0 and with hand-drawn invitation
+    # probabilities, where the worst column is mostly positive
+    rng = np.random.default_rng(41)
+    positive = total = 0
+    for n_agents in (None, 10, 100, 1000):
+        for _ in range(10):
+            env, wf = random_convex_instance(rng, n_agents=n_agents)
+            tp = design(env, wf)
+            mu = certify(env, wf, tp).mu
+            drawn = tuple(rng.choice([0.0, 1.0, float(rng.random())], env.n_states).tolist())
+            for hand in (tp, tp._replace(invite_probs=drawn)):
+                for moved in (mu, 0.5 * mu, 2.0 * mu, mu + 1.0):
+                    got = designer._certify_at(env, wf, hand, moved).dual_violation
+                    want = _every_column_violation(env, wf, hand, moved)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                    positive, total = positive + (want > 0.0), total + 1
+    assert positive > total // 4
+
+
+def _sizes_asked(monkeypatch):
+    """The (column, count) pairs designer asks for from now on."""
+    asked = set()
+    for name in ("welfare_column", "potential_column"):
+        column = getattr(designer, name)
+
+        def counted(spec, k, name=name, column=column):
+            asked.add((name, k))
+            return column(spec, k)
+
+        monkeypatch.setattr(designer, name, counted)
+    return asked
+
+
+def test_certify_prices_power_welfare_at_the_end_columns_only(monkeypatch):
+    n = 10**6
+    env = Environment(n, ("s",), [1.0], [1.5], [0.4], 1.0)
+    wf = WelfareSpec.power(n, [6.0], 1.5)
+    tp = design(env, wf)
+    asked = _sizes_asked(monkeypatch)
+    assert certify(env, wf, tp).passed
+    assert asked == {(name, k) for name in ("welfare_column", "potential_column") for k in (0, n)}
+
+
+def test_tabulated_welfare_and_a_negative_mu_are_priced_at_every_size(case1, monkeypatch):
+    env, power = case1
+    every = {(name, k) for name in ("welfare_column", "potential_column") for k in range(4)}
+    asked = _sizes_asked(monkeypatch)
+    table = WelfareSpec.tabulated([[0.0, 2.0, 4.0, 6.0], [0.0, 4.0, 8.0, 12.0]])
+    assert certify(env, table, design(env, table)).passed
+    assert asked == every
+    # threshold at H, whose potential at N is > 0: mu = -V / potential < 0
+    hand = design(env, power)._replace(threshold_state=1)
+    asked.clear()
+    cert = certify(env, power, hand)
+    assert asked == every
+    assert cert.mu < 0.0 and not cert.passed
+    assert cert.dual_violation == _every_column_violation(env, power, hand, cert.mu)
+
+
 def test_certificate_rejects_a_design_that_is_no_policy(case1):
     # the primal side is the design's own policy, and q = 1.5 makes none
     tp = design(*case1)
@@ -391,6 +503,11 @@ def test_a_hand_built_design_gets_what_the_constructor_gives_it(case1, q):
 def test_a_design_whose_q_is_no_number_is_refused(case1, q):
     env, wf = case1
     tp = design(env, wf)._replace(invite_probs=(q, 1.0))
-    for call in (lambda: certify(env, wf, tp), lambda: to_sequential_policy(tp, env)):
+    calls = (
+        lambda: certify(env, wf, tp),
+        lambda: to_sequential_policy(tp, env),
+        lambda: evaluate_bce_realized(tp, env, wf),
+    )
+    for call in calls:
         with pytest.raises(ValueError, match=r"^invite_probs\[0\]: expected a number"):
             call()

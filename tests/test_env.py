@@ -511,7 +511,8 @@ def test_welfare_column_hands_out_a_new_list_each_call(kind):
 
 
 def test_certify_leaves_only_the_cost_free_columns_cached():
-    # certify reads V(k) at every k = 0..N; only V(0) and V(N) are kept
+    # with power welfare certify prices the sizes 0 and N only, read from
+    # the spec's cached V(0) and V(N), and it caches no other column
     from robustcoord import certify, design
 
     n = 1000

@@ -22,7 +22,7 @@ from robustcoord import (
     smallest_equilibrium,
     to_sequential_policy,
 )
-from robustcoord import cli
+from robustcoord import cli, equilibrium
 from robustcoord.env import welfare_column
 from robustcoord.equilibrium import _bayes, _interim_sums, play_events
 from conftest import random_convex_instance
@@ -270,6 +270,11 @@ def _knife_edge_games():
             cost=2.0,
         )
         yield env, Belief((1.0,))
+        # lambda = 0 and b - c = +-1e-12 exactly: every gain sits on the
+        # tolerance, where cooperators hold and defectors stay out
+        for net in (1e-12, -1e-12):
+            env = Environment(n_agents, ("z",), [1.0], [net], [0.0], 0.0)
+            yield env, Belief((1.0,))
 
 
 def test_one_pass_matches_climb_then_scan(case1):
@@ -277,7 +282,7 @@ def test_one_pass_matches_climb_then_scan(case1):
     games = [(env1, Belief(env1.prior))]  # g(2) = 0 exactly at case1's prior
     games.extend(_knife_edge_games())
     rng = np.random.default_rng(31)
-    for n_agents in range(2, 13):
+    for n_agents in (*range(2, 13), 50, 1000):
         for _ in range(15):
             n_states = int(rng.integers(1, 5))
             env = Environment(
@@ -305,6 +310,28 @@ def test_one_pass_matches_climb_then_scan(case1):
     # gains never fall in the count, so best response stops at 0 or N; the
     # draws reach both, and 0 both alone and beside other equilibria
     assert shapes == {("none", False), ("none", True), ("all", False)}
+
+
+@pytest.mark.parametrize(
+    "net, comp, equilibria",
+    [(-0.1, 0.4, (0, 10**6)), (0.5, 0.0, (10**6,)), (-0.5, 0.3, (0,))],
+)
+def test_smallest_equilibrium_bisects_the_gain(monkeypatch, net, comp, equilibria):
+    # two bisections of the gain at N = 10^6, not a table of N gains
+    n = 10**6
+    env = Environment(n, ("s",), [1.0], [1.0 + net], [comp], 1.0)
+    asked = []
+    gain = equilibrium._gain
+
+    def counted(env, sums, k):
+        asked.append(k)
+        return gain(env, sums, k)
+
+    monkeypatch.setattr(equilibrium, "_gain", counted)
+    out = smallest_equilibrium(env, Belief((1.0,)))
+    assert len(asked) <= 2 * math.ceil(math.log2(n)) + 2
+    assert out.all_equilibria == equilibria and out.coop_count == equilibria[0]
+    assert len(out.rounds) == out.coop_count + 1
 
 
 def test_negative_tolerance_rejected(case1):

@@ -202,6 +202,9 @@ def test_certificate_reports_non_convex_welfare():
     cert = certify(env, wf, tp)
     assert not cert.passed
     assert max(cert.gap, cert.dual_violation) > CERT_TOL
+    # tabulated welfare has every size priced: L at one cooperator costs
+    # 1/2 * (5 + 40/19 * potential -1) = 55/38 above its dual, 0
+    assert cert.dual_violation == pytest.approx(55 / 38, rel=1e-12)
     sol = solve(build_symmetric_lp(env, wf))
     assert sol.status == "OPTIMAL"
     assert sol.value > tp.expected_welfare + 0.5

@@ -10,6 +10,7 @@ import pytest
 
 from robustcoord import (
     CapacityError,
+    Environment,
     SequentialPolicy,
     WelfareSpec,
     check_policy,
@@ -109,6 +110,18 @@ def test_worked_example_obedience_values(case1):
     assert so_n[2] == 0.0
     assert not report.passed
     assert report.feasible
+
+
+def test_one_uninvited_agent_who_would_join_fails_the_policy():
+    # L is silent; in H agents 1 and 2 are invited in turn and agent 0 never
+    # is, and joining the two pays 0.9 there: so_n[0] = 0.2 * -1 + 0.8 * 0.9
+    # is the one value past its bound
+    env = Environment(3, ("L", "H"), (0.2, 0.8), (1.0, 2.4), (0.1, 0.5), 2.0)
+    report = check_policy(SequentialPolicy(3, 2, {(0, ()): 1.0, (1, (1, 2)): 1.0}), env)
+    assert report.feasible and min(report.so_c) >= 0.0
+    assert report.so_n[0] == pytest.approx(0.52, abs=1e-12)
+    assert max(report.so_n[1:]) < 0.0
+    assert not report.passed
 
 
 def test_uniform_full_closed_form_matches_expansion(case1):

@@ -238,8 +238,11 @@ def _gain_under(env, weights, count):
 def _loop_private(policy, env, welfare, tol=1e-12):
     """Private-sequential play with one S-length belief vector per interim
     event. Each event is (label, count, contribution, walk), where walk is
-    None for the uniform-full block and otherwise the pair (invitees the
-    chain kept before breaking, sequence length)."""
+    None for the uniform-full block and otherwise the triple (invitees the
+    chain kept before breaking, sequence length, passes over the others in
+    which someone joined). Each pass lets an agent join at the count the
+    ones before it left, so it moves at least as far as one round of
+    simultaneous best response: two passes mean two rounds or more."""
     if check_policy(policy, env).passed:
         return expected_welfare(policy, env, welfare), True, []
 
@@ -258,7 +261,7 @@ def _loop_private(policy, env, welfare, tol=1e-12):
             for i in range(env.n_agents)
             if i not in seq or seq.index(i) >= accepted
         ]
-        count = accepted
+        count, passes = accepted, 0
         changed = True
         while changed and count < env.n_agents:
             changed = False
@@ -270,7 +273,8 @@ def _loop_private(policy, env, welfare, tol=1e-12):
                 else:
                     still.append(w)
             candidates = still
-        return count, (accepted, len(seq))
+            passes += changed
+        return count, (accepted, len(seq), passes)
 
     def uniform_walk(weights):
         count = 0
@@ -437,14 +441,32 @@ def test_optimistic_baseline_matches_loops(case1):
     assert seen == {"hopeless", "degenerate", "mixing", "dust"}
 
 
-def test_obedience_values_and_welfare_match_loops():
-    seen = set()
+def _two_round_recovery():
+    """In the weak state agent 0 alone is invited, and the chain breaks at
+    once: b = c there, so a gain is 0 until someone joins. Agent 2, never
+    invited, holds the prior and joins at 0 (the strong state has b > c);
+    only then do agents 0 and 1 join, in a second best-response round."""
+    env = Environment(3, ("weak", "strong"), (0.5, 0.5), (2.0, 2.5), (1.0, 0.0), 2.0)
+    wf = WelfareSpec.power(3, np.array([6.0, 12.0]), 1.5)
+    return env, wf, [SequentialPolicy(3, 2, {(0, (0,)): 1.0, (1, (1, 0)): 1.0})]
+
+
+def _policies():
+    """The hand-built case, then each drawn instance with a mixed policy
+    and, where it has one, its design."""
+    yield _two_round_recovery()
     for env, wf, rng in _cases():
         policies = [_mixed_policy(env, rng)]
         try:
             policies.append(to_sequential_policy(design(env, wf), env))
         except InfeasibleDesignError:
             pass
+        yield env, wf, policies
+
+
+def test_obedience_values_and_welfare_match_loops():
+    seen = set()
+    for env, wf, policies in _policies():
         for pol in policies:
             report = check_policy(pol, env)
             n = env.n_agents
@@ -477,10 +499,13 @@ def test_obedience_values_and_welfare_match_loops():
                     seen.add("uniform block")
                 elif walk[0] < walk[1] and walk[0] < n_coop < n:
                     seen.add("broken chain recovers to an interior count")
+                if walk is not None and walk[2] >= 2:
+                    seen.add("recovery climbs in two rounds or more")
     assert seen == {
         "non-obedient",
         "uniform block",
         "broken chain recovers to an interior count",
+        "recovery climbs in two rounds or more",
     }
 
 
